@@ -115,29 +115,43 @@ def is_colorful(g: ColoredGraph, cut: Cut) -> bool:
     return len(cut_colors(g, cut)) == g.p
 
 
+def _bfs_labels(
+    vertices: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> dict[int, tuple[int, int]]:
+    """Label every vertex with (component root, BFS depth parity).
+
+    Each pair must join two of `vertices`.  Roots are taken in the order of
+    `vertices`, so a root is its component's first vertex in that order.  An
+    edge joins two equal parities exactly when its component has an odd cycle.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    labels: dict[int, tuple[int, int]] = {}
+    for root in adj:
+        if root in labels:
+            continue
+        labels[root] = (root, 0)
+        queue = [root]
+        for v in queue:
+            parity = 1 - labels[v][1]
+            for w in adj[v]:
+                if w not in labels:
+                    labels[w] = (root, parity)
+                    queue.append(w)
+    return labels
+
+
 def color_span(g: ColoredGraph, color: int) -> int:
     """Number of connected components of the subgraph formed by one color class.
 
     Only vertices touched by edges of that color count; isolated vertices of
     the host graph are ignored.
     """
-    indices = g.edges_of_color(color)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in indices:
-        u, v, _ = g.edges[i]
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(x) for x in parent})
+    pairs = [g.edges[i][:2] for i in g.edges_of_color(color)]
+    labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
+    return len({root for root, _ in labels.values()})
 
 
 def distinct_pairs_of_color(g: ColoredGraph, color: int) -> int:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .graph import ColoredGraph, Cut, dedupe_edges, distinct_pairs_of_color
+from .graph import ColoredGraph, Cut, dedupe_edges
 
 
 class KernelVerdict(Enum):
@@ -52,51 +52,48 @@ def claim1_bound(beta: int) -> int:
     return 2 * math.comb(beta, 2)
 
 
-def rule_star_find(g: ColoredGraph) -> Optional[int]:
-    """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None."""
-    bound = claim1_bound(g.p)
-    for color in range(1, g.p + 1):
-        if distinct_pairs_of_color(g, color) > bound:
-            return color
-    return None
-
-
-def _pairs_by_color(edges: Sequence[tuple[int, int, int]]) -> dict[int, set[frozenset[int]]]:
+def _dense_color(
+    edges: Iterable[tuple[int, int, int]], colors: Iterable[int]
+) -> Optional[int]:
+    """Smallest of `colors` whose distinct-pair count exceeds 2*C(p,2), where
+    p counts `colors`, or None."""
     pairs: dict[int, set[frozenset[int]]] = {}
     for u, v, c in edges:
         pairs.setdefault(c, set()).add(frozenset((u, v)))
-    return pairs
+    ordered = sorted(colors)
+    bound = claim1_bound(len(ordered))
+    return next((c for c in ordered if len(pairs.get(c, ())) > bound), None)
+
+
+def rule_star_find(g: ColoredGraph) -> Optional[int]:
+    """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None."""
+    return _dense_color(g.edges, range(1, g.p + 1))
 
 
 def _run_rule(
     g: ColoredGraph, k: Optional[int]
-) -> tuple[list[int], Optional[int], ColoredGraph]:
+) -> tuple[KernelVerdict, list[int], Optional[int], ColoredGraph]:
     """Shared removal loop on the deduped graph, working in original ids.
 
-    Returns (removed original colors, remaining k or None, deduped input).
-    A remaining k of 0, or k equal to ceil(p/2) at entry, signals the caller
-    before any further rule applications.
+    Returns (verdict, removed original colors, remaining k or None, deduped
+    input).  With a target k the loop stops with EARLY_YES as soon as the
+    remaining k is 0 or equals ceil(p/2) for the p colors still alive.
     """
     work = dedupe_edges(g)
     alive = set(range(1, work.p + 1))
     kept_edges = list(work.edges)
     removed: list[int] = []
     while True:
+        k_cur = None if k is None else k - len(removed)
+        # Guaranteed-yes shortcuts: the greedy half-colors bound covers
+        # k == ceil(p/2), and k exhausted means the removed colors alone
+        # witness the target.
         p_cur = len(alive)
-        if k is not None:
-            k_cur = k - len(removed)
-            # Guaranteed-yes shortcuts: the greedy half-colors bound covers
-            # k == ceil(p/2), and k exhausted means the removed colors alone
-            # witness the target.
-            if k_cur == 0 or 2 * k_cur in (p_cur, p_cur + 1):
-                return removed, k_cur, work
-        bound = claim1_bound(p_cur)
-        pairs = _pairs_by_color(kept_edges)
-        target = next(
-            (c for c in sorted(alive) if len(pairs.get(c, ())) > bound), None
-        )
+        if k_cur is not None and (k_cur == 0 or 2 * k_cur in (p_cur, p_cur + 1)):
+            return KernelVerdict.EARLY_YES, removed, k_cur, work
+        target = _dense_color(kept_edges, alive)
         if target is None:
-            return removed, (None if k is None else k - len(removed)), work
+            return KernelVerdict.REDUCED, removed, k_cur, work
         alive.discard(target)
         removed.append(target)
         kept_edges = [e for e in kept_edges if e[2] != target]
@@ -138,7 +135,7 @@ def _build_reduced(
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     """Apply the reduction rule exhaustively with the color count as parameter."""
-    removed, _, work = _run_rule(g, None)
+    _, removed, _, work = _run_rule(g, None)
     return _build_reduced(work, removed, None)
 
 
@@ -151,12 +148,8 @@ def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
-    removed, remaining_k, work = _run_rule(g, k)
-    assert remaining_k is not None
-    if remaining_k == 0 or 2 * remaining_k in (
-        work.p - len(removed),
-        work.p - len(removed) + 1,
-    ):
+    verdict, removed, remaining_k, work = _run_rule(g, k)
+    if verdict is KernelVerdict.EARLY_YES:
         return KernelOutcome(
             KernelVerdict.EARLY_YES, None, tuple(removed), remaining_k, {}, {}
         )
@@ -174,6 +167,8 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
     """
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
+    if not removed_colors:
+        return cut
     work = dedupe_edges(g)
     side = {v: (v in cut.s_side) for v in range(1, g.n + 1)}
     active = set(range(1, work.p + 1)) - set(removed_colors)

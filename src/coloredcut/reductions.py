@@ -38,10 +38,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import networkx as nx
-
 from .errors import FormatError
-from .graph import ColoredGraph, Cut, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -320,18 +318,6 @@ def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
 # connected, max degree 3, K4-minor-free form
 
 
-def _component(adj: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     """Connect the clause gadgets by a binary tree and split every vertex of
     degree four or more into a path.
@@ -356,9 +342,13 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
         adj[u].append(v)
         adj[v].append(u)
 
+    labels = _bfs_labels(range(1, h.n + 1), (e[:2] for e in h.edges))
+    gadgets: dict[int, list[int]] = defaultdict(list)
+    for v, (root, _) in labels.items():
+        gadgets[root].append(v)
     attach: list[int] = []
     for j in range(m):
-        gadget = _component(adj, 3 * j + 1)
+        gadget = gadgets[labels[3 * j + 1][0]]
         top = max(len(adj[v]) for v in gadget)
         attach.append(min(v for v in gadget if len(adj[v]) == top))
 
@@ -643,43 +633,29 @@ def nae_to_cliques(f: CnfFormula) -> ReductionArtifact:
 
 def verify_series_parallel(g: ColoredGraph) -> bool:
     """True iff g has no K4 minor, by exhaustive reduction: delete vertices of
-    degree at most one, merge parallel edges, smooth degree-two vertices."""
-    mult: dict[int, Counter[int]] = {v: Counter() for v in range(1, g.n + 1)}
+    degree at most one, smooth degree-two vertices.  Adjacency sets merge the
+    parallel edges that smoothing creates, and smoothing never raises a degree,
+    so a worklist of degree-two-or-less vertices makes the reduction linear."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
     for u, v, _ in g.edges:
-        if mult[u][v]:
+        if v in adj[u]:
             raise ValueError("input has parallel edges")
-        mult[u][v] += 1
-        mult[v][u] += 1
-    alive = set(range(1, g.n + 1))
-    while alive:
-        degree = {v: sum(mult[v].values()) for v in alive}
-        low = min((v for v in alive if degree[v] <= 1), default=None)
-        if low is not None:
-            for w in list(mult[low]):
-                del mult[w][low]
-            mult[low].clear()
-            alive.discard(low)
-            continue
-        parallel = min(
-            ((v, w) for v in alive for w, count in mult[v].items() if count >= 2),
-            default=None,
-        )
-        if parallel is not None:
-            v, w = parallel
-            mult[v][w] = 1
-            mult[w][v] = 1
-            continue
-        mid = min((v for v in alive if degree[v] == 2), default=None)
-        if mid is None:
-            return False
-        x, y = sorted(mult[mid])
-        del mult[x][mid]
-        del mult[y][mid]
-        mult[mid].clear()
-        mult[x][y] += 1
-        mult[y][x] += 1
-        alive.discard(mid)
-    return True
+        adj[u].add(v)
+        adj[v].add(u)
+    work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while work:
+        v = work.pop()
+        if v not in adj:
+            continue  # queued twice
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w].discard(v)
+        if len(nbrs) == 2:
+            x, y = nbrs
+            adj[x].add(y)
+            adj[y].add(x)
+        work.extend(w for w in nbrs if len(adj[w]) <= 2)
+    return not adj
 
 
 @dataclass(frozen=True)
@@ -699,17 +675,11 @@ class StructureReport:
         return all(item.passed for item in self.items)
 
 
-def _nx_multigraph(g: ColoredGraph) -> "nx.MultiGraph":
-    out = nx.MultiGraph()
-    out.add_nodes_from(range(1, g.n + 1))
-    out.add_edges_from((u, v) for u, v, _ in g.edges)
-    return out
-
-
 def _check_connected(g: ColoredGraph) -> CheckItem:
     if g.n == 0:
         return CheckItem("connected", False, "graph has no vertices")
-    ok = nx.is_connected(_nx_multigraph(g))
+    labels = _bfs_labels(range(1, g.n + 1), (e[:2] for e in g.edges))
+    ok = len({root for root, _ in labels.values()}) == 1
     return CheckItem("connected", ok, "" if ok else "graph is disconnected")
 
 
@@ -760,9 +730,14 @@ def _check_apex_bipartite(a: ReductionArtifact) -> CheckItem:
         return CheckItem(
             "apex-removal-bipartite", False, f"expected one apex, found {len(apexes)}"
         )
-    rest = _nx_multigraph(a.graph)
-    rest.remove_node(apexes[0])
-    ok = nx.is_bipartite(rest)
+    apex, n = apexes[0], a.graph.n
+    if not 1 <= apex <= n:
+        return CheckItem(
+            "apex-removal-bipartite", False, f"apex {apex} is outside 1..{n}"
+        )
+    rest = [(u, v) for u, v, _ in a.graph.edges if apex not in (u, v)]
+    labels = _bfs_labels((v for v in range(1, n + 1) if v != apex), rest)
+    ok = all(labels[u][1] != labels[v][1] for u, v in rest)
     return CheckItem(
         "apex-removal-bipartite", ok, "" if ok else "graph minus apex has an odd cycle"
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapExceededError
 from .graph import ColoredGraph, Cut, cut_colors, dedupe_edges, is_colorful
@@ -112,6 +112,15 @@ def _first_edge_per_color(g: ColoredGraph, colors: set[int]) -> list[tuple[int, 
     return [first[c] for c in sorted(first)]
 
 
+def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
+    """Greedy cut over the first edge of every color the rule left, repaired
+    by `augment_cut` to cross the removed colors too."""
+    work = dedupe_edges(g)
+    surviving = set(range(1, work.p + 1)) - set(removed_colors)
+    base = Cut(g.n, _greedy_sides(g.n, _first_edge_per_color(work, surviving)))
+    return augment_cut(g, removed_colors, base)
+
+
 def greedy_half_colors(g: ColoredGraph) -> Cut:
     """A cut crossing at least ceil(p/2) colors, built greedily.
 
@@ -122,9 +131,7 @@ def greedy_half_colors(g: ColoredGraph) -> Cut:
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    work = dedupe_edges(g)
-    gprime = _first_edge_per_color(work, set(range(1, work.p + 1)))
-    cut = Cut(g.n, _greedy_sides(g.n, gprime))
+    cut = _greedy_cut(g, ())
     assert 2 * len(cut_colors(g, cut)) >= g.p
     return cut
 
@@ -199,13 +206,7 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
         raise ValueError(f"target k must be at least 1, got {k}")
     outcome = kernelize_value(g, k)
     if outcome.verdict is KernelVerdict.EARLY_YES:
-        if not outcome.removed_colors:
-            base = greedy_half_colors(g)
-        else:
-            work = dedupe_edges(g)
-            surviving = set(range(1, work.p + 1)) - set(outcome.removed_colors)
-            base = Cut(g.n, _greedy_sides(g.n, _first_edge_per_color(work, surviving)))
-            base = augment_cut(g, outcome.removed_colors, base)
+        base = _greedy_cut(g, outcome.removed_colors)
         assert len(cut_colors(g, base)) >= k
         return True, base
     reduced = outcome.reduced_graph
@@ -216,8 +217,7 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
     if result.value < outcome.remaining_k:
         return False, None
     base = _lift_reduced_cut(g, outcome.vertex_renaming, result.witness)
-    if outcome.removed_colors:
-        base = augment_cut(g, outcome.removed_colors, base)
+    base = augment_cut(g, outcome.removed_colors, base)
     assert len(cut_colors(g, base)) >= k
     return True, base
 
@@ -243,8 +243,7 @@ def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult
         base = _lift_reduced_cut(g, outcome.vertex_renaming, result.witness)
         value = result.value
         explored = result.explored
-    if removed:
-        base = augment_cut(g, removed, base)
+    base = augment_cut(g, removed, base)
     total = value + len(removed)
     assert len(cut_colors(g, base)) == total
     return SolveResult(total, base, "kernel+brute-force", explored)

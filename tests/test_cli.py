@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +315,30 @@ def test_verify_structural_failure_is_exit_1(graph_file, capsys):
     )
     assert code == 1
     assert "check color-class-size-2: fail" in out
+
+
+def test_verify_apex_outside_graph_fails_the_check(cnf_file, capsys, tmp_path):
+    base = str(tmp_path / "inst")
+    main(["generate", "--reduction", "oct1", "--cnf", cnf_file, "--output", base])
+    capsys.readouterr()
+    prov = tmp_path / "p.prov"
+    prov.write_text("vertex 99 apex\n")
+    code, out, _ = run(
+        capsys,
+        ["verify", "--kind", "oct1", "--graph", base + ".ecg", "--provenance", str(prov)],
+    )
+    assert code == 1
+    assert "check apex-removal-bipartite: fail (apex 99 is outside 1..7)" in out
+
+
+def test_import_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, coloredcut.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------- stats

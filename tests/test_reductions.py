@@ -662,6 +662,25 @@ def test_verify_structural_reports_counterexamples():
     report = verify_structural(not_clique)
     assert not report.all_passed
 
+    disconnected = ReductionArtifact(
+        ColoredGraph(4, ((1, 2, 1), (3, 4, 2)), 2), ReductionKind.K4MF, None
+    )
+    report = verify_structural(disconnected)
+    failed = {item.name: item.detail for item in report.items if not item.passed}
+    assert failed == {"connected": "graph is disconnected"}
+
+    # triangle 2-3-4 survives deleting the apex, vertex 1
+    odd_rest = ReductionArtifact(
+        ColoredGraph(4, ((2, 3, 1), (3, 4, 1), (2, 4, 2), (1, 2, 2)), 2),
+        ReductionKind.OCT_ONE,
+        None,
+        vertex_meaning={1: ("apex",)},
+    )
+    report = verify_structural(odd_rest)
+    failed = {item.name: item.detail for item in report.items if not item.passed}
+    assert list(failed) == ["apex-removal-bipartite"]
+    assert "odd cycle" in failed["apex-removal-bipartite"]
+
 
 def test_verify_structural_flags_missing_apex():
     o = make_oct_one(sat_to_multigraph(DEMO))
