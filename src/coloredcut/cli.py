@@ -9,7 +9,8 @@ Subcommands::
     verify     structural checks for generated graphs (and cut checks)
     stats      per-color edge counts, distinct endpoint pairs, span
 
-Exit codes: 0 yes / success, 1 no, 2 bad input, 3 refused exhaustive search.
+Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output,
+3 refused exhaustive search, 4 internal error.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from pathlib import Path
 from .errors import CapExceededError, FormatError
 from .graph import (
     ColoredGraph,
-    color_span,
+    _span,
     cut_colors,
-    distinct_pairs_of_color,
     is_colorful,
     parse_cut,
     parse_graph,
@@ -61,11 +61,18 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        _write(output, text)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -143,8 +150,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     kind = ReductionKind(args.reduction)
     artifact = _GENERATORS[kind](formula)
     g = artifact.graph
-    Path(args.output + ".ecg").write_text(serialize_graph(g))
-    Path(args.output + ".prov").write_text(serialize_provenance(artifact))
+    _write(args.output + ".ecg", serialize_graph(g))
+    _write(args.output + ".prov", serialize_provenance(artifact))
     print(f"generated {kind.value}: n {g.n} m {g.m} p {g.p}")
     print(f"wrote {args.output}.ecg and {args.output}.prov")
     return 0
@@ -188,12 +195,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     print(f"n {g.n} m {g.m} p {g.p}")
-    for c in range(1, g.p + 1):
-        print(
-            f"color {c} edges {len(g.edges_of_color(c))}"
-            f" pairs {distinct_pairs_of_color(g, c)}"
-            f" span {color_span(g, c)}"
-        )
+    pairs_by_color: dict[int, list[tuple[int, int]]] = {
+        c: [] for c in range(1, g.p + 1)
+    }
+    for u, v, c in g.edges:
+        pairs_by_color[c].append((u, v))
+    for c, pairs in pairs_by_color.items():
+        distinct = len({frozenset(pair) for pair in pairs})
+        print(f"color {c} edges {len(pairs)} pairs {distinct} span {_span(pairs)}")
     return 0
 
 
@@ -272,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

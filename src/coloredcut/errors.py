@@ -7,3 +7,9 @@ class FormatError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An exhaustive search was refused because the instance exceeds the size cap."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed, such as a witness that does not
+    re-evaluate to the value it was returned for.  Raised explicitly, so the
+    checks also run under ``python -O``."""

@@ -143,15 +143,19 @@ def _bfs_labels(
     return labels
 
 
+def _span(pairs: list[tuple[int, int]]) -> int:
+    """Number of connected components among the vertices `pairs` touch."""
+    labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
+    return len({root for root, _ in labels.values()})
+
+
 def color_span(g: ColoredGraph, color: int) -> int:
     """Number of connected components of the subgraph formed by one color class.
 
     Only vertices touched by edges of that color count; isolated vertices of
     the host graph are ignored.
     """
-    pairs = [g.edges[i][:2] for i in g.edges_of_color(color)]
-    labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
-    return len({root for root, _ in labels.values()})
+    return _span([g.edges[i][:2] for i in g.edges_of_color(color)])
 
 
 def distinct_pairs_of_color(g: ColoredGraph, color: int) -> int:

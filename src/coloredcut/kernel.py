@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from .errors import InvariantError
 from .graph import ColoredGraph, Cut, dedupe_edges
 
 
@@ -196,7 +197,7 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
             if flipped:
                 break
         if not flipped:
-            raise AssertionError(
+            raise InvariantError(
                 f"color {color} cannot be restored; was it removed by the rule on this graph?"
             )
     return Cut(g.n, frozenset(v for v, s in side.items() if s))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
@@ -255,7 +255,7 @@ def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
                 for e in first_edges
             )
         if not satisfies(f, asg):
-            raise AssertionError("colorful cut produced a non-satisfying assignment")
+            raise InvariantError("colorful cut produced a non-satisfying assignment")
         return asg
     if a.kind is ReductionKind.NAE_CLIQUES:
         pos, neg = _occurrences(list(f.clauses))
@@ -270,7 +270,7 @@ def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
             else:
                 asg[var] = False
         if not nae_satisfies(f, asg):
-            raise AssertionError("colorful cut produced a non-NAE assignment")
+            raise InvariantError("colorful cut produced a non-NAE assignment")
         return asg
     raise ValueError(f"no cut-to-assignment recipe for kind {a.kind.value}")
 

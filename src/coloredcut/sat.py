@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, InvariantError
 
 Assignment = dict[int, bool]
 
@@ -243,5 +243,6 @@ def dpll_solve(f: CnfFormula) -> Optional[Assignment]:
         return None
     for v in range(1, f.var_count + 1):
         result.setdefault(v, False)
-    assert satisfies(f, result)
+    if not satisfies(f, result):
+        raise InvariantError("DPLL returned an assignment that falsifies a clause")
     return result

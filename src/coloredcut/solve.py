@@ -3,12 +3,15 @@
 Three routes:
 
 * exhaustive bipartition search with vertex 1 pinned (exact, capped),
+  bit-parallel over big-int truth tables of the masks, first optimum in
+  increasing mask order,
 * a greedy placement that always crosses at least half the colors,
 * a CNF encoding of "every color crosses" handed to the DPLL engine.
 
 `decide_max` combines the value-parameterized kernel with these to answer
 "is there a cut crossing at least k colors" and always returns a witness
-that re-evaluates to at least k colors on the original graph.
+that re-evaluates to at least k colors on the original graph.  Witness
+checks raise `InvariantError`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -17,12 +20,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, cut_colors, dedupe_edges, is_colorful
 from .kernel import KernelVerdict, augment_cut, kernelize_colors, kernelize_value
 from .sat import CnfFormula, dpll_solve
 
 BRUTE_FORCE_CAP = 24
+
+# Masks per block of the exhaustive search, as a power of two: a truth table
+# is a 2^16-bit (8 KiB) int, so memory stays bounded at the cap.  Of widths
+# 12..20, 16 was the fastest at n = 16..24.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -42,12 +50,38 @@ class ColorfulEncoding:
     aux_var: dict[int, int]
 
 
+def _periodic_tables(width: int) -> list[int]:
+    """Truth tables over the 2^width masks of one block: bit i of table j is
+    bit j of i, so table j says on which masks vertex j+2 is on the S side."""
+    size = 1 << width
+    tables = []
+    for j in range(width):
+        half = 1 << j
+        table = ((1 << half) - 1) << half  # one period: 2^j zeros, 2^j ones
+        length = half << 1
+        while length < size:
+            table |= table << length
+            length <<= 1
+        tables.append(table)
+    return tables
+
+
 def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     """Exact maximum colored cut by enumerating bipartitions.
 
     Vertex 1 is pinned to the S side (complement symmetry), so exactly
     2^(n-1) - 1 nontrivial bipartitions are scanned, in increasing order of
     the bitmask over vertices 2..n; the first optimum found wins ties.
+
+    The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
+    one block each vertex's side is a big-int truth table (bit i set when
+    vertex is on S under the block's i-th mask).  An edge crosses on
+    T_u ^ T_v, a color on the OR over its edges, and a bit-sliced ripple
+    counter adds the crossing colors of every mask at once.  A top-down AND
+    over the counter bits leaves the masks reaching the block maximum, and
+    the lowest of them is the block's first optimum.  Blocks run in
+    increasing order and only a strictly larger count replaces the best, so
+    the tie-break is that of a plain scan in increasing mask order.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
@@ -55,28 +89,55 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
         raise CapExceededError(
             f"refusing exhaustive search on {g.n} vertices (cap {cap})"
         )
-    work = dedupe_edges(g)
-    edges = work.edges
+    pairs_by_color: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    for u, v, c in g.edges:
+        pairs_by_color[c].add((u, v) if u < v else (v, u))
+    width = min(_BLOCK_BITS, g.n - 1)
+    full = (1 << (1 << width)) - 1
+    # vertex 1 is on S under every mask; vertices 2..width+1 vary inside a block
+    low_sides = [0, full] + _periodic_tables(width)
+    blocks = 1 << (g.n - 1 - width)
     best_count = -1
     best_mask = 0
-    total = (1 << (g.n - 1)) - 1
-    for mask in range(total):
-        # bit j of mask set  <=>  vertex j+2 on the S side
-        seen: set[int] = set()
-        for u, v, c in edges:
-            su = 1 if u == 1 else (mask >> (u - 2)) & 1
-            sv = 1 if v == 1 else (mask >> (v - 2)) & 1
-            if su != sv:
-                seen.add(c)
-        if len(seen) > best_count:
-            best_count = len(seen)
-            best_mask = mask
+    for block in range(blocks):
+        # vertices above the block's bits keep one side over the whole block
+        side = low_sides + [
+            full if (block >> j) & 1 else 0 for j in range(g.n - 1 - width)
+        ]
+        counter: list[int] = []  # counter[i]: masks whose count has bit i set
+        for pairs in pairs_by_color.values():
+            carry = 0
+            for u, v in pairs:
+                carry |= side[u] ^ side[v]
+            i = 0
+            while carry and i < len(counter):
+                counter[i], carry = counter[i] ^ carry, counter[i] & carry
+                i += 1
+            if carry:
+                counter.append(carry)
+        # The all-ones mask (every vertex on S) crosses nothing, so mask 0
+        # ties or beats it and comes first: it is never the witness.
+        candidates = full
+        count = 0
+        for i in reversed(range(len(counter))):
+            reaching = candidates & counter[i]
+            if reaching:
+                candidates = reaching
+                count |= 1 << i
+        if count > best_count:
+            best_count = count
+            first = (candidates & -candidates).bit_length() - 1
+            best_mask = (block << width) | first
+    # bit j of best_mask set  <=>  vertex j+2 on the S side
     s_side = frozenset(
         {1} | {v for v in range(2, g.n + 1) if (best_mask >> (v - 2)) & 1}
     )
     witness = Cut(g.n, s_side)
-    assert len(cut_colors(g, witness)) == best_count
-    return SolveResult(best_count, witness, "brute-force", total)
+    if len(cut_colors(g, witness)) != best_count:
+        raise InvariantError(
+            f"brute-force witness does not cross the {best_count} colors it scored"
+        )
+    return SolveResult(best_count, witness, "brute-force", (1 << (g.n - 1)) - 1)
 
 
 def _greedy_sides(n: int, gprime: list[tuple[int, int]]) -> frozenset[int]:
@@ -132,7 +193,8 @@ def greedy_half_colors(g: ColoredGraph) -> Cut:
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     cut = _greedy_cut(g, ())
-    assert 2 * len(cut_colors(g, cut)) >= g.p
+    if 2 * len(cut_colors(g, cut)) < g.p:
+        raise InvariantError(f"greedy cut crosses fewer than half of {g.p} colors")
     return cut
 
 
@@ -179,7 +241,8 @@ def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
     if model is None:
         return None
     cut = Cut(g.n, frozenset(v for v in range(1, g.n + 1) if model[v]))
-    assert is_colorful(g, cut)
+    if not is_colorful(g, cut):
+        raise InvariantError("the DPLL model is not a colorful cut")
     return cut
 
 
@@ -207,10 +270,12 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
     outcome = kernelize_value(g, k)
     if outcome.verdict is KernelVerdict.EARLY_YES:
         base = _greedy_cut(g, outcome.removed_colors)
-        assert len(cut_colors(g, base)) >= k
+        if len(cut_colors(g, base)) < k:
+            raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
         return True, base
     reduced = outcome.reduced_graph
-    assert reduced is not None and outcome.remaining_k is not None
+    if reduced is None or outcome.remaining_k is None:
+        raise InvariantError("the value kernel gave no reduced graph without early yes")
     if reduced.n < 2 or reduced.p == 0:
         return False, None  # optimum of the kernel is 0 < remaining_k
     result = brute_force_max(reduced, cap=cap)
@@ -218,7 +283,8 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
         return False, None
     base = _lift_reduced_cut(g, outcome.vertex_renaming, result.witness)
     base = augment_cut(g, outcome.removed_colors, base)
-    assert len(cut_colors(g, base)) >= k
+    if len(cut_colors(g, base)) < k:
+        raise InvariantError(f"lifted witness crosses fewer than {k} colors")
     return True, base
 
 
@@ -232,7 +298,8 @@ def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     outcome = kernelize_colors(g)
     reduced = outcome.reduced_graph
-    assert reduced is not None
+    if reduced is None:
+        raise InvariantError("the color kernel gave no reduced graph")
     removed = outcome.removed_colors
     if reduced.n < 2:
         base = Cut(g.n, frozenset({1}))
@@ -245,5 +312,6 @@ def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult
         explored = result.explored
     base = augment_cut(g, removed, base)
     total = value + len(removed)
-    assert len(cut_colors(g, base)) == total
+    if len(cut_colors(g, base)) != total:
+        raise InvariantError(f"lifted witness does not cross the {total} colors it claims")
     return SolveResult(total, base, "kernel+brute-force", explored)

@@ -28,6 +28,20 @@ def oracle_max_cut_colors(g: ColoredGraph) -> int:
     return best
 
 
+def oracle_first_max_mask(g: ColoredGraph) -> tuple[int, int, int]:
+    """(maximum, first mask reaching it, masks scanned) by a plain per-mask
+    scan: bit j of a mask puts vertex j+2 on the S side, vertex 1 is pinned
+    there, masks run in increasing order and the all-ones mask is skipped."""
+    best, best_mask = -1, 0
+    total = 2 ** (g.n - 1) - 1
+    for mask in range(total):
+        s = {1} | {v for v in range(2, g.n + 1) if mask >> (v - 2) & 1}
+        count = len({c for u, v, c in g.edges if (u in s) != (v in s)})
+        if count > best:
+            best, best_mask = count, mask
+    return best, best_mask, total
+
+
 def oracle_colorful_cut(g: ColoredGraph):
     """Some S side crossing all colors, or None; independent enumeration."""
     rest = list(range(2, g.n + 1))

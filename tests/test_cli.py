@@ -1,5 +1,7 @@
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ import pytest
 from coloredcut import (
     ColoredGraph,
     CnfFormula,
+    color_span,
     cut_colors,
+    distinct_pairs_of_color,
     is_colorful,
     parse_cut,
     parse_graph,
@@ -359,6 +363,27 @@ def test_stats_counts_parallels_and_span(graph_file, capsys):
     assert out.splitlines()[1] == "color 1 edges 3 pairs 2 span 2"
 
 
+def test_stats_matches_per_color_functions_on_many_colors(graph_file, capsys):
+    rng = random.Random(11)
+    n, p = 30, 80
+    edges = []
+    for c in range(1, p + 1):
+        for _ in range(rng.randint(1, 5)):
+            u, v = rng.sample(range(1, n + 1), 2)
+            edges.append((u, v, c))
+    edges += [(v, u, c) for u, v, c in rng.sample(edges, 40)]  # parallels
+    rng.shuffle(edges)
+    g = ColoredGraph(n, tuple(edges), p)
+    code, out, _ = run(capsys, ["stats", graph_file(g)])
+    assert code == 0
+    expected = [f"n {n} m {g.m} p {p}"] + [
+        f"color {c} edges {len(g.edges_of_color(c))}"
+        f" pairs {distinct_pairs_of_color(g, c)} span {color_span(g, c)}"
+        for c in range(1, p + 1)
+    ]
+    assert out.splitlines() == expected
+
+
 # ------------------------------------------------------------------- failures
 
 
@@ -399,3 +424,52 @@ def test_unknown_reduction_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--reduction", "banana", "--cnf", "x", "--output", "y"])
     assert exc.value.code == 2
+
+
+def test_unwritable_output_is_exit_2(graph_file, cnf_file, capsys, tmp_path):
+    missing = str(tmp_path / "no" / "such" / "out")
+    for argv in (
+        ["solve", graph_file(TRIANGLE), "--output", missing],
+        ["kernelize", graph_file(STAR), "--output", missing],
+        ["generate", "--reduction", "nae", "--cnf", cnf_file, "--output", missing],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {missing}")
+
+
+def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr("coloredcut.solve.cut_colors", lambda g, cut: frozenset())
+        code, out, err = run(capsys, ["solve", graph_file(TRIANGLE), "--algo", "brute"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: InvariantError: ")
+    assert len(err.splitlines()) == 1
+
+    def broken(text):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("coloredcut.cli.parse_graph", broken)
+    code, _, err = run(capsys, ["stats", graph_file(TRIANGLE)])
+    assert code == 4
+    assert err == "internal error: KeyError: 'boom'\n"
+
+
+# -------------------------------------------------------------------- scripts
+
+
+def test_demo_pipeline_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_pipeline.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert re.search(
+        r"^exact maximum \d+ via kernel\+brute-force;", result.stdout, re.MULTILINE
+    )

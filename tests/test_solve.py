@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,12 @@ from coloredcut import (
     solve_via_kernel,
 )
 
-from helpers import oracle_colorful_cut, oracle_max_cut_colors, random_multigraph
+from helpers import (
+    oracle_colorful_cut,
+    oracle_first_max_mask,
+    oracle_max_cut_colors,
+    random_multigraph,
+)
 from test_graph import RAINBOW_TRIANGLE, graphs
 
 RAINBOW_C5 = ColoredGraph(
@@ -75,6 +84,81 @@ def test_brute_matches_oracle():
     for _ in range(150):
         g = random_multigraph(rng, n_max=8, p_max=5)
         assert brute_force_max(g).value == oracle_max_cut_colors(g)
+
+
+def _with_duplicates(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
+    """g plus copies of some of its edges, some with endpoints swapped."""
+    extra = []
+    for u, v, c in rng.sample(g.edges, rng.randint(0, g.m)):
+        extra.append((v, u, c) if rng.random() < 0.5 else (u, v, c))
+    return ColoredGraph(g.n, g.edges + tuple(extra), g.p)
+
+
+def _mask_of(cut: Cut) -> int:
+    return sum(1 << (v - 2) for v in cut.s_side if v != 1)
+
+
+@pytest.mark.parametrize("block_bits", [None, 2])
+def test_brute_matches_first_max_oracle(block_bits, monkeypatch):
+    # a 2-bit block makes graphs with n >= 4 span several blocks
+    if block_bits is not None:
+        monkeypatch.setattr("coloredcut.solve._BLOCK_BITS", block_bits)
+    rng = random.Random(404)
+    for _ in range(300):
+        g = _with_duplicates(rng, random_multigraph(rng, n_max=10, p_max=6))
+        res = brute_force_max(g)
+        assert (res.value, _mask_of(res.witness), res.explored) == (
+            oracle_first_max_mask(g)
+        )
+        assert 1 in res.witness.s_side
+
+
+@pytest.mark.parametrize("n,seed", [(19, 1), (20, 2), (21, 3)])
+def test_brute_finds_planted_optimum_past_the_first_block(n, seed):
+    # rainbow complete bipartite graph: the only cut crossing every color is
+    # the planted side A, which holds vertices 1 and n, so its mask is at
+    # least 2^(n-2) and lies beyond the first block of masks
+    rng = random.Random(seed)
+    side_a = {1, n} | set(rng.sample(range(2, n), n // 2 - 2))
+    side_b = set(range(1, n + 1)) - side_a
+    pairs = [(u, v) for u in sorted(side_a) for v in sorted(side_b)]
+    edges = tuple((u, v, c) for c, (u, v) in enumerate(pairs, start=1))
+    g = ColoredGraph(n, edges, len(edges))
+    res = brute_force_max(g)
+    assert res.value == g.p == len(side_a) * len(side_b)
+    assert res.witness.s_side == frozenset(side_a)
+    assert res.explored == 2 ** (n - 1) - 1
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_brute_edgeless_graph_takes_the_first_mask(n):
+    res = brute_force_max(ColoredGraph(n, (), 0))
+    assert res.value == 0
+    assert res.witness.s_side == frozenset({1})
+    assert res.explored == 2 ** (n - 1) - 1
+
+
+def test_brute_witness_check_survives_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import coloredcut.solve as s\n"
+        "from coloredcut import ColoredGraph, InvariantError\n"
+        "assert False, 'asserts are on'\n"
+        "s.cut_colors = lambda g, cut: frozenset()\n"
+        "try:\n"
+        "    s.brute_force_max(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "raised"
 
 
 # --------------------------------------------------------------------- greedy
