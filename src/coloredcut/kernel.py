@@ -3,7 +3,10 @@
 The reduction rule: if some color class spans more than 2*C(p,2) distinct
 endpoint pairs, that color crosses every maximum colored cut, so it can be
 deleted and the color budget decremented.  Applying the rule exhaustively
-shrinks every instance to one whose color classes are all small.
+shrinks every instance to one whose color classes are all small.  One
+removal order serves both parameters: `kernelize_colors` applies all of it,
+and `kernelize_value` stops early on the first prefix that already settles
+the target.
 
 The same counting argument is constructive: given any cut, a deleted color
 can be brought into the cut by flipping a single vertex that is not needed
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvariantError
 from .graph import ColoredGraph, Cut, dedupe_edges
@@ -53,56 +56,38 @@ def claim1_bound(beta: int) -> int:
     return 2 * math.comb(beta, 2)
 
 
-def _dense_color(
-    edges: Iterable[tuple[int, int, int]], colors: Iterable[int]
-) -> Optional[int]:
-    """Smallest of `colors` whose distinct-pair count exceeds 2*C(p,2), where
-    p counts `colors`, or None."""
-    pairs: dict[int, set[frozenset[int]]] = {}
-    for u, v, c in edges:
-        pairs.setdefault(c, set()).add(frozenset((u, v)))
-    ordered = sorted(colors)
-    bound = claim1_bound(len(ordered))
-    return next((c for c in ordered if len(pairs.get(c, ())) > bound), None)
-
-
 def rule_star_find(g: ColoredGraph) -> Optional[int]:
-    """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None."""
-    return _dense_color(g.edges, range(1, g.p + 1))
+    """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None:
+    the first color the rule removes."""
+    return next(iter(_removal_order(g)), None)
 
 
-def _run_rule(
-    g: ColoredGraph, k: Optional[int]
-) -> tuple[KernelVerdict, list[int], Optional[int], ColoredGraph]:
-    """Shared removal loop on the deduped graph, working in original ids.
+def _removal_order(g: ColoredGraph) -> list[int]:
+    """Original colors in the order the rule removes them.
 
-    Returns (verdict, removed original colors, remaining k or None, deduped
-    input).  With a target k the loop stops with EARLY_YES as soon as the
-    remaining k is 0 or equals ceil(p/2) for the p colors still alive.
+    Each round removes the smallest alive color with more than 2*C(p',2)
+    distinct pairs, for the p' colors alive.  Removing a color never changes
+    another color's count, so the pairs are counted once and only the bound
+    falls.  A removal needs that many pairs, so rounds * p stays O(m + p).
     """
-    work = dedupe_edges(g)
-    alive = set(range(1, work.p + 1))
-    kept_edges = list(work.edges)
+    pairs: dict[int, set[frozenset[int]]] = {c: set() for c in range(1, g.p + 1)}
+    for u, v, c in g.edges:
+        pairs[c].add(frozenset((u, v)))
+    alive = list(pairs)
     removed: list[int] = []
     while True:
-        k_cur = None if k is None else k - len(removed)
-        # Guaranteed-yes shortcuts: the greedy half-colors bound covers
-        # k == ceil(p/2), and k exhausted means the removed colors alone
-        # witness the target.
-        p_cur = len(alive)
-        if k_cur is not None and (k_cur == 0 or 2 * k_cur in (p_cur, p_cur + 1)):
-            return KernelVerdict.EARLY_YES, removed, k_cur, work
-        target = _dense_color(kept_edges, alive)
+        bound = claim1_bound(len(alive))
+        target = next((c for c in alive if len(pairs[c]) > bound), None)
         if target is None:
-            return KernelVerdict.REDUCED, removed, k_cur, work
-        alive.discard(target)
+            return removed
+        alive.remove(target)
         removed.append(target)
-        kept_edges = [e for e in kept_edges if e[2] != target]
 
 
 def _build_reduced(
-    work: ColoredGraph, removed: list[int], remaining_k: Optional[int]
+    g: ColoredGraph, removed: list[int], remaining_k: Optional[int]
 ) -> KernelOutcome:
+    work = dedupe_edges(g)
     removed_set = set(removed)
     kept = [e for e in work.edges if e[2] not in removed_set]
     touched_before = {v for u, v2, _ in work.edges for v in (u, v2)}
@@ -136,25 +121,29 @@ def _build_reduced(
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     """Apply the reduction rule exhaustively with the color count as parameter."""
-    _, removed, _, work = _run_rule(g, None)
-    return _build_reduced(work, removed, None)
+    return _build_reduced(g, _removal_order(g), None)
 
 
 def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
     """Apply the rule with target value k, decrementing k per removed color.
 
-    Returns EARLY_YES when the target is covered by the greedy half-colors
-    guarantee (k == ceil(p/2)) or when removals alone reach the target
-    (k decremented to 0); otherwise REDUCED with the shrunken graph.
+    The removals are those of `kernelize_colors`.  Before the i-th removal,
+    with k' = k - i and p' = p - i, the target is already covered when k' is
+    0 (the removed colors alone witness it) or k' == ceil(p'/2) (the greedy
+    half-colors guarantee); the first such i gives EARLY_YES with the first i
+    removals.  Otherwise the result is the color kernel's reduced graph with
+    k' = k - len(removed).
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
-    verdict, removed, remaining_k, work = _run_rule(g, k)
-    if verdict is KernelVerdict.EARLY_YES:
-        return KernelOutcome(
-            KernelVerdict.EARLY_YES, None, tuple(removed), remaining_k, {}, {}
-        )
-    return _build_reduced(work, removed, remaining_k)
+    removed = _removal_order(g)
+    for i in range(len(removed) + 1):
+        k_cur, p_cur = k - i, g.p - i
+        if k_cur == 0 or 2 * k_cur in (p_cur, p_cur + 1):
+            return KernelOutcome(
+                KernelVerdict.EARLY_YES, None, tuple(removed[:i]), k_cur, {}, {}
+            )
+    return _build_reduced(g, removed, k - len(removed))
 
 
 def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut:
@@ -164,40 +153,43 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
     colors are reinstated in reverse order; each one either already crosses
     or, by the counting argument behind the rule, has a same-side endpoint
     pair with a vertex not used as a witness edge endpoint, which can be
-    flipped without losing any crossing color.
+    flipped without losing any crossing color.  The witness edge of a color
+    is its first crossing edge; the flipped vertex is the first free
+    endpoint, u before v, of the color's same-side edges in edge order.
     """
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
     if not removed_colors:
         return cut
-    work = dedupe_edges(g)
-    side = {v: (v in cut.s_side) for v in range(1, g.n + 1)}
-    active = set(range(1, work.p + 1)) - set(removed_colors)
+    # Exact duplicates follow their first copy, so they change neither the
+    # crossing colors nor the first witness or flip edge found per color.
+    s_side = set(cut.s_side)
+    active = set(range(1, g.p + 1)) - set(removed_colors)
     for color in reversed(list(removed_colors)):
         active.add(color)
         crossing = {
-            c for u, v, c in work.edges if c in active and side[u] != side[v]
+            c for u, v, c in g.edges if c in active and (u in s_side) != (v in s_side)
         }
         if color in crossing:
             continue
         witness: dict[int, tuple[int, int]] = {}
-        for u, v, c in work.edges:
-            if c in crossing and c not in witness and side[u] != side[v]:
+        for u, v, c in g.edges:
+            if c in crossing and c not in witness and (u in s_side) != (v in s_side):
                 witness[c] = (u, v)
         witness_vertices = {x for uv in witness.values() for x in uv}
-        flipped = False
-        for u, v, c in work.edges:
-            if c != color or side[u] != side[v]:
-                continue
-            for x in (u, v):
-                if x not in witness_vertices:
-                    side[x] = not side[x]
-                    flipped = True
-                    break
-            if flipped:
-                break
-        if not flipped:
+        flip = next(
+            (
+                x
+                for u, v, c in g.edges
+                if c == color and (u in s_side) == (v in s_side)
+                for x in (u, v)
+                if x not in witness_vertices
+            ),
+            None,
+        )
+        if flip is None:
             raise InvariantError(
                 f"color {color} cannot be restored; was it removed by the rule on this graph?"
             )
-    return Cut(g.n, frozenset(v for v, s in side.items() if s))
+        s_side ^= {flip}
+    return Cut(g.n, frozenset(s_side))

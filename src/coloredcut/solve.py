@@ -8,10 +8,11 @@ Three routes:
 * a greedy placement that always crosses at least half the colors,
 * a CNF encoding of "every color crosses" handed to the DPLL engine.
 
-`decide_max` combines the value-parameterized kernel with these to answer
-"is there a cut crossing at least k colors" and always returns a witness
-that re-evaluates to at least k colors on the original graph.  Witness
-checks raise `InvariantError`, so they also run under ``python -O``.
+`solve_via_kernel` and `decide_max` share one route after the kernel: the
+exhaustive search over reduced vertex 1 and the vertices an edge touches,
+then lift, `augment_cut` repair and a recount on the original graph.
+`decide_max` adds the value kernel's early yes, answered by the greedy cut.
+Witness checks raise `InvariantError`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, cut_colors, dedupe_edges, is_colorful
-from .kernel import KernelVerdict, augment_cut, kernelize_colors, kernelize_value
+from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
 from .sat import CnfFormula, dpll_solve
 
 BRUTE_FORCE_CAP = 24
@@ -152,13 +153,10 @@ def _greedy_sides(n: int, gprime: list[tuple[int, int]]) -> frozenset[int]:
         adj[u].append(v)
         adj[v].append(u)
     s_side: set[int] = set()
-    placed: set[int] = set()
     for v in range(1, n + 1):
-        in_s = sum(1 for w in adj[v] if w in placed and w in s_side)
-        in_t = sum(1 for w in adj[v] if w in placed and w not in s_side)
-        if in_s <= in_t:
+        # placed neighbors are the smaller ones: count S minus T among them
+        if sum(1 if w in s_side else -1 for w in adj.get(v, ()) if w < v) <= 0:
             s_side.add(v)
-        placed.add(v)
     if len(s_side) == n:
         # happens only when the subgraph has no edges
         s_side.discard(n)
@@ -176,9 +174,8 @@ def _first_edge_per_color(g: ColoredGraph, colors: set[int]) -> list[tuple[int, 
 def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
     """Greedy cut over the first edge of every color the rule left, repaired
     by `augment_cut` to cross the removed colors too."""
-    work = dedupe_edges(g)
-    surviving = set(range(1, work.p + 1)) - set(removed_colors)
-    base = Cut(g.n, _greedy_sides(g.n, _first_edge_per_color(work, surviving)))
+    surviving = set(range(1, g.p + 1)) - set(removed_colors)
+    base = Cut(g.n, _greedy_sides(g.n, _first_edge_per_color(g, surviving)))
     return augment_cut(g, removed_colors, base)
 
 
@@ -246,22 +243,50 @@ def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
     return cut
 
 
-def _lift_reduced_cut(g: ColoredGraph, vertex_renaming: dict[int, int], reduced_cut: Cut) -> Cut:
-    """Map a cut of the reduced graph back to original vertex ids; vertices
-    dropped by the kernel land on the T side."""
-    reduced_s = reduced_cut.s_side
-    s_side = {old for old, new in vertex_renaming.items() if new in reduced_s}
-    return Cut(g.n, frozenset(s_side))
+def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveResult:
+    """Exact optimum of g from a REDUCED kernel outcome: search the reduced
+    graph, lift the witness (dropped vertices land on T), repair it with
+    `augment_cut` and check that it crosses value + len(removed) colors.
+
+    Only reduced vertex 1 and the touched vertices are enumerated.  In the
+    first optimum every other vertex sits on T, so value and witness are
+    those of a search over the whole reduced graph.  With no edge left there
+    is no search: value 0, reduced witness {1}.
+    """
+    reduced = outcome.reduced_graph
+    if reduced is None:
+        raise InvariantError("the kernel gave no reduced graph")
+    searched = sorted({1}.union(*((u, v) for u, v, _ in reduced.edges)))
+    if len(searched) < 2:
+        value, explored, reduced_s = 0, 0, {1}
+    else:
+        index = {v: i for i, v in enumerate(searched, start=1)}
+        core = ColoredGraph(
+            len(searched),
+            tuple((index[u], index[v], c) for u, v, c in reduced.edges),
+            reduced.p,
+        )
+        result = brute_force_max(core, cap=cap)
+        value, explored = result.value, result.explored
+        reduced_s = {searched[i - 1] for i in result.witness.s_side}
+    if reduced.n < 2:
+        s_side = {1}  # nothing is left to lift from
+    else:
+        s_side = {old for old, new in outcome.vertex_renaming.items() if new in reduced_s}
+    witness = augment_cut(g, outcome.removed_colors, Cut(g.n, frozenset(s_side)))
+    total = value + len(outcome.removed_colors)
+    if len(cut_colors(g, witness)) != total:
+        raise InvariantError(f"lifted witness does not cross the {total} colors it claims")
+    return SolveResult(total, witness, "kernel+brute-force", explored)
 
 
 def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Optional[Cut]]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
     Runs the value-parameterized kernel first.  On EARLY_YES the witness is
-    the greedy cut (restricted to the surviving colors when the rule removed
-    any) repaired by `augment_cut`; otherwise the reduced graph is solved
-    exhaustively and the witness lifted back and repaired.  Either way the
-    returned cut re-evaluates to at least k colors on g.
+    the greedy cut over the surviving colors, repaired by `augment_cut`;
+    otherwise the reduced graph is solved exactly as in `solve_via_kernel`.
+    Either way a returned cut re-evaluates to at least k colors on g.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
@@ -273,19 +298,8 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
         if len(cut_colors(g, base)) < k:
             raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
         return True, base
-    reduced = outcome.reduced_graph
-    if reduced is None or outcome.remaining_k is None:
-        raise InvariantError("the value kernel gave no reduced graph without early yes")
-    if reduced.n < 2 or reduced.p == 0:
-        return False, None  # optimum of the kernel is 0 < remaining_k
-    result = brute_force_max(reduced, cap=cap)
-    if result.value < outcome.remaining_k:
-        return False, None
-    base = _lift_reduced_cut(g, outcome.vertex_renaming, result.witness)
-    base = augment_cut(g, outcome.removed_colors, base)
-    if len(cut_colors(g, base)) < k:
-        raise InvariantError(f"lifted witness crosses fewer than {k} colors")
-    return True, base
+    result = _solve_reduced(g, outcome, cap)
+    return (True, result.witness) if result.value >= k else (False, None)
 
 
 def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
@@ -293,25 +307,8 @@ def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult
 
     The optimum of g equals the optimum of the reduced graph plus the number
     of removed colors; the witness is lifted back and repaired to achieve it.
+    `cap` bounds the vertices searched: reduced vertex 1 and the touched ones.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    outcome = kernelize_colors(g)
-    reduced = outcome.reduced_graph
-    if reduced is None:
-        raise InvariantError("the color kernel gave no reduced graph")
-    removed = outcome.removed_colors
-    if reduced.n < 2:
-        base = Cut(g.n, frozenset({1}))
-        value = 0
-        explored = 0
-    else:
-        result = brute_force_max(reduced, cap=cap)
-        base = _lift_reduced_cut(g, outcome.vertex_renaming, result.witness)
-        value = result.value
-        explored = result.explored
-    base = augment_cut(g, removed, base)
-    total = value + len(removed)
-    if len(cut_colors(g, base)) != total:
-        raise InvariantError(f"lifted witness does not cross the {total} colors it claims")
-    return SolveResult(total, base, "kernel+brute-force", explored)
+    return _solve_reduced(g, kernelize_colors(g), cap)

@@ -42,6 +42,62 @@ def oracle_first_max_mask(g: ColoredGraph) -> tuple[int, int, int]:
     return best, best_mask, total
 
 
+def oracle_removal_order(g: ColoredGraph, k: int | None = None):
+    """The rule loop written round by round: every round re-counts the
+    distinct pairs of each alive color over the edges still kept and removes
+    the smallest color above 2*C(p',2).  With a target k it first stops with
+    "early_yes" when k' = k - (removals so far) is 0 or ceil(p'/2).
+
+    Returns (verdict, removed colors, k' or None)."""
+    alive = set(range(1, g.p + 1))
+    kept = list(g.edges)
+    removed: list[int] = []
+    while True:
+        k_cur = None if k is None else k - len(removed)
+        if k_cur is not None and k_cur in (0, math.ceil(len(alive) / 2)):
+            return "early_yes", removed, k_cur
+        pairs: dict[int, set] = {}
+        for u, v, c in kept:
+            pairs.setdefault(c, set()).add(frozenset((u, v)))
+        bound = 2 * math.comb(len(alive), 2)
+        dense = [c for c in sorted(alive) if len(pairs.get(c, ())) > bound]
+        if not dense:
+            return "reduced", removed, k_cur
+        alive.discard(dense[0])
+        removed.append(dense[0])
+        kept = [e for e in kept if e[2] != dense[0]]
+
+
+def oracle_reduced_graph(g: ColoredGraph, removed: list[int]) -> ColoredGraph:
+    """g without the `removed` colors and without exact duplicates (the
+    first copy stays); vertices that only removed colors touched are dropped,
+    and vertices and colors are renumbered densely in increasing order."""
+    kept: list[tuple[int, int, int]] = []
+    for u, v, c in g.edges:
+        if c not in removed and not any(
+            {u, v} == {x, y} and c == d for x, y, d in kept
+        ):
+            kept.append((u, v, c))
+
+    def touched(v, edges):
+        return any(v in e[:2] for e in edges)
+
+    survivors = [
+        v
+        for v in range(1, g.n + 1)
+        if touched(v, kept) or not touched(v, g.edges)
+    ]
+    colors = [c for c in range(1, g.p + 1) if c not in removed]
+    return ColoredGraph(
+        len(survivors),
+        tuple(
+            (survivors.index(u) + 1, survivors.index(v) + 1, colors.index(c) + 1)
+            for u, v, c in kept
+        ),
+        len(colors),
+    )
+
+
 def oracle_colorful_cut(g: ColoredGraph):
     """Some S side crossing all colors, or None; independent enumeration."""
     rest = list(range(2, g.n + 1))

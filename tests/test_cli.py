@@ -124,6 +124,17 @@ def test_solve_brute_cap_exit_code(graph_file, capsys):
     assert code == 0 and out.splitlines()[0] == "value 1"
 
 
+def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
+    path = graph_file(ColoredGraph(40, ((3, 7, 1),), 1))
+    code, out, _ = run(capsys, ["solve", path])
+    assert code == 0 and out.splitlines()[0] == "value 1"
+    assert run(capsys, ["solve", path, "-k", "1"])[0] == 0
+    assert run(capsys, ["solve", path, "-k", "2"])[0] == 1
+    # exhaustive search on the whole graph is still refused
+    code, _, err = run(capsys, ["solve", path, "--algo", "brute"])
+    assert code == 3 and err.startswith("error:")
+
+
 # ------------------------------------------------------------------ kernelize
 
 

@@ -15,7 +15,13 @@ from coloredcut import (
     kernelize_value,
     rule_star_find,
 )
-from helpers import inflate_one_color, oracle_max_cut_colors, random_multigraph
+from helpers import (
+    inflate_one_color,
+    oracle_max_cut_colors,
+    oracle_reduced_graph,
+    oracle_removal_order,
+    random_multigraph,
+)
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 
@@ -116,6 +122,38 @@ def test_kernelize_colors_cascade():
     assert oracle_max_cut_colors(g) == red_opt + len(out.removed_colors)
 
 
+def test_kernel_matches_the_per_round_rule_loop():
+    # 0-3 inflated colors make cascades; duplicates and never-touched
+    # vertices come from the random base graph
+    rng = random.Random(41)
+    inflated_counts = set()
+    for _ in range(320):
+        g = random_multigraph(rng, n_max=10, p_max=3)
+        inflated = 0
+        for _ in range(rng.randint(0, 3)):
+            grown = inflate_one_color(rng, g)
+            if grown is not None:
+                g, inflated = grown, inflated + 1
+        inflated_counts.add(inflated)
+        verdict, removed, _ = oracle_removal_order(g)
+        out = kernelize_colors(g)
+        assert (out.verdict.value, list(out.removed_colors)) == (verdict, removed)
+        assert out.reduced_graph == oracle_reduced_graph(g, removed)
+        for k in range(1, g.p + 2):
+            verdict, removed, k_left = oracle_removal_order(g, k)
+            out = kernelize_value(g, k)
+            assert (out.verdict.value, list(out.removed_colors), out.remaining_k) == (
+                verdict,
+                removed,
+                k_left,
+            )
+            if verdict == "early_yes":
+                assert out.reduced_graph is None
+            else:
+                assert out.reduced_graph == oracle_reduced_graph(g, removed)
+    assert inflated_counts == {0, 1, 2, 3}
+
+
 def test_kernelize_value_requires_positive_k():
     with pytest.raises(ValueError):
         kernelize_value(RAINBOW_TRIANGLE, 0)
@@ -198,6 +236,17 @@ def test_augment_cut_restores_removed_colors():
         assert set(out.removed_colors) <= crossing
         assert surviving <= crossing
         assert len(crossing) >= len(surviving) + len(out.removed_colors)
+
+
+def test_augment_cut_flips_the_first_free_endpoint():
+    # removal order (1, 2); color 2 is reinstated first: its edge (2,3) lies
+    # on T, so vertex 2 (u before v) moves to S, and color 1 then crosses on
+    # (1,2) without another flip
+    g = ColoredGraph(
+        5, ((1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1), (2, 3, 2)), 2
+    )
+    assert kernelize_colors(g).removed_colors == (1, 2)
+    assert augment_cut(g, (1, 2), Cut(5, frozenset({5}))) == Cut(5, frozenset({2, 5}))
 
 
 @st.composite

@@ -14,6 +14,8 @@ from coloredcut import (
     CapExceededError,
     ColoredGraph,
     Cut,
+    KernelVerdict,
+    augment_cut,
     brute_force_max,
     colorful_cut_decide,
     cut_colors,
@@ -22,10 +24,13 @@ from coloredcut import (
     encode_colorful_to_cnf,
     greedy_half_colors,
     is_colorful,
+    kernelize_colors,
+    kernelize_value,
     solve_via_kernel,
 )
 
 from helpers import (
+    inflate_one_color,
     oracle_colorful_cut,
     oracle_first_max_mask,
     oracle_max_cut_colors,
@@ -310,8 +315,6 @@ def test_solve_via_kernel_star_collapses_to_no_search():
 
 def test_solve_via_kernel_matches_brute():
     rng = random.Random(104)
-    from helpers import inflate_one_color
-
     for _ in range(120):
         g = random_multigraph(rng, n_max=8, p_max=4)
         maybe = inflate_one_color(rng, g)
@@ -322,19 +325,65 @@ def test_solve_via_kernel_matches_brute():
         assert len(cut_colors(g, res.witness)) == res.value
 
 
+@pytest.mark.parametrize("first", [1, 2])
+def test_untouched_vertices_are_not_searched(first):
+    # a rainbow triangle among 30 vertices no edge touches; with first == 2
+    # vertex 1 is one of them
+    a, b, c = first, first + 1, first + 2
+    g = ColoredGraph(33, ((a, b, 1), (b, c, 2), (a, c, 3)), 3)
+    res = solve_via_kernel(g)
+    assert res.value == 2 == len(cut_colors(g, res.witness))
+    # searched: vertex 1 and the triangle, so 2^(3-1)-1 or 2^(4-1)-1 masks
+    assert res.explored == (3 if first == 1 else 7)
+    yes, cut = decide_max(g, 2)
+    assert yes and len(cut_colors(g, cut)) >= 2
+    assert decide_max(g, 3) == (False, None)
+
+
+def test_kernel_witness_is_the_lifted_full_search():
+    rng = random.Random(105)
+    for _ in range(200):
+        g = random_multigraph(rng, n_max=8, p_max=4)
+        maybe = inflate_one_color(rng, g)
+        if maybe is not None and rng.random() < 0.5:
+            g = maybe
+        # spread up to four untouched vertices among the ids, n <= 12
+        n = g.n + rng.randint(0, 4)
+        ids = rng.sample(range(1, n + 1), n)
+        g = ColoredGraph(n, tuple((ids[u - 1], ids[v - 1], c) for u, v, c in g.edges), g.p)
+        out = kernelize_colors(g)
+        red = out.reduced_graph
+        if red.n >= 2:
+            full = brute_force_max(red)
+            s_side = {old for old, new in out.vertex_renaming.items() if new in full.witness.s_side}
+            value = full.value
+        else:
+            s_side, value = {1}, 0
+        expected = augment_cut(g, out.removed_colors, Cut(g.n, frozenset(s_side)))
+        res = solve_via_kernel(g)
+        assert (res.value, res.witness) == (value + len(out.removed_colors), expected)
+        for k in range(1, g.p + 1):
+            yes, cut = decide_max(g, k)
+            assert yes == (res.value >= k)
+            # an early yes answers with the greedy cut instead
+            if yes and kernelize_value(g, k).verdict is KernelVerdict.REDUCED:
+                assert cut == expected
+
+
 # ------------------------------------------------------------------ properties
 
 
-@given(graphs())
+@given(graphs(), st.sampled_from([0, 0, 1, 3]))
 @settings(max_examples=60, deadline=None)
-def test_property_solver_stack_is_consistent(g):
-    if g.n < 2:
-        return
+def test_property_solver_stack_is_consistent(g, untouched):
+    g = ColoredGraph(g.n + untouched, g.edges, g.p)
     opt = brute_force_max(g).value
     assert solve_via_kernel(g).value == opt
     assert len(cut_colors(g, greedy_half_colors(g))) >= math.ceil(g.p / 2)
     colorful = colorful_cut_decide(g)
     assert (colorful is not None) == (opt == g.p)
+    for k in range(1, g.p + 2):
+        assert decide_max(g, k)[0] == (opt >= k)
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())
