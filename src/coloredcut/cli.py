@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import CapExceededError, FormatError
 from .graph import (
     ColoredGraph,
+    _color_classes,
     _span,
     cut_colors,
     is_colorful,
@@ -112,6 +114,8 @@ def _cmd_colorful(args: argparse.Namespace) -> int:
 def _cmd_kernelize(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     if args.param == "colors":
+        if args.k is not None:
+            raise ValueError("-k requires --param k")
         outcome = kernelize_colors(g)
         print(f"removed {len(outcome.removed_colors)} colors, p' {outcome.reduced_graph.p}")
         _emit(serialize_graph(outcome.reduced_graph), args.output)
@@ -195,14 +199,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     print(f"n {g.n} m {g.m} p {g.p}")
-    pairs_by_color: dict[int, list[tuple[int, int]]] = {
-        c: [] for c in range(1, g.p + 1)
-    }
-    for u, v, c in g.edges:
-        pairs_by_color[c].append((u, v))
-    for c, pairs in pairs_by_color.items():
-        distinct = len({frozenset(pair) for pair in pairs})
-        print(f"color {c} edges {len(pairs)} pairs {distinct} span {_span(pairs)}")
+    sizes = Counter(c for _, _, c in g.edges)
+    for c, pairs in enumerate(_color_classes(g), start=1):
+        print(f"color {c} edges {sizes[c]} pairs {len(pairs)} span {_span(pairs)}")
     return 0
 
 

@@ -18,7 +18,7 @@ vertices in increasing order; both sides must be nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import FormatError
 
@@ -143,10 +143,28 @@ def _bfs_labels(
     return labels
 
 
-def _span(pairs: list[tuple[int, int]]) -> int:
+def _span(pairs: Collection[tuple[int, int]]) -> int:
     """Number of connected components among the vertices `pairs` touch."""
     labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
     return len({root for root, _ in labels.values()})
+
+
+def _color_classes(g: ColoredGraph) -> list[dict[tuple[int, int], int]]:
+    """Each color's distinct endpoint pairs, for colors 1..p in order.
+
+    Entry c-1 maps every pair (smaller endpoint first) carrying color c to
+    the index of its first edge, in order of first appearance.
+    """
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(g.p)]
+    for i, (u, v, c) in enumerate(g.edges):
+        classes[c - 1].setdefault((u, v) if u < v else (v, u), i)
+    return classes
+
+
+def _color_class(g: ColoredGraph, color: int) -> dict[tuple[int, int], int]:
+    if not (1 <= color <= g.p):
+        raise ValueError(f"color {color} outside 1..{g.p}")
+    return _color_classes(g)[color - 1]
 
 
 def color_span(g: ColoredGraph, color: int) -> int:
@@ -155,13 +173,12 @@ def color_span(g: ColoredGraph, color: int) -> int:
     Only vertices touched by edges of that color count; isolated vertices of
     the host graph are ignored.
     """
-    return _span([g.edges[i][:2] for i in g.edges_of_color(color)])
+    return _span(_color_class(g, color))
 
 
 def distinct_pairs_of_color(g: ColoredGraph, color: int) -> int:
     """Number of distinct endpoint pairs {u,v} carrying an edge of `color`."""
-    indices = g.edges_of_color(color)
-    return len({frozenset((g.edges[i][0], g.edges[i][1])) for i in indices})
+    return len(_color_class(g, color))
 
 
 def dedupe_edges(g: ColoredGraph) -> ColoredGraph:
@@ -170,16 +187,10 @@ def dedupe_edges(g: ColoredGraph) -> ColoredGraph:
     Endpoint order is ignored, so (u,v,c) and (v,u,c) are duplicates.  Edge
     order of the survivors is preserved.
     """
-    seen: set[tuple[frozenset[int], int]] = set()
-    kept: list[Edge] = []
-    for u, v, c in g.edges:
-        key = (frozenset((u, v)), c)
-        if key not in seen:
-            seen.add(key)
-            kept.append((u, v, c))
-    if len(kept) == len(g.edges):
+    first = sorted(i for pairs in _color_classes(g) for i in pairs.values())
+    if len(first) == g.m:
         return g
-    return ColoredGraph(g.n, tuple(kept), g.p)
+    return ColoredGraph(g.n, tuple(g.edges[i] for i in first), g.p)
 
 
 # ---------------------------------------------------------------------------

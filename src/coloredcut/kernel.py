@@ -5,8 +5,10 @@ endpoint pairs, that color crosses every maximum colored cut, so it can be
 deleted and the color budget decremented.  Applying the rule exhaustively
 shrinks every instance to one whose color classes are all small.  One
 removal order serves both parameters: `kernelize_colors` applies all of it,
-and `kernelize_value` stops early on the first prefix that already settles
-the target.
+and `kernelize_value` stops early on the first prefix whose remaining target
+k' is at most ceil(p'/2), which a greedy cut always reaches.  Both read one
+color-class table, `graph._color_classes`: its pair counts drive the rule,
+and the first edge of each surviving pair makes up the reduced graph.
 
 The same counting argument is constructive: given any cut, a deleted color
 can be brought into the cut by flipping a single vertex that is not needed
@@ -22,7 +24,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import InvariantError
-from .graph import ColoredGraph, Cut, dedupe_edges
+from .graph import ColoredGraph, Cut, _color_classes
 
 
 class KernelVerdict(Enum):
@@ -59,25 +61,22 @@ def claim1_bound(beta: int) -> int:
 def rule_star_find(g: ColoredGraph) -> Optional[int]:
     """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None:
     the first color the rule removes."""
-    return next(iter(_removal_order(g)), None)
+    return next(iter(_removal_order(_color_classes(g))), None)
 
 
-def _removal_order(g: ColoredGraph) -> list[int]:
-    """Original colors in the order the rule removes them.
+def _removal_order(classes: list[dict[tuple[int, int], int]]) -> list[int]:
+    """Original colors in the order the rule removes them, from `_color_classes`.
 
     Each round removes the smallest alive color with more than 2*C(p',2)
     distinct pairs, for the p' colors alive.  Removing a color never changes
     another color's count, so the pairs are counted once and only the bound
     falls.  A removal needs that many pairs, so rounds * p stays O(m + p).
     """
-    pairs: dict[int, set[frozenset[int]]] = {c: set() for c in range(1, g.p + 1)}
-    for u, v, c in g.edges:
-        pairs[c].add(frozenset((u, v)))
-    alive = list(pairs)
+    alive = list(range(1, len(classes) + 1))
     removed: list[int] = []
     while True:
         bound = claim1_bound(len(alive))
-        target = next((c for c in alive if len(pairs[c]) > bound), None)
+        target = next((c for c in alive if len(classes[c - 1]) > bound), None)
         if target is None:
             return removed
         alive.remove(target)
@@ -85,21 +84,25 @@ def _removal_order(g: ColoredGraph) -> list[int]:
 
 
 def _build_reduced(
-    g: ColoredGraph, removed: list[int], remaining_k: Optional[int]
+    g: ColoredGraph,
+    classes: list[dict[tuple[int, int], int]],
+    removed: list[int],
+    remaining_k: Optional[int],
 ) -> KernelOutcome:
-    work = dedupe_edges(g)
     removed_set = set(removed)
-    kept = [e for e in work.edges if e[2] not in removed_set]
-    touched_before = {v for u, v2, _ in work.edges for v in (u, v2)}
+    alive_colors = [c for c in range(1, g.p + 1) if c not in removed_set]
+    # the first edge of each pair of a surviving color, in edge order
+    first = sorted(i for c in alive_colors for i in classes[c - 1].values())
+    kept = [g.edges[i] for i in first]
+    touched_before = {v for u, v2, _ in g.edges for v in (u, v2)}
     touched_after = {v for u, v2, _ in kept for v in (u, v2)}
     # Drop only vertices isolated by the deletions; keep ones isolated all along.
     survivors = sorted(
         v
-        for v in range(1, work.n + 1)
+        for v in range(1, g.n + 1)
         if v in touched_after or v not in touched_before
     )
     vertex_renaming = {old: new for new, old in enumerate(survivors, start=1)}
-    alive_colors = sorted(set(range(1, work.p + 1)) - removed_set)
     color_renaming = {old: new for new, old in enumerate(alive_colors, start=1)}
     reduced = ColoredGraph(
         len(survivors),
@@ -121,29 +124,31 @@ def _build_reduced(
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     """Apply the reduction rule exhaustively with the color count as parameter."""
-    return _build_reduced(g, _removal_order(g), None)
+    classes = _color_classes(g)
+    return _build_reduced(g, classes, _removal_order(classes), None)
 
 
 def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
     """Apply the rule with target value k, decrementing k per removed color.
 
     The removals are those of `kernelize_colors`.  Before the i-th removal,
-    with k' = k - i and p' = p - i, the target is already covered when k' is
-    0 (the removed colors alone witness it) or k' == ceil(p'/2) (the greedy
-    half-colors guarantee); the first such i gives EARLY_YES with the first i
-    removals.  Otherwise the result is the color kernel's reduced graph with
-    k' = k - len(removed).
+    with k' = k - i and p' = p - i, the target is already covered when
+    k' <= ceil(p'/2), that is 2k' <= p' + 1: the greedy half-colors cut over
+    the p' surviving colors, repaired to cross the i removed ones, reaches
+    it.  The first such i gives EARLY_YES with the first i removals, so every
+    k <= ceil(p/2) is an early yes with none.  Otherwise the result is the
+    color kernel's reduced graph with k' = k - len(removed).
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
-    removed = _removal_order(g)
+    classes = _color_classes(g)
+    removed = _removal_order(classes)
     for i in range(len(removed) + 1):
-        k_cur, p_cur = k - i, g.p - i
-        if k_cur == 0 or 2 * k_cur in (p_cur, p_cur + 1):
+        if 2 * (k - i) <= g.p - i + 1:
             return KernelOutcome(
-                KernelVerdict.EARLY_YES, None, tuple(removed[:i]), k_cur, {}, {}
+                KernelVerdict.EARLY_YES, None, tuple(removed[:i]), k - i, {}, {}
             )
-    return _build_reduced(g, removed, k - len(removed))
+    return _build_reduced(g, classes, removed, k - len(removed))
 
 
 def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut:
@@ -167,15 +172,12 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
     active = set(range(1, g.p + 1)) - set(removed_colors)
     for color in reversed(list(removed_colors)):
         active.add(color)
-        crossing = {
-            c for u, v, c in g.edges if c in active and (u in s_side) != (v in s_side)
-        }
-        if color in crossing:
-            continue
-        witness: dict[int, tuple[int, int]] = {}
+        witness: dict[int, tuple[int, int]] = {}  # first crossing edge per color
         for u, v, c in g.edges:
-            if c in crossing and c not in witness and (u in s_side) != (v in s_side):
+            if c in active and c not in witness and (u in s_side) != (v in s_side):
                 witness[c] = (u, v)
+        if color in witness:
+            continue
         witness_vertices = {x for uv in witness.values() for x in uv}
         flip = next(
             (

@@ -33,13 +33,14 @@ The provenance sidecar is line-oriented::
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import FormatError, InvariantError
-from .graph import ColoredGraph, Cut, _bfs_labels, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -103,7 +104,8 @@ def strip_single_polarity(
             for j in kept
             if not any(abs(lit) in one_sided for lit in f.clauses[j])
         ]
-    removed = tuple(j for j in range(len(f.clauses)) if j not in set(kept))
+    kept_set = set(kept)
+    removed = tuple(j for j in range(len(f.clauses)) if j not in kept_set)
     return tuple(kept), removed, forced
 
 
@@ -216,7 +218,6 @@ def assignment_to_cut(a: ReductionArtifact, asg: Assignment) -> Cut:
     if a.kind is ReductionKind.NAE_CLIQUES:
         if not nae_satisfies(a.formula, asg):
             raise ValueError("assignment does not NAE-satisfy the source formula")
-        pos, neg = _occurrences(list(a.formula.clauses))
         s_side = set()
         for v, meaning in a.vertex_meaning.items():
             if meaning[0] == "corner":
@@ -753,25 +754,13 @@ def _check_complete(g: ColoredGraph) -> CheckItem:
 
 
 def _check_clique_classes(g: ColoredGraph) -> CheckItem:
-    by_color: dict[int, set[frozenset[int]]] = defaultdict(set)
-    touched: dict[int, set[int]] = defaultdict(set)
-    for u, v, c in g.edges:
-        by_color[c].add(frozenset((u, v)))
-        touched[c].update((u, v))
-    for c in range(1, g.p + 1):
-        verts = sorted(touched[c])
-        pairs = by_color[c]
-        if len(verts) == 2 and len(pairs) == 1:
-            continue
-        if len(verts) == 3 and pairs == {
-            frozenset((verts[0], verts[1])),
-            frozenset((verts[0], verts[2])),
-            frozenset((verts[1], verts[2])),
-        }:
-            continue
-        return CheckItem(
-            "color-class-clique", False, f"color {c} does not induce a K2 or K3"
-        )
+    for c, pairs in enumerate(_color_classes(g), start=1):
+        # a class is a clique on the vertices it touches iff it has all their pairs
+        touched = len({x for pair in pairs for x in pair})
+        if touched not in (2, 3) or len(pairs) != math.comb(touched, 2):
+            return CheckItem(
+                "color-class-clique", False, f"color {c} does not induce a K2 or K3"
+            )
     return CheckItem("color-class-clique", True)
 
 

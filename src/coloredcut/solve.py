@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
-from .graph import ColoredGraph, Cut, cut_colors, dedupe_edges, is_colorful
+from .graph import ColoredGraph, Cut, _color_classes, cut_colors, dedupe_edges, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
 from .sat import CnfFormula, dpll_solve
 
@@ -90,9 +90,7 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
         raise CapExceededError(
             f"refusing exhaustive search on {g.n} vertices (cap {cap})"
         )
-    pairs_by_color: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    for u, v, c in g.edges:
-        pairs_by_color[c].add((u, v) if u < v else (v, u))
+    classes = _color_classes(g)
     width = min(_BLOCK_BITS, g.n - 1)
     full = (1 << (1 << width)) - 1
     # vertex 1 is on S under every mask; vertices 2..width+1 vary inside a block
@@ -106,7 +104,7 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
             full if (block >> j) & 1 else 0 for j in range(g.n - 1 - width)
         ]
         counter: list[int] = []  # counter[i]: masks whose count has bit i set
-        for pairs in pairs_by_color.values():
+        for pairs in classes:
             carry = 0
             for u, v in pairs:
                 carry |= side[u] ^ side[v]
@@ -283,10 +281,10 @@ def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveRe
 def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Optional[Cut]]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
-    Runs the value-parameterized kernel first.  On EARLY_YES the witness is
-    the greedy cut over the surviving colors, repaired by `augment_cut`;
-    otherwise the reduced graph is solved exactly as in `solve_via_kernel`.
-    Either way a returned cut re-evaluates to at least k colors on g.
+    Runs the value-parameterized kernel first.  On EARLY_YES (every k up to
+    ceil(p/2) gets one) the witness is the greedy cut over the surviving
+    colors, repaired by `augment_cut`; else the reduced graph is solved as in
+    `solve_via_kernel`.  Either way a returned cut crosses >= k colors of g.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")

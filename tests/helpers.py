@@ -46,7 +46,7 @@ def oracle_removal_order(g: ColoredGraph, k: int | None = None):
     """The rule loop written round by round: every round re-counts the
     distinct pairs of each alive color over the edges still kept and removes
     the smallest color above 2*C(p',2).  With a target k it first stops with
-    "early_yes" when k' = k - (removals so far) is 0 or ceil(p'/2).
+    "early_yes" when k' = k - (removals so far) is at most ceil(p'/2).
 
     Returns (verdict, removed colors, k' or None)."""
     alive = set(range(1, g.p + 1))
@@ -54,7 +54,7 @@ def oracle_removal_order(g: ColoredGraph, k: int | None = None):
     removed: list[int] = []
     while True:
         k_cur = None if k is None else k - len(removed)
-        if k_cur is not None and k_cur in (0, math.ceil(len(alive) / 2)):
+        if k_cur is not None and k_cur <= math.ceil(len(alive) / 2):
             return "early_yes", removed, k_cur
         pairs: dict[int, set] = {}
         for u, v, c in kept:

@@ -183,6 +183,22 @@ def test_kernelize_param_k_requires_k(graph_file, capsys):
     assert "requires -k" in err
 
 
+def test_kernelize_param_k_early_yes_below_half(graph_file, capsys):
+    path = ColoredGraph(40, tuple((v, v + 1, v) for v in range(1, 40)), 39)
+    code, out, _ = run(
+        capsys, ["kernelize", graph_file(path), "--param", "k", "-k", "1"]
+    )
+    assert code == 0
+    assert out.splitlines() == ["early yes", "removed 0 colors, k' 1"]
+
+
+def test_kernelize_k_requires_param_k(graph_file, capsys):
+    code, out, err = run(capsys, ["kernelize", graph_file(TRIANGLE), "-k", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: -k requires --param k\n"
+
+
 # ------------------------------------------------------------------- generate
 
 
@@ -404,6 +420,28 @@ def test_malformed_graph_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["stats", str(path)])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["stats"], "p ecg 3 1 1\ne 2 2 1\n", "line 2: self-loop"),
+        (["solve"], "c only a comment\n", "line 1: missing 'p ecg' header"),
+        (["generate", "--reduction", "nae", "--output", "x", "--cnf"],
+         "1 2 3 0\np cnf 3 1\n", "line 1: clause data before"),
+        (["verify", "--kind", "nae", "--graph", "GRAPH", "--provenance"],
+         "vertex 1 hub\n", "line 1: unknown vertex tag"),
+        (["verify", "--kind", "graph", "--graph", "GRAPH", "--cut"],
+         "s 1 9\n", "line 1: cut vertex outside 1..3"),
+    ],
+)
+def test_malformed_inputs_are_exit_2(argv, text, message, graph_file, capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    argv = [graph_file(TRIANGLE) if a == "GRAPH" else a for a in argv] + [str(bad)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
 
 
 def test_missing_file_is_exit_2(capsys, tmp_path):

@@ -12,7 +12,9 @@ from coloredcut import (
     distinct_pairs_of_color,
     is_colorful,
     parse_cut,
+    parse_dimacs,
     parse_graph,
+    parse_provenance,
     serialize_cut,
     serialize_graph,
 )
@@ -139,6 +141,36 @@ def test_parse_graph_errors_name_lines():
         parse_graph("p ecg 2 1 2\ne 1 2 1\n")  # declared color never used
     with pytest.raises(FormatError):
         parse_graph("p ecg 2 1 1\nc late comment\ne 1 2 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_graph, "c x\np ecg 3 1\n", "line 2: malformed header"),
+        (parse_graph, "p ecg 3 one 1\n", "line 1: non-integer field in header"),
+        (parse_graph, "p ecg 3 -1 1\n", "line 1: negative count in header"),
+        (parse_graph, "p ecg 3 1 1\ne 1 2\n", "line 2: malformed edge line"),
+        (parse_graph, "p ecg 3 1 1\ne 1 x 1\n", "line 2: non-integer field in edge line"),
+        (parse_graph, "p ecg 3 1 1\n\ne 2 2 1\n", "line 3: self-loop at vertex 2"),
+        (parse_graph, "p ecg 3 1 1\ne 1 2 2\n", "line 2: color 2 outside 1..1"),
+        (parse_graph, "c only a comment\n", "line 1: missing 'p ecg' header"),
+        (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "cut file must contain exactly one"),
+        (lambda t: parse_cut(t, 4), "s 1 two\n", "line 1: non-integer vertex"),
+        (lambda t: parse_cut(t, 4), "s 1 5\n", "line 1: cut vertex outside 1..4"),
+        (parse_dimacs, "p cnf 3 1\np cnf 3 1\n", "line 2: duplicate header"),
+        (parse_dimacs, "p cnf three 1\n", "line 1: non-integer field in header"),
+        (parse_dimacs, "p cnf 3 -1\n", "line 1: negative count in header"),
+        (parse_dimacs, "c x\n1 2 3 0\np cnf 3 1\n", "line 2: clause data before"),
+        (parse_dimacs, "p cnf 3 1\n1 b 3 0\n", "line 2: non-integer literal"),
+        (parse_dimacs, "c only a comment\n", "missing 'p cnf' header"),
+        (parse_provenance, "color 1 fresh\nvertex 2 hub\n", "line 2: unknown vertex tag"),
+    ],
+)
+def test_parse_errors_name_the_line(parse, text, message):
+    # the message opens with the offending line wherever one is to blame
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message)
 
 
 def test_parse_cut():

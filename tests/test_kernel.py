@@ -173,17 +173,17 @@ def test_kernelize_value_no_early_yes_above_half():
 
 
 def test_kernelize_value_k_reaches_zero_mid_run():
-    # two dense colors, k=2: each removal decrements k; EarlyYes at k=0.
-    # Start from p=3 so that 2k=4 < p=5 after inflation and the halfway
-    # trigger cannot fire before the removals do.
+    # two dense colors, k=4: each removal decrements k and p.  The threshold
+    # 2k' <= p'+1 fails at (k', p') = (4, 5) and (3, 4) and first holds after
+    # both removals, at (2, 3), so EarlyYes comes with remaining_k 2.
     rng = random.Random(9)
     base = ColoredGraph(8, ((1, 2, 1), (3, 4, 2), (5, 6, 3)), 3)
     g = inflate_one_color(rng, base)
     g = inflate_one_color(rng, g)
     assert g is not None and g.p == 5
-    out = kernelize_value(g, 2)
+    out = kernelize_value(g, 4)
     assert out.verdict is KernelVerdict.EARLY_YES
-    assert out.remaining_k == 0
+    assert out.remaining_k == 2
     assert len(out.removed_colors) == 2
 
 
@@ -247,6 +247,14 @@ def test_augment_cut_flips_the_first_free_endpoint():
     )
     assert kernelize_colors(g).removed_colors == (1, 2)
     assert augment_cut(g, (1, 2), Cut(5, frozenset({5}))) == Cut(5, frozenset({2, 5}))
+    # color 1 crosses on (1,2) and on (3,4); its witness is the first of them,
+    # so vertex 1 is kept and color 2 is restored by flipping 5, not 1
+    g = ColoredGraph(
+        6, ((1, 2, 1), (3, 4, 1), (1, 5, 2), (2, 4, 2), (2, 6, 2), (4, 6, 2)), 2
+    )
+    assert kernelize_colors(g).removed_colors == (2, 1)
+    cut = Cut(6, frozenset({1, 3, 5}))
+    assert augment_cut(g, (2, 1), cut) == Cut(6, frozenset({1, 3}))
 
 
 @st.composite

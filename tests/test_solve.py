@@ -279,6 +279,19 @@ def test_decide_max_rainbow_triangle_boundary():
     assert not no and missing is None
 
 
+def test_value_kernel_answers_every_k_up_to_half_without_search():
+    # a 40-vertex rainbow path: p = 39 colors, far above the search cap, and
+    # every k <= ceil(39/2) = 20 is covered by the greedy cut
+    path = ColoredGraph(40, tuple((v, v + 1, v) for v in range(1, 40)), 39)
+    for k in (1, 2, 20):
+        out = kernelize_value(path, k)
+        assert out.verdict is KernelVerdict.EARLY_YES
+        assert (out.removed_colors, out.remaining_k) == ((), k)
+        yes, cut = decide_max(path, k)
+        assert yes and len(cut_colors(path, cut)) >= k
+    assert kernelize_value(path, 21).verdict is KernelVerdict.REDUCED
+
+
 def test_decide_max_agrees_with_oracle_for_all_k():
     rng = random.Random(103)
     for _ in range(80):
