@@ -264,22 +264,26 @@ def serialize_graph(g: ColoredGraph) -> str:
 
 def parse_cut(text: str, n: int) -> Cut:
     """Parse a cut file ('s <v1> ... <vk>', increasing) for a graph on n vertices."""
-    lines = [ln for ln in text.splitlines() if ln.split()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.split()]
     if len(lines) != 1:
-        raise FormatError(f"cut file must contain exactly one 's' line, got {len(lines)}")
-    tokens = lines[0].split()
+        lineno = lines[1][0] if lines else 1
+        raise FormatError(
+            f"line {lineno}: cut file must contain exactly one 's' line, got {len(lines)}"
+        )
+    lineno, line = lines[0]
+    tokens = line.split()
     if tokens[0] != "s" or len(tokens) < 2:
-        raise FormatError(f"line 1: malformed cut line {lines[0]!r}")
+        raise FormatError(f"line {lineno}: malformed cut line {line!r}")
     try:
         verts = [int(t) for t in tokens[1:]]
     except ValueError:
-        raise FormatError(f"line 1: non-integer vertex in cut line {lines[0]!r}")
+        raise FormatError(f"line {lineno}: non-integer vertex in cut line {line!r}")
     if any(a >= b for a, b in zip(verts, verts[1:])):
-        raise FormatError("line 1: cut vertices must be strictly increasing")
+        raise FormatError(f"line {lineno}: cut vertices must be strictly increasing")
     if any(not (1 <= v <= n) for v in verts):
-        raise FormatError(f"line 1: cut vertex outside 1..{n}")
+        raise FormatError(f"line {lineno}: cut vertex outside 1..{n}")
     if len(verts) >= n:
-        raise FormatError("line 1: cut lists every vertex, T side would be empty")
+        raise FormatError(f"line {lineno}: cut lists every vertex, T side would be empty")
     return Cut(n, frozenset(verts))
 
 

@@ -85,7 +85,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer literal in {raw!r}")
     if header is None:
-        raise FormatError("missing 'p cnf' header")
+        raise FormatError("line 1: missing 'p cnf' header")
     var_count, clause_count = header
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []

@@ -6,7 +6,12 @@ Three routes:
   bit-parallel over big-int truth tables of the masks, first optimum in
   increasing mask order,
 * a greedy placement that always crosses at least half the colors,
-* a CNF encoding of "every color crosses" handed to the DPLL engine.
+* colorful cut: forced crossings contracted with a parity union-find, then
+  a depth-first search over the classes left, pruned per color, with a
+  bit-parallel block of classes at every node.
+
+The CNF encoding of colorful cut stays public as a test oracle; no route
+hands it to DPLL.
 
 `solve_via_kernel` and `decide_max` share one route after the kernel: the
 exhaustive search over reduced vertex 1 and the vertices an edge touches,
@@ -17,14 +22,14 @@ Witness checks raise `InvariantError`, so they also run under ``python -O``.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
-from .graph import ColoredGraph, Cut, _color_classes, cut_colors, dedupe_edges, is_colorful
+from .graph import ColoredGraph, Cut, _color_classes, cut_colors, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
-from .sat import CnfFormula, dpll_solve
+from .sat import CnfFormula
 
 BRUTE_FORCE_CAP = 24
 
@@ -32,6 +37,12 @@ BRUTE_FORCE_CAP = 24
 # is a 2^16-bit (8 KiB) int, so memory stays bounded at the cap.  Of widths
 # 12..20, 16 was the fastest at n = 16..24.
 _BLOCK_BITS = 16
+
+# Classes of the colorful search scanned bit-parallel as one block, so a
+# truth table is a 2^14-bit (2 KiB) int.  Of widths 8..16 on the colorful_sat
+# benchmark corpus (seeds 1-3, quotients of 4-36 classes), 14 gave the most
+# ops per second and the shortest slowest op.
+_LEAF_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -224,20 +235,193 @@ def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
     return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)
 
 
+def _contract_forced(
+    g: ColoredGraph,
+) -> Optional[tuple[dict[int, tuple[int, int]], list[set[tuple[int, int, int]]]]]:
+    """Contract forced crossings to a fixpoint with a parity union-find.
+
+    Every touched vertex v has a root and a parity, and side(v) = side(root)
+    ^ parity(v).  An edge inside one class crosses always (odd parity: its
+    color is satisfied and dropped) or never (even parity: the edge is
+    dropped).  A color whose live edges all join the same two classes with
+    the same relative parity must cross there, so those classes are united
+    with the parity that makes it cross and the color is dropped.  A color
+    left with no live edge can never cross: the answer is None.
+
+    Returns the (root, parity) of every touched vertex and, for each color
+    still live, its distinct quotient edges (a, b, flip) with roots a < b;
+    such an edge crosses iff side(a) ^ side(b) ^ flip.  Only touched
+    vertices enter the union-find.
+    """
+    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, parity to it)
+
+    def find(v: int) -> tuple[int, int]:
+        path = []
+        while v in up:
+            path.append(v)
+            v = up[v][0]
+        parity = 0
+        for w in reversed(path):  # compress: point the whole path at the root
+            parity ^= up[w][1]
+            up[w] = (v, parity)
+        return v, (up[path[0]][1] if path else 0)
+
+    classes = _color_classes(g)
+    live = {c: list(pairs) for c, pairs in enumerate(classes)}
+    touching: dict[int, list[int]] = defaultdict(list)  # root -> colors on its class
+    for c, pairs in live.items():
+        for u, v in pairs:
+            touching[u].append(c)
+            touching[v].append(c)
+    queue = deque(live)
+    queued = set(live)
+    while queue:
+        c = queue.popleft()
+        queued.discard(c)
+        kept = []
+        keys = set()
+        for u, v in live[c]:
+            (a, x), (b, y) = find(u), find(v)
+            if a != b:
+                kept.append((u, v))
+                keys.add((min(a, b), max(a, b), x ^ y))
+            elif x != y:
+                break  # always crosses: the color is satisfied
+        else:
+            if not kept:
+                return None
+            if len(keys) > 1:
+                live[c] = kept
+                continue
+            ((a, b, flip),) = keys
+            if len(touching[a]) < len(touching[b]):
+                a, b = b, a
+            up[b] = (a, flip ^ 1)  # side(a) ^ side(b) ^ flip == 1: it crosses
+            # only colors on b's class can see their edges change
+            for d in touching.pop(b):
+                touching[a].append(d)
+                if d != c and d in live and d not in queued:
+                    queue.append(d)
+                    queued.add(d)
+        del live[c]
+    labels = {v: find(v) for pairs in classes for pair in pairs for v in pair}
+    quotient = []
+    for pairs in live.values():
+        edges = set()
+        for u, v in pairs:
+            (a, x), (b, y) = labels[u], labels[v]
+            edges.add((min(a, b), max(a, b), x ^ y))
+        quotient.append(edges)
+    return labels, quotient
+
+
+def _search_quotient(
+    order: list[int], colors: list[set[tuple[int, int, int]]]
+) -> Optional[dict[int, int]]:
+    """Sides (1 = S) of the classes in `order` under which every color has a
+    crossing quotient edge, or None if there are none.
+
+    The first class is pinned to S (complement symmetry).  The next
+    `_LEAF_BITS` classes form the low block, scanned bit-parallel as in
+    `brute_force_max`: each low class's side is a truth table over the
+    block's masks, and a color crosses on the OR over its edges of
+    T_a ^ T_b ^ flip.  A depth-first search sets the remaining high classes
+    in order, T before S, and keeps the AND over every color whose classes
+    are all set or low; it prunes as soon as that AND is zero, that is when
+    a fully set color has no crossing edge under any low mask.  At a leaf
+    the lowest surviving mask wins.  Every mask is scanned, including the
+    one putting every class on S: a class may hold both parities, so that
+    can still be a nontrivial cut.
+    """
+    k = len(order)
+    pos = {r: i for i, r in enumerate(order)}
+    width = min(_LEAF_BITS, k - 1)
+    full = (1 << (1 << width)) - 1
+    # truth tables of the pinned class and the low block; 0 for high classes
+    low = [full] + _periodic_tables(width) + [0] * (k - 1 - width)
+    bits = [1] + [0] * k  # high class sides; bits[k] stays 0 for "no class"
+    # closing[q]: the colors whose last high class sits at position q (0 when
+    # they touch only the pinned and the low classes).  An edge is stored as
+    # (h, h', base, complement): it crosses on `base` when bits[h] ^ bits[h']
+    # is 0, else on `complement`, where base folds in its low tables and flip.
+    closing: list[list[list[tuple[int, int, int, int]]]] = [[] for _ in range(k)]
+    for edges in colors:
+        folded = []
+        last = 0
+        for a, b, flip in edges:
+            i, j = (x if x > width else 0 for x in (pos[a], pos[b]))
+            base = low[pos[a]] ^ low[pos[b]] ^ (full if flip else 0)
+            folded.append((i or k, j or k, base, base ^ full))
+            last = max(last, i, j)
+        closing[last].append(folded)
+
+    def narrow(colorful: int, q: int) -> int:
+        for edges in closing[q]:
+            crossing = 0
+            for h, h2, base, complement in edges:
+                crossing |= complement if bits[h] ^ bits[h2] else base
+            colorful &= crossing
+            if not colorful:
+                break
+        return colorful
+
+    # depth-first over the high classes, without recursion: bits[q] is -1
+    # while position q is untried, and masks[q] is the AND once every class
+    # before q is set
+    start = width + 1
+    masks = [0] * (k + 1)
+    masks[start] = narrow(full, 0)
+    if not masks[start]:
+        return None
+    bits[start:k] = [-1] * (k - start)
+    q = start
+    while q < k:
+        if bits[q] < 1:
+            bits[q] += 1
+            masks[q + 1] = narrow(masks[q], q)
+            if masks[q + 1]:
+                q += 1
+        else:  # both sides failed: backtrack
+            bits[q] = -1
+            q -= 1
+            if q < start:
+                return None
+    found = masks[k]
+    first = (found & -found).bit_length() - 1
+    for j in range(width):
+        bits[j + 1] = (first >> j) & 1
+    return dict(zip(order, bits))
+
+
 def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
-    """A cut crossing all p colors, or None if no such cut exists."""
+    """A cut crossing all p colors, or None if no such cut exists.
+
+    Forced crossings are contracted first (`_contract_forced`), then the
+    classes the remaining colors touch are searched (`_search_quotient`) in
+    increasing root order.  The first colorful class assignment found is
+    lifted: side(v) = side(root) ^ parity(v), classes no remaining color
+    touches sit on S, and vertices no edge touches on T.  With p >= 1 a
+    colorful cut crosses an edge, so it is nontrivial.  The cut is recounted
+    on g before it is returned.
+    """
     if g.n < 2:
         return None  # there is no nontrivial bipartition at all
     if g.p == 0:
         return Cut(g.n, frozenset({1}))
-    work = dedupe_edges(g)
-    enc = encode_colorful_to_cnf(work)
-    model = dpll_solve(enc.formula)
-    if model is None:
+    contracted = _contract_forced(g)
+    if contracted is None:
         return None
-    cut = Cut(g.n, frozenset(v for v in range(1, g.n + 1) if model[v]))
+    labels, colors = contracted
+    sides: Optional[dict[int, int]] = {}
+    if colors:
+        order = sorted({r for edges in colors for a, b, _ in edges for r in (a, b)})
+        sides = _search_quotient(order, colors)
+        if sides is None:
+            return None
+    s_side = frozenset(v for v, (root, parity) in labels.items() if sides.get(root, 1) ^ parity)
+    cut = Cut(g.n, s_side)
     if not is_colorful(g, cut):
-        raise InvariantError("the DPLL model is not a colorful cut")
+        raise InvariantError("the lifted quotient assignment is not a colorful cut")
     return cut
 
 

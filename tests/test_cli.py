@@ -75,6 +75,29 @@ def test_colorful_algos_agree(graph_file, capsys):
         assert sat_code == brute_code
 
 
+def test_colorful_ignores_untouched_vertices_in_time_and_memory(tmp_path):
+    # a one-edge file declaring 10^9 vertices, answered by a child process
+    # whose address space is capped at 2 GB
+    path = tmp_path / "huge.ecg"
+    path.write_text("p ecg 1000000000 1 1\ne 1 2 1\n")
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from coloredcut.cli import main\n"
+        "raise SystemExit(main(['colorful', sys.argv[1]]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["colorful yes", "s 1"]
+
+
 # ---------------------------------------------------------------------- solve
 
 

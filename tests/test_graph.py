@@ -154,7 +154,8 @@ def test_parse_graph_errors_name_lines():
         (parse_graph, "p ecg 3 1 1\n\ne 2 2 1\n", "line 3: self-loop at vertex 2"),
         (parse_graph, "p ecg 3 1 1\ne 1 2 2\n", "line 2: color 2 outside 1..1"),
         (parse_graph, "c only a comment\n", "line 1: missing 'p ecg' header"),
-        (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "cut file must contain exactly one"),
+        (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "line 2: cut file must contain exactly one"),
+        (lambda t: parse_cut(t, 4), "", "line 1: cut file must contain exactly one"),
         (lambda t: parse_cut(t, 4), "s 1 two\n", "line 1: non-integer vertex"),
         (lambda t: parse_cut(t, 4), "s 1 5\n", "line 1: cut vertex outside 1..4"),
         (parse_dimacs, "p cnf 3 1\np cnf 3 1\n", "line 2: duplicate header"),
@@ -162,7 +163,7 @@ def test_parse_graph_errors_name_lines():
         (parse_dimacs, "p cnf 3 -1\n", "line 1: negative count in header"),
         (parse_dimacs, "c x\n1 2 3 0\np cnf 3 1\n", "line 2: clause data before"),
         (parse_dimacs, "p cnf 3 1\n1 b 3 0\n", "line 2: non-integer literal"),
-        (parse_dimacs, "c only a comment\n", "missing 'p cnf' header"),
+        (parse_dimacs, "c only a comment\n", "line 1: missing 'p cnf' header"),
         (parse_provenance, "color 1 fresh\nvertex 2 hub\n", "line 2: unknown vertex tag"),
     ],
 )

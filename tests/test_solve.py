@@ -12,28 +12,40 @@ from hypothesis import strategies as st
 from coloredcut import (
     BRUTE_FORCE_CAP,
     CapExceededError,
+    CnfFormula,
     ColoredGraph,
     Cut,
     KernelVerdict,
     augment_cut,
     brute_force_max,
+    brute_force_nae,
+    brute_force_sat,
     colorful_cut_decide,
     cut_colors,
     decide_max,
     dpll_solve,
+    embed_complete_artifact,
     encode_colorful_to_cnf,
     greedy_half_colors,
     is_colorful,
     kernelize_colors,
     kernelize_value,
+    make_k4mf_connected,
+    make_oct_one,
+    multigraph_to_simple,
+    nae_to_cliques,
+    sat_to_multigraph,
     solve_via_kernel,
+    strip_single_polarity,
 )
+from coloredcut.solve import _contract_forced, _search_quotient
 
 from helpers import (
     inflate_one_color,
     oracle_colorful_cut,
     oracle_first_max_mask,
     oracle_max_cut_colors,
+    random_3cnf,
     random_multigraph,
 )
 from test_graph import RAINBOW_TRIANGLE, graphs
@@ -259,6 +271,164 @@ def test_colorful_matches_oracle():
         assert (got is not None) == (want is not None)
         if got is not None:
             assert is_colorful(g, got)
+
+
+def _forced_multigraph(rng: random.Random) -> ColoredGraph:
+    """A random multigraph plus single-edge colors (each must cross), two-edge
+    colors that such crossings can leave with one choice, and exact
+    duplicates in both orientations, in shuffled edge order."""
+    g = random_multigraph(rng, n_max=8, p_max=5)
+    edges, p = list(g.edges), g.p
+    for _ in range(rng.randint(0, 5)):
+        p += 1
+        edges.append((*rng.sample(range(1, g.n + 1), 2), p))
+    for _ in range(rng.randint(0, 3)):
+        p += 1
+        edges.append((*rng.sample(range(1, g.n + 1), 2), p))
+        edges.append((*rng.sample(range(1, g.n + 1), 2), p))
+    for u, v, c in rng.sample(edges, rng.randint(0, len(edges))):
+        edges.append((v, u, c) if rng.random() < 0.5 else (u, v, c))
+    rng.shuffle(edges)
+    return ColoredGraph(g.n, tuple(edges), p)
+
+
+def test_colorful_differential_against_brute_force_and_dpll():
+    rng = random.Random(106)
+    answers = set()
+    for _ in range(600):
+        g = _forced_multigraph(rng)
+        want = brute_force_max(g).value == g.p
+        # the same graph with 0-15 untouched vertices spread among the ids
+        n = g.n + rng.randint(0, 15)
+        ids = rng.sample(range(1, n + 1), n)
+        spread = ColoredGraph(n, tuple((ids[u - 1], ids[v - 1], c) for u, v, c in g.edges), g.p)
+        assert (dpll_solve(encode_colorful_to_cnf(spread).formula) is not None) == want
+        for h in (g, spread):
+            cut = colorful_cut_decide(h)
+            assert (cut is not None) == want
+            if cut is not None:
+                assert is_colorful(h, cut)
+                # untouched vertices sit on T
+                assert cut.s_side <= {x for u, v, _ in h.edges for x in (u, v)}
+        answers.add(want)
+    assert answers == {True, False}
+
+
+UNSAT8 = CnfFormula(
+    3, tuple((a, 2 * b, 3 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+)
+
+_GENERATORS = {
+    "planar-multi": sat_to_multigraph,
+    "planar-simple": lambda f: multigraph_to_simple(sat_to_multigraph(f)),
+    "k4mf": lambda f: make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f))),
+    "oct1": lambda f: make_oct_one(sat_to_multigraph(f)),
+    "complete": lambda f: embed_complete_artifact(multigraph_to_simple(sat_to_multigraph(f))),
+    "nae": nae_to_cliques,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_colorful_matches_formula_truth_on_every_construction(kind):
+    # colorful iff the formula is satisfiable (not-all-equal satisfiable for
+    # nae); DPLL on the encoding cross-checks the graphs small enough for it
+    rng = random.Random(107)
+    formulas = [UNSAT8, CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3)))]
+    while len(formulas) < 14:
+        f = random_3cnf(rng, 4, rng.randint(3, 9))
+        if strip_single_polarity(f)[0]:
+            formulas.append(f)
+    truths = set()
+    for f in formulas:
+        truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
+        g = _GENERATORS[kind](f).graph
+        cut = colorful_cut_decide(g)
+        assert (cut is not None) == truth
+        if cut is not None:
+            assert is_colorful(g, cut)
+        if g.m <= 60:
+            assert (dpll_solve(encode_colorful_to_cnf(g).formula) is not None) == truth
+        truths.add(truth)
+    assert truths == {True, False}
+
+
+def test_contraction_cascades_to_a_fixpoint():
+    # color 3 forces 3 | 4 only after color 2 was first looked at; then both
+    # edges of color 2 cross together, so it is forced too and nothing is
+    # left to search
+    g = ColoredGraph(4, ((1, 2, 1), (1, 3, 2), (2, 4, 2), (3, 4, 3)), 3)
+    _, quotient = _contract_forced(g)
+    assert quotient == []
+    assert colorful_cut_decide(g) == Cut(4, frozenset({1, 4}))
+
+
+def test_quotient_search_keeps_the_all_one_side_mask():
+    # classes 1, 2, 3 with class 1 pinned to S.  An edge (a, b, 1) crosses
+    # iff a and b sit on the same side, (a, b, 0) iff they do not; each
+    # color rules out one of the other three side pairs of classes 2 and 3,
+    # so every class on S is the only colorful assignment
+    colors = [
+        {(1, 2, 0), (1, 3, 1)},
+        {(1, 2, 1), (1, 3, 0)},
+        {(1, 2, 1), (1, 3, 1), (2, 3, 0)},
+    ]
+    assert _search_quotient([1, 2, 3], colors) == {1: 1, 2: 1, 3: 1}
+    # the same colors in a graph: the single-edge colors put 4, 5 and 6
+    # opposite 1 in one class, so every class on S is the nontrivial cut
+    # {1, 2, 3} | {4, 5, 6}
+    g = ColoredGraph(
+        6,
+        ((1, 4, 1), (1, 2, 2), (4, 3, 2), (4, 2, 3), (1, 3, 3))
+        + ((4, 2, 4), (4, 3, 4), (2, 3, 4), (1, 5, 5), (1, 6, 6)),
+        6,
+    )
+    assert colorful_cut_decide(g) == Cut(6, frozenset({1, 2, 3}))
+    assert oracle_colorful_cut(g) == frozenset({1, 2, 3})
+
+
+def test_quotient_search_prunes_only_fully_set_colors(monkeypatch):
+    # with a one-class low block nearly every class is set depth-first, so
+    # the verdicts rest on pruning colors exactly when their classes are set
+    monkeypatch.setattr("coloredcut.solve._LEAF_BITS", 1)
+    rng = random.Random(108)
+    for _ in range(200):
+        g = _forced_multigraph(rng)
+        cut = colorful_cut_decide(g)
+        assert (cut is not None) == (brute_force_max(g).value == g.p)
+
+
+def test_colorful_never_runs_dpll(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("DPLL ran")
+
+    # every DPLL run starts with unit propagation
+    monkeypatch.setattr("coloredcut.sat._propagate", refuse)
+    g = sat_to_multigraph(UNSAT8).graph
+    assert colorful_cut_decide(g) is None
+    assert colorful_cut_decide(RAINBOW_C4) is not None
+
+
+def test_colorful_witness_check_survives_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import coloredcut.solve as s\n"
+        "from coloredcut import ColoredGraph, InvariantError\n"
+        "assert False, 'asserts are on'\n"
+        "s.is_colorful = lambda g, cut: False\n"
+        "try:\n"
+        "    s.colorful_cut_decide(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "raised"
 
 
 # ------------------------------------------------------------------ decide_max
