@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    solve      maximum colored cut (exact via kernel or brute force, or greedy)
+    solve      maximum colored cut (exact via the kernel, or greedy)
     colorful   decide whether some cut crosses every color
     kernelize  apply the dense-color removal rule, print the reduced graph
     generate   build a hardness instance from a 3-CNF formula
@@ -10,7 +10,8 @@ Subcommands::
     stats      per-color edge counts, distinct endpoint pairs, span
 
 Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output,
-3 refused exhaustive search, 4 internal error.
+3 solve refused its search (more than ``--cap`` vertices to enumerate),
+4 internal error.
 """
 
 from __future__ import annotations
@@ -47,13 +48,7 @@ from .reductions import (
     verify_structural,
 )
 from .sat import parse_dimacs
-from .solve import (
-    BRUTE_FORCE_CAP,
-    brute_force_max,
-    colorful_cut_decide,
-    greedy_half_colors,
-    solve_via_kernel,
-)
+from .solve import BRUTE_FORCE_CAP, colorful_cut_decide, greedy_half_colors, solve_via_kernel
 
 
 def _read(path: str) -> str:
@@ -79,9 +74,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    if args.algo == "brute":
-        witness = brute_force_max(g, cap=args.cap).witness
-    elif args.algo == "kernel":
+    if args.algo == "kernel":
         witness = solve_via_kernel(g, cap=args.cap).witness
     else:
         witness = greedy_half_colors(g)
@@ -94,15 +87,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_colorful(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
-    if args.algo == "sat":
-        cut = colorful_cut_decide(g)
-    else:
-        if g.n < 2:
-            cut = None
-        else:
-            best = brute_force_max(g, cap=args.cap)
-            cut = best.witness if best.value == g.p else None
+    cut = colorful_cut_decide(parse_graph(_read(args.graph)))
     if cut is None:
         print("colorful no")
         return 1
@@ -215,17 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="maximize the number of cut colors")
     p_solve.add_argument("graph", help="edge-colored graph file")
     p_solve.add_argument("-k", type=int, default=None, help="exit 0 iff value >= k")
-    p_solve.add_argument(
-        "--algo", choices=("kernel", "brute", "greedy"), default="kernel"
-    )
-    p_solve.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
+    p_solve.add_argument("--algo", choices=("kernel", "greedy"), default="kernel")
+    p_solve.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP, help="most vertices searched")
     p_solve.add_argument("--output", default=None, help="write the cut here")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_col = sub.add_parser("colorful", help="decide if some cut crosses every color")
     p_col.add_argument("graph")
-    p_col.add_argument("--algo", choices=("sat", "brute"), default="sat")
-    p_col.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p_col.add_argument("--output", default=None, help="write the cut here")
     p_col.set_defaults(func=_cmd_colorful)
 

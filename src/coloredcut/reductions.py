@@ -343,15 +343,10 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
         adj[u].append(v)
         adj[v].append(u)
 
-    labels = _bfs_labels(range(1, h.n + 1), (e[:2] for e in h.edges))
-    gadgets: dict[int, list[int]] = defaultdict(list)
-    for v, (root, _) in labels.items():
-        gadgets[root].append(v)
-    attach: list[int] = []
-    for j in range(m):
-        gadget = gadgets[labels[3 * j + 1][0]]
-        top = max(len(adj[v]) for v in gadget)
-        attach.append(min(v for v in gadget if len(adj[v]) == top))
+    # Gadget j's corners are 3j+1..3j+3, each of degree >= 2; its subdivision
+    # vertices have degree 2 and higher numbers, so the gadget's lowest-index
+    # maximum-degree vertex is its first corner of maximum degree.
+    attach = [max(range(3 * j + 1, 3 * j + 4), key=lambda v: len(adj[v])) for j in range(m)]
 
     # binary tree on m leaves, heap order: nodes 1..2m-1, leaves m..2m-1
     new_pairs: list[tuple[int, int]] = []

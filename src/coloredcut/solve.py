@@ -150,25 +150,28 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     return SolveResult(best_count, witness, "brute-force", (1 << (g.n - 1)) - 1)
 
 
-def _greedy_sides(n: int, gprime: list[tuple[int, int]]) -> frozenset[int]:
-    """Greedy placement over a one-edge-per-color subgraph.
+def _greedy_sides(g: ColoredGraph, gprime: list[tuple[int, int]]) -> frozenset[int]:
+    """Greedy placement over a one-edge-per-color subgraph of g.
 
-    Vertices are placed in increasing order on the side with fewer already
-    placed neighbors (ties to S), counting parallel edges with multiplicity,
-    so at least half of the subgraph's edges end up crossing.
+    The vertices some edge of g touches are placed in increasing order on the
+    side with fewer already placed neighbors (ties to S), counting parallel
+    edges with multiplicity, so at least half of the subgraph's edges end up
+    crossing.  Untouched vertices stay on T, so the cost is O(m), not O(n).
     """
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in gprime:
         adj[u].append(v)
         adj[v].append(u)
     s_side: set[int] = set()
-    for v in range(1, n + 1):
+    for v in sorted({x for u, w, _ in g.edges for x in (u, w)}):
         # placed neighbors are the smaller ones: count S minus T among them
         if sum(1 if w in s_side else -1 for w in adj.get(v, ()) if w < v) <= 0:
             s_side.add(v)
-    if len(s_side) == n:
-        # happens only when the subgraph has no edges
-        s_side.discard(n)
+    if not s_side:
+        s_side.add(1)  # g has no edges
+    elif len(s_side) == g.n:
+        # every vertex is touched and the subgraph has no edges
+        s_side.discard(g.n)
     return frozenset(s_side)
 
 
@@ -184,17 +187,17 @@ def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
     """Greedy cut over the first edge of every color the rule left, repaired
     by `augment_cut` to cross the removed colors too."""
     surviving = set(range(1, g.p + 1)) - set(removed_colors)
-    base = Cut(g.n, _greedy_sides(g.n, _first_edge_per_color(g, surviving)))
+    base = Cut(g.n, _greedy_sides(g, _first_edge_per_color(g, surviving)))
     return augment_cut(g, removed_colors, base)
 
 
 def greedy_half_colors(g: ColoredGraph) -> Cut:
     """A cut crossing at least ceil(p/2) colors, built greedily.
 
-    Keeps the first edge of each color in file order, then places vertices
-    one by one on the side with fewer already-placed neighbors in that
-    subgraph (ties to S).  If everything lands on one side, which only
-    happens with no colors at all, vertex n is flipped.
+    Keeps the first edge of each color in file order, then places the
+    touched vertices one by one on the side with fewer already-placed
+    neighbors in that subgraph (ties to S); untouched vertices go on T.  With
+    no edges at all the S side is {1}.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")

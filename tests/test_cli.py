@@ -11,6 +11,7 @@ import pytest
 from coloredcut import (
     ColoredGraph,
     CnfFormula,
+    brute_force_max,
     color_span,
     cut_colors,
     distinct_pairs_of_color,
@@ -69,13 +70,16 @@ def test_colorful_no_on_rainbow_triangle(graph_file, capsys):
 
 def test_colorful_algos_agree(graph_file, capsys):
     for g in (TRIANGLE, C4, STAR):
-        path = graph_file(g)
-        sat_code, _, _ = run(capsys, ["colorful", path, "--algo", "sat"])
-        brute_code, _, _ = run(capsys, ["colorful", path, "--algo", "brute"])
-        assert sat_code == brute_code
+        code, _, _ = run(capsys, ["colorful", graph_file(g)])
+        assert code == (0 if brute_force_max(g).value == g.p else 1)
 
 
-def test_colorful_ignores_untouched_vertices_in_time_and_memory(tmp_path):
+@pytest.mark.parametrize(
+    "argv,answer",
+    [(["colorful"], "colorful yes"), (["solve", "--algo", "greedy"], "value 1")],
+    ids=["colorful", "greedy"],
+)
+def test_colorful_ignores_untouched_vertices_in_time_and_memory(argv, answer, tmp_path):
     # a one-edge file declaring 10^9 vertices, answered by a child process
     # whose address space is capped at 2 GB
     path = tmp_path / "huge.ecg"
@@ -84,18 +88,18 @@ def test_colorful_ignores_untouched_vertices_in_time_and_memory(tmp_path):
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from coloredcut.cli import main\n"
-        "raise SystemExit(main(['colorful', sys.argv[1]]))\n"
+        "raise SystemExit(main(sys.argv[2:] + [sys.argv[1]]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", probe, str(path)],
+        [sys.executable, "-c", probe, str(path), *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["colorful yes", "s 1"]
+    assert result.stdout.splitlines() == [answer, "s 1"]
 
 
 # ---------------------------------------------------------------------- solve
@@ -117,7 +121,7 @@ def test_solve_brute_writes_witness(graph_file, capsys, tmp_path):
     out_file = tmp_path / "cut.txt"
     code, out, _ = run(
         capsys,
-        ["solve", graph_file(C4), "--algo", "brute", "--output", str(out_file)],
+        ["solve", graph_file(C4), "--output", str(out_file)],
     )
     assert code == 0
     value = int(out.splitlines()[0].split()[1])
@@ -136,15 +140,14 @@ def test_solve_greedy_emits_cut_to_stdout(graph_file, capsys):
 
 
 def test_solve_brute_cap_exit_code(graph_file, capsys):
-    big = ColoredGraph(25, ((1, 2, 1),), 1)
-    code, _, err = run(capsys, ["solve", graph_file(big), "--algo", "brute"])
+    # a rainbow path touches all 25 vertices and the rule removes no color
+    big = ColoredGraph(25, tuple((v, v + 1, v) for v in range(1, 25)), 24)
+    code, _, err = run(capsys, ["solve", graph_file(big)])
     assert code == 3
     assert err.startswith("error:")
     # a raised cap lets the same file through
-    code, out, _ = run(
-        capsys, ["solve", graph_file(big), "--algo", "brute", "--cap", "25"]
-    )
-    assert code == 0 and out.splitlines()[0] == "value 1"
+    code, out, _ = run(capsys, ["solve", graph_file(big), "--cap", "25"])
+    assert code == 0 and out.splitlines()[0] == "value 24"
 
 
 def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
@@ -153,9 +156,21 @@ def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
     assert code == 0 and out.splitlines()[0] == "value 1"
     assert run(capsys, ["solve", path, "-k", "1"])[0] == 0
     assert run(capsys, ["solve", path, "-k", "2"])[0] == 1
-    # exhaustive search on the whole graph is still refused
-    code, _, err = run(capsys, ["solve", path, "--algo", "brute"])
-    assert code == 3 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algo", "brute"],
+        ["colorful", "--algo", "sat"],
+        ["colorful", "--cap", "5"],
+    ],
+)
+def test_removed_brute_force_flags_are_usage_errors(argv, graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], graph_file(C4), *argv[1:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ------------------------------------------------------------------ kernelize
@@ -513,7 +528,7 @@ def test_unwritable_output_is_exit_2(graph_file, cnf_file, capsys, tmp_path):
 def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("coloredcut.solve.cut_colors", lambda g, cut: frozenset())
-        code, out, err = run(capsys, ["solve", graph_file(TRIANGLE), "--algo", "brute"])
+        code, out, err = run(capsys, ["solve", graph_file(TRIANGLE)])
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: InvariantError: ")

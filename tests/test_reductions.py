@@ -350,6 +350,33 @@ def test_k4mf_heavy_multiplicity_regression():
     assert colorful_cut_decide(c.graph) is not None
 
 
+def test_k4mf_tree_leaf_attaches_to_first_corner_of_maximum_degree():
+    # A corner's degree is the summed multiplicity of its two slots, and a
+    # slot's multiplicity is the number of opposite-polarity occurrences of
+    # its variable.  Clauses 1 and 2 give corner degrees 3, 3, 4; clause 3
+    # gives 2, 3, 3, a tie that the lower corner wins.
+    f = CnfFormula(3, ((1, 2, 2), (-1, -2, -2), (3, -3, 3)))
+    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f)))
+    assert verify_structural(c).all_passed
+    # heap order: tree nodes 3, 4, 5 are the leaves of clauses 1, 2, 3
+    leaves = {
+        v for v, meaning in c.vertex_meaning.items() if meaning[0] == "tree" and meaning[1] >= 3
+    }
+    attached = sorted(
+        (c.vertex_meaning[x], c.vertex_meaning[y])
+        for u, v, _ in c.graph.edges
+        for x, y in ((u, v), (v, u))
+        if x in leaves and c.vertex_meaning[y][0] != "tree"
+    )
+    # each attachment corner now has degree four, so it is split into a
+    # path and the tree edge sits on the path's second vertex
+    assert attached == [
+        (("tree", 3), ("subdiv", "corner", 1, 3, 2)),
+        (("tree", 4), ("subdiv", "corner", 2, 3, 2)),
+        (("tree", 5), ("subdiv", "corner", 3, 2, 2)),
+    ]
+
+
 def test_k4mf_random_structure_and_sat_direction():
     rng = random.Random(47)
     done = 0

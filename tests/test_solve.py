@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,7 +196,21 @@ def test_greedy_rejects_tiny_graphs():
 
 def test_greedy_handles_colorless_graph():
     cut = greedy_half_colors(ColoredGraph(3, (), 0))
-    assert cut.s_side  # some valid nontrivial cut
+    assert cut.s_side == frozenset({1})
+
+
+def test_greedy_and_early_yes_put_untouched_vertices_on_t():
+    # vertices 1, 3 and 6 lie on no edge; at k = 2 the value kernel removes
+    # the triangle color 1 and then answers early, so vertices 2 and 4 are
+    # touched only by a removed color
+    g = ColoredGraph(7, ((2, 4, 1), (4, 5, 1), (2, 5, 1), (5, 7, 2)), 2)
+    outcome = kernelize_value(g, 2)
+    assert (outcome.verdict, outcome.removed_colors) == (KernelVerdict.EARLY_YES, (1,))
+    # greedy places 2 | 4 and 5 | 7; the early yes places 2, 4, 5 | 7 over
+    # color 2 alone, and augment_cut then flips 2 to make color 1 cross
+    for cut, s_side in ((greedy_half_colors(g), {2, 5}), (decide_max(g, 2)[1], {4, 5})):
+        assert cut.s_side == s_side
+        assert len(cut_colors(g, cut)) == 2
 
 
 def test_greedy_half_and_below_optimum():
@@ -360,6 +375,36 @@ def test_contraction_cascades_to_a_fixpoint():
     _, quotient = _contract_forced(g)
     assert quotient == []
     assert colorful_cut_decide(g) == Cut(4, frozenset({1, 4}))
+
+
+def test_contraction_cascade_against_color_order_stays_fast():
+    # colors L and L+1 are single edges; color i < L joins i to i+1 and i+3,
+    # which cross together only once i+1 and i+3 are forced to one side, that
+    # is after colors i+1 and i+2.  The worklist re-queues only the colors on
+    # the class a union absorbs, so the cascade stays fast; sweeping all colors
+    # in increasing order once per round forces one color per round and
+    # takes quadratic time
+    L = 5000
+    edges = [e for i in range(1, L) for e in ((i, i + 1, i), (i, i + 3, i))]
+    g = ColoredGraph(L + 2, tuple(edges) + ((L, L + 1, L), (L + 1, L + 2, L + 1)), L + 1)
+    start = time.perf_counter()
+    _, quotient = _contract_forced(g)
+    cut = colorful_cut_decide(g)
+    assert time.perf_counter() - start < 5.0
+    assert quotient == []
+    assert cut is not None
+
+
+def test_quotient_deeper_than_the_recursion_limit():
+    # each color joins 3i+1 to 3i+2 and to 3i+3: nothing is forced, so all
+    # 3K vertices stay classes, more than a recursive search could nest
+    K = 2000
+    edges = [(3 * i + 1, 3 * i + t, i + 1) for i in range(K) for t in (2, 3)]
+    g = ColoredGraph(3 * K, tuple(edges), K)
+    labels, quotient = _contract_forced(g)
+    assert len({root for root, _ in labels.values()}) == 3 * K > sys.getrecursionlimit()
+    assert len(quotient) == K
+    assert colorful_cut_decide(g) is not None
 
 
 def test_quotient_search_keeps_the_all_one_side_mask():
