@@ -252,13 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)

@@ -19,6 +19,7 @@ that repair and is what makes lifted witnesses honest.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -39,7 +40,9 @@ class KernelOutcome:
     reduced_graph is present exactly when verdict is REDUCED.  removed_colors
     lists original color ids in removal order.  color_renaming and
     vertex_renaming map original ids to ids in the reduced graph (empty for
-    EARLY_YES, where no reduced graph is produced).
+    EARLY_YES, where no reduced graph is produced).  vertex_renaming lists
+    only the vertices a kept edge touches: vertices no edge of g touches
+    survive in their order among the rest but are not listed, so it is O(m).
     """
 
     verdict: KernelVerdict
@@ -94,18 +97,14 @@ def _build_reduced(
     # the first edge of each pair of a surviving color, in edge order
     first = sorted(i for c in alive_colors for i in classes[c - 1].values())
     kept = [g.edges[i] for i in first]
-    touched_before = {v for u, v2, _ in g.edges for v in (u, v2)}
-    touched_after = {v for u, v2, _ in kept for v in (u, v2)}
     # Drop only vertices isolated by the deletions; keep ones isolated all along.
-    survivors = sorted(
-        v
-        for v in range(1, g.n + 1)
-        if v in touched_after or v not in touched_before
-    )
-    vertex_renaming = {old: new for new, old in enumerate(survivors, start=1)}
+    touched = {x for u, v, _ in g.edges for x in (u, v)}
+    kept_touched = sorted({x for u, v, _ in kept for x in (u, v)})
+    dropped = sorted(touched.difference(kept_touched))
+    vertex_renaming = {v: v - bisect_left(dropped, v) for v in kept_touched}
     color_renaming = {old: new for new, old in enumerate(alive_colors, start=1)}
     reduced = ColoredGraph(
-        len(survivors),
+        g.n - len(dropped),
         tuple(
             (vertex_renaming[u], vertex_renaming[v], color_renaming[c])
             for u, v, c in kept

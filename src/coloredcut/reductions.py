@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import FormatError, InvariantError
-from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _span, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -632,12 +632,12 @@ def verify_series_parallel(g: ColoredGraph) -> bool:
     degree at most one, smooth degree-two vertices.  Adjacency sets merge the
     parallel edges that smoothing creates, and smoothing never raises a degree,
     so a worklist of degree-two-or-less vertices makes the reduction linear."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    adj: dict[int, set[int]] = {}
     for u, v, _ in g.edges:
-        if v in adj[u]:
+        if v in adj.setdefault(u, set()):
             raise ValueError("input has parallel edges")
         adj[u].add(v)
-        adj[v].add(u)
+        adj.setdefault(v, set()).add(u)
     work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while work:
         v = work.pop()
@@ -674,8 +674,8 @@ class StructureReport:
 def _check_connected(g: ColoredGraph) -> CheckItem:
     if g.n == 0:
         return CheckItem("connected", False, "graph has no vertices")
-    labels = _bfs_labels(range(1, g.n + 1), (e[:2] for e in g.edges))
-    ok = len({root for root, _ in labels.values()}) == 1
+    pairs = [e[:2] for e in g.edges]  # with n >= 2 every vertex needs an edge
+    ok = g.n == 1 or (len({x for e in pairs for x in e}) == g.n and _span(pairs) == 1)
     return CheckItem("connected", ok, "" if ok else "graph is disconnected")
 
 
@@ -716,7 +716,10 @@ def _check_simple(g: ColoredGraph) -> CheckItem:
 
 
 def _check_series_parallel(g: ColoredGraph) -> CheckItem:
-    ok = verify_series_parallel(g)
+    try:
+        ok = verify_series_parallel(g)
+    except ValueError as exc:  # parallel edges: the simple check names them
+        return CheckItem("series-parallel", False, str(exc))
     return CheckItem("series-parallel", ok, "" if ok else "a K4 minor remains")
 
 
@@ -732,7 +735,7 @@ def _check_apex_bipartite(a: ReductionArtifact) -> CheckItem:
             "apex-removal-bipartite", False, f"apex {apex} is outside 1..{n}"
         )
     rest = [(u, v) for u, v, _ in a.graph.edges if apex not in (u, v)]
-    labels = _bfs_labels((v for v in range(1, n + 1) if v != apex), rest)
+    labels = _bfs_labels({x for pair in rest for x in pair}, rest)
     ok = all(labels[u][1] != labels[v][1] for u, v in rest)
     return CheckItem(
         "apex-removal-bipartite", ok, "" if ok else "graph minus apex has an odd cycle"

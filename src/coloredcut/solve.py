@@ -2,9 +2,9 @@
 
 Three routes:
 
-* exhaustive bipartition search with vertex 1 pinned (exact, capped),
-  bit-parallel over big-int truth tables of the masks, first optimum in
-  increasing mask order,
+* exhaustive bipartition search over vertex 1 (pinned to S) and the
+  vertices an edge touches (exact, capped), bit-parallel over big-int truth
+  tables of the masks, first optimum in increasing mask order,
 * a greedy placement that always crosses at least half the colors,
 * colorful cut: forced crossings contracted with a parity union-find, then
   a depth-first search over the classes left, pruned per color, with a
@@ -14,8 +14,8 @@ The CNF encoding of colorful cut stays public as a test oracle; no route
 hands it to DPLL.
 
 `solve_via_kernel` and `decide_max` share one route after the kernel: the
-exhaustive search over reduced vertex 1 and the vertices an edge touches,
-then lift, `augment_cut` repair and a recount on the original graph.
+exhaustive search of the reduced graph, then lift, `augment_cut` repair and
+a recount on the original graph.
 `decide_max` adds the value kernel's early yes, answered by the greedy cut.
 Witness checks raise `InvariantError`, so they also run under ``python -O``.
 """
@@ -81,9 +81,12 @@ def _periodic_tables(width: int) -> list[int]:
 def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     """Exact maximum colored cut by enumerating bipartitions.
 
-    Vertex 1 is pinned to the S side (complement symmetry), so exactly
-    2^(n-1) - 1 nontrivial bipartitions are scanned, in increasing order of
-    the bitmask over vertices 2..n; the first optimum found wins ties.
+    Only vertex 1 and the t vertices some edge touches are enumerated, and
+    `cap` bounds t.  Vertex 1 is pinned to S (complement symmetry), so
+    2^(t-1) - 1 bipartitions are scanned, in increasing order of the mask
+    whose bit j is the (j+2)-th of those vertices; the first optimum wins
+    ties.  Every other vertex sits on T, as in the first optimum of a scan
+    over all n vertices, so value and witness are those of that scan.
 
     The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
     one block each vertex's side is a big-int truth table (bit i set when
@@ -97,23 +100,22 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if g.n > cap:
-        raise CapExceededError(
-            f"refusing exhaustive search on {g.n} vertices (cap {cap})"
-        )
-    classes = _color_classes(g)
-    width = min(_BLOCK_BITS, g.n - 1)
+    vertices = sorted({1}.union(*(e[:2] for e in g.edges)))
+    t = len(vertices)
+    if t > cap:
+        raise CapExceededError(f"refusing exhaustive search on {t} vertices (cap {cap})")
+    index = {v: i for i, v in enumerate(vertices, start=1)}
+    classes = [[(index[u], index[v]) for u, v in pairs] for pairs in _color_classes(g)]
+    width = min(_BLOCK_BITS, t - 1)
     full = (1 << (1 << width)) - 1
-    # vertex 1 is on S under every mask; vertices 2..width+1 vary inside a block
+    # vertex 1 is on S under every mask; the next `width` vary inside a block
     low_sides = [0, full] + _periodic_tables(width)
-    blocks = 1 << (g.n - 1 - width)
+    blocks = 1 << (t - 1 - width)
     best_count = -1
     best_mask = 0
     for block in range(blocks):
         # vertices above the block's bits keep one side over the whole block
-        side = low_sides + [
-            full if (block >> j) & 1 else 0 for j in range(g.n - 1 - width)
-        ]
+        side = low_sides + [full if (block >> j) & 1 else 0 for j in range(t - 1 - width)]
         counter: list[int] = []  # counter[i]: masks whose count has bit i set
         for pairs in classes:
             carry = 0
@@ -138,16 +140,13 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
             best_count = count
             first = (candidates & -candidates).bit_length() - 1
             best_mask = (block << width) | first
-    # bit j of best_mask set  <=>  vertex j+2 on the S side
-    s_side = frozenset(
-        {1} | {v for v in range(2, g.n + 1) if (best_mask >> (v - 2)) & 1}
-    )
-    witness = Cut(g.n, s_side)
+    # bit j of best_mask set  <=>  vertices[j + 1] on the S side
+    witness = Cut(g.n, {1} | {v for j, v in enumerate(vertices[1:]) if (best_mask >> j) & 1})
     if len(cut_colors(g, witness)) != best_count:
         raise InvariantError(
             f"brute-force witness does not cross the {best_count} colors it scored"
         )
-    return SolveResult(best_count, witness, "brute-force", (1 << (g.n - 1)) - 1)
+    return SolveResult(best_count, witness, "brute-force", (1 << (t - 1)) - 1)
 
 
 def _greedy_sides(g: ColoredGraph, gprime: list[tuple[int, int]]) -> frozenset[int]:
@@ -430,34 +429,27 @@ def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
 
 def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveResult:
     """Exact optimum of g from a REDUCED kernel outcome: search the reduced
-    graph, lift the witness (dropped vertices land on T), repair it with
-    `augment_cut` and check that it crosses value + len(removed) colors.
+    graph with `brute_force_max`, lift the witness (dropped vertices land on
+    T), repair it with `augment_cut` and check that it crosses
+    value + len(removed) colors.
 
-    Only reduced vertex 1 and the touched vertices are enumerated.  In the
-    first optimum every other vertex sits on T, so value and witness are
-    those of a search over the whole reduced graph.  With no edge left there
-    is no search: value 0, reduced witness {1}.
+    The search's S side holds only reduced vertex 1 and touched vertices,
+    which lift through `vertex_renaming`; reduced vertex 1, when no edge
+    touches it, is the first vertex of g that no edge touches.
     """
     reduced = outcome.reduced_graph
     if reduced is None:
         raise InvariantError("the kernel gave no reduced graph")
-    searched = sorted({1}.union(*((u, v) for u, v, _ in reduced.edges)))
-    if len(searched) < 2:
-        value, explored, reduced_s = 0, 0, {1}
-    else:
-        index = {v: i for i, v in enumerate(searched, start=1)}
-        core = ColoredGraph(
-            len(searched),
-            tuple((index[u], index[v], c) for u, v, c in reduced.edges),
-            reduced.p,
-        )
-        result = brute_force_max(core, cap=cap)
-        value, explored = result.value, result.explored
-        reduced_s = {searched[i - 1] for i in result.witness.s_side}
     if reduced.n < 2:
-        s_side = {1}  # nothing is left to lift from
+        value, explored, s_side = 0, 0, {1}  # nothing is left to lift from
     else:
-        s_side = {old for old, new in outcome.vertex_renaming.items() if new in reduced_s}
+        result = brute_force_max(reduced, cap=cap)
+        value, explored = result.value, result.explored
+        back = {new: old for old, new in outcome.vertex_renaming.items()}
+        if 1 not in back:
+            touched = {x for u, v, _ in g.edges for x in (u, v)}
+            back[1] = next(v for v in range(1, g.n + 1) if v not in touched)
+        s_side = {back[v] for v in result.witness.s_side}
     witness = augment_cut(g, outcome.removed_colors, Cut(g.n, frozenset(s_side)))
     total = value + len(outcome.removed_colors)
     if len(cut_colors(g, witness)) != total:

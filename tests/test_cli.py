@@ -74,14 +74,51 @@ def test_colorful_algos_agree(graph_file, capsys):
         assert code == (0 if brute_force_max(g).value == g.p else 1)
 
 
+HUGE_HEADER_CASES = {
+    "colorful": (["colorful"], 0, ["colorful yes", "s 1"]),
+    "greedy": (["solve", "--algo", "greedy"], 0, ["value 1", "s 1"]),
+    "solve": (["solve"], 0, ["value 1", "s 1 3"]),
+    "solve-k1": (["solve", "-k", "1"], 0, ["value 1", "s 1 3"]),
+    "solve-k2": (["solve", "-k", "2"], 1, ["value 1", "s 1 3"]),
+    # the one color is removed, and with it vertices 1 and 2
+    "kernelize": (["kernelize"], 0, ["removed 1 colors, p' 0", "p ecg 999999998 0 0"]),
+    "kernelize-k1": (
+        ["kernelize", "--param", "k", "-k", "1"],
+        0,
+        ["early yes", "removed 0 colors, k' 1"],
+    ),
+    "verify-k4mf": (
+        ["verify", "--kind", "k4mf", "--graph"],
+        1,
+        [
+            "check graph-valid: pass",
+            "check connected: fail (graph is disconnected)",
+            "check max-degree-3: pass",
+            "check color-class-size-le-2: pass",
+            "check simple: pass",
+            "check series-parallel: pass",
+        ],
+    ),
+    "verify-oct1": (
+        ["verify", "--kind", "oct1", "--graph"],
+        1,
+        [
+            "check graph-valid: pass",
+            "check color-class-size-2: fail (color 1 has 1 edges)",
+            "check apex-removal-bipartite: pass",
+        ],
+    ),
+    "verify-graph": (["verify", "--kind", "graph", "--graph"], 0, ["check graph-valid: pass"]),
+    "stats": (["stats"], 0, ["n 1000000000 m 1 p 1", "color 1 edges 1 pairs 1 span 1"]),
+}
+
+
 @pytest.mark.parametrize(
-    "argv,answer",
-    [(["colorful"], "colorful yes"), (["solve", "--algo", "greedy"], "value 1")],
-    ids=["colorful", "greedy"],
+    "argv,code,stdout", list(HUGE_HEADER_CASES.values()), ids=list(HUGE_HEADER_CASES)
 )
-def test_colorful_ignores_untouched_vertices_in_time_and_memory(argv, answer, tmp_path):
+def test_colorful_ignores_untouched_vertices_in_time_and_memory(argv, code, stdout, tmp_path):
     # a one-edge file declaring 10^9 vertices, answered by a child process
-    # whose address space is capped at 2 GB
+    # whose address space is capped at 2 GB: every subcommand costs O(m)
     path = tmp_path / "huge.ecg"
     path.write_text("p ecg 1000000000 1 1\ne 1 2 1\n")
     probe = (
@@ -98,8 +135,8 @@ def test_colorful_ignores_untouched_vertices_in_time_and_memory(argv, answer, tm
         text=True,
         timeout=60,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [answer, "s 1"]
+    assert result.returncode == code, result.stderr
+    assert result.stdout.splitlines() == stdout
 
 
 # ---------------------------------------------------------------------- solve
@@ -384,6 +421,20 @@ def test_verify_structural_failure_is_exit_1(graph_file, capsys):
     )
     assert code == 1
     assert "check color-class-size-2: fail" in out
+
+
+def test_verify_k4mf_reports_parallel_edges_as_failed_checks(graph_file, capsys):
+    g = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 2, 2)), 2)
+    code, out, _ = run(capsys, ["verify", "--kind", "k4mf", "--graph", graph_file(g)])
+    assert code == 1
+    assert out.splitlines() == [
+        "check graph-valid: pass",
+        "check connected: pass",
+        "check max-degree-3: pass",
+        "check color-class-size-le-2: pass",
+        "check simple: fail (parallel edges between 1 and 2)",
+        "check series-parallel: fail (input has parallel edges)",
+    ]
 
 
 def test_verify_apex_outside_graph_fails_the_check(cnf_file, capsys, tmp_path):

@@ -89,7 +89,8 @@ def test_kernelize_drops_only_newly_isolated_vertices():
     assert out.removed_colors == (1,)
     red = out.reduced_graph
     assert red.n == 5  # 2,3,4,5 renamed densely, plus the always-isolated 7
-    assert out.vertex_renaming == {2: 1, 3: 2, 4: 3, 5: 4, 7: 5}
+    # only vertices a kept edge touches are listed; 7 survives as vertex 5
+    assert out.vertex_renaming == {2: 1, 3: 2, 4: 3, 5: 4}
     assert out.color_renaming == {2: 1, 3: 2}
     assert red.edges == ((1, 2, 1), (3, 4, 2))
 
@@ -103,8 +104,9 @@ def test_kernelize_two_color_graph_cascades_to_empty():
     out = kernelize_colors(g)
     assert out.removed_colors == (1, 2)
     assert out.reduced_graph.p == 0
-    # vertex 5 never touched an edge, so it is the lone survivor
-    assert out.vertex_renaming == {5: 1}
+    # vertex 5 never touched an edge, so it is the lone survivor; no kept
+    # edge touches it, so the renaming lists nothing
+    assert out.vertex_renaming == {}
     assert out.reduced_graph.n == 1
     assert out.reduced_graph.edges == ()
 
@@ -210,9 +212,16 @@ def test_renamings_are_dense_and_order_preserving():
         if not out.removed_colors:
             continue
         vr, cr = out.vertex_renaming, out.color_renaming
-        assert sorted(vr.values()) == list(range(1, out.reduced_graph.n + 1))
-        assert sorted(cr.values()) == list(range(1, out.reduced_graph.p + 1))
+        kept = [(u, v) for u, v, c in g.edges if c in cr]
+        touched = {x for u, v, _ in g.edges for x in (u, v)}
+        dropped = touched - {x for pair in kept for x in pair}
+        # listed: exactly the vertices of kept colors, shifted down past the
+        # dropped ones (so dense and in old order among the survivors)
+        assert set(vr) == {x for pair in kept for x in pair}
+        assert all(new == v - sum(d < v for d in dropped) for v, new in vr.items())
+        assert out.reduced_graph.n == g.n - len(dropped)
         assert list(vr.values()) == sorted(vr.values())  # old order kept
+        assert sorted(cr.values()) == list(range(1, out.reduced_graph.p + 1))
         assert list(cr.values()) == sorted(cr.values())
         assert set(cr) == set(range(1, g.p + 1)) - set(out.removed_colors)
 

@@ -709,6 +709,21 @@ def test_verify_structural_reports_counterexamples():
     assert "odd cycle" in failed["apex-removal-bipartite"]
 
 
+def test_connected_check_counts_untouched_vertices():
+    triangle = ((1, 2, 1), (2, 3, 1), (1, 3, 2))
+    cases = [
+        (ColoredGraph(3, triangle, 2), True),
+        (ColoredGraph(4, triangle, 2), False),  # vertex 4 touches no edge
+        (ColoredGraph(4, ((1, 2, 1), (3, 4, 2)), 2), False),
+        (ColoredGraph(2, (), 0), False),
+        (ColoredGraph(1, (), 0), True),
+    ]
+    for g, connected in cases:
+        artifact = ReductionArtifact(g, ReductionKind.K4MF, None)
+        items = {item.name: item.passed for item in verify_structural(artifact).items}
+        assert items["connected"] is connected, g
+
+
 def test_verify_structural_flags_missing_apex():
     o = make_oct_one(sat_to_multigraph(DEMO))
     stripped = ReductionArtifact(o.graph, ReductionKind.OCT_ONE, None)

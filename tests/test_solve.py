@@ -79,7 +79,10 @@ def test_brute_odd_cycle_misses_one_color():
 
 
 def test_brute_explored_counts_bipartitions():
+    # vertices 3 and 4 touch no edge, so only vertices 1 and 2 are enumerated
     g = ColoredGraph(4, ((1, 2, 1),), 1)
+    assert brute_force_max(g).explored == 2 ** 1 - 1
+    g = ColoredGraph(4, ((1, 2, 1), (3, 4, 1)), 1)
     assert brute_force_max(g).explored == 2 ** 3 - 1
 
 
@@ -89,12 +92,14 @@ def test_brute_rejects_tiny_graphs():
 
 
 def test_brute_cap():
-    g = ColoredGraph(25, ((1, 2, 1),), 1)
+    path = ColoredGraph(25, tuple((v, v + 1, v) for v in range(1, 25)), 24)
     with pytest.raises(CapExceededError):
-        brute_force_max(g)
+        brute_force_max(path)
     # a looser cap lets it through
-    assert brute_force_max(g, cap=25).value == 1
+    assert brute_force_max(path, cap=25).value == 24
     assert BRUTE_FORCE_CAP == 24
+    # the cap counts vertex 1 and the touched vertices, not n
+    assert brute_force_max(ColoredGraph(25, ((1, 2, 1),), 1)).value == 1
 
 
 def test_brute_matches_oracle():
@@ -125,9 +130,11 @@ def test_brute_matches_first_max_oracle(block_bits, monkeypatch):
     for _ in range(300):
         g = _with_duplicates(rng, random_multigraph(rng, n_max=10, p_max=6))
         res = brute_force_max(g)
-        assert (res.value, _mask_of(res.witness), res.explored) == (
-            oracle_first_max_mask(g)
-        )
+        value, mask, _ = oracle_first_max_mask(g)
+        assert (res.value, _mask_of(res.witness)) == (value, mask)
+        # only vertex 1 and the touched vertices are enumerated
+        t = len({1} | {x for u, v, _ in g.edges for x in (u, v)})
+        assert res.explored == 2 ** (t - 1) - 1
         assert 1 in res.witness.s_side
 
 
@@ -153,7 +160,7 @@ def test_brute_edgeless_graph_takes_the_first_mask(n):
     res = brute_force_max(ColoredGraph(n, (), 0))
     assert res.value == 0
     assert res.witness.s_side == frozenset({1})
-    assert res.explored == 2 ** (n - 1) - 1
+    assert res.explored == 0  # only vertex 1 is enumerated
 
 
 def test_brute_witness_check_survives_optimize_flag():
@@ -583,7 +590,12 @@ def test_kernel_witness_is_the_lifted_full_search():
         red = out.reduced_graph
         if red.n >= 2:
             full = brute_force_max(red)
-            s_side = {old for old, new in out.vertex_renaming.items() if new in full.witness.s_side}
+            # a vertex survives if a kept color touches it or no edge does
+            touched = {x for u, v, _ in g.edges for x in (u, v)}
+            kept = {x for u, v, c in g.edges if c in out.color_renaming for x in (u, v)}
+            survivors = [v for v in range(1, g.n + 1) if v in kept or v not in touched]
+            assert len(survivors) == red.n
+            s_side = {survivors[new - 1] for new in full.witness.s_side}
             value = full.value
         else:
             s_side, value = {1}, 0
