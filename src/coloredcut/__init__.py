@@ -1,5 +1,7 @@
 """Maximum colored cut and colorful cut on edge-colored multigraphs."""
 
+import importlib
+
 from .errors import CapExceededError, FormatError, InvariantError
 from .graph import (
     ColoredGraph,
@@ -24,36 +26,6 @@ from .kernel import (
     kernelize_value,
     rule_star_find,
 )
-from .reductions import (
-    ReductionArtifact,
-    ReductionKind,
-    StructureReport,
-    assignment_to_cut,
-    cut_to_assignment,
-    embed_complete,
-    embed_complete_artifact,
-    make_k4mf_connected,
-    make_oct_one,
-    multigraph_to_simple,
-    nae_to_cliques,
-    parse_provenance,
-    sat_to_multigraph,
-    serialize_provenance,
-    strip_single_polarity,
-    verify_series_parallel,
-    verify_structural,
-)
-from .sat import (
-    CnfFormula,
-    brute_force_nae,
-    brute_force_sat,
-    dpll_solve,
-    nae_satisfies,
-    parse_dimacs,
-    satisfies,
-    serialize_assignment,
-    serialize_dimacs,
-)
 from .solve import (
     BRUTE_FORCE_CAP,
     ColorfulEncoding,
@@ -67,6 +39,62 @@ from .solve import (
 )
 
 __version__ = "0.1.0"
+
+# The hardness constructions and the SAT tools load on first use (PEP 562), so
+# the solving subcommands never import them.  `graph`, `kernel` and `solve`
+# stay eager: a library caller's first timed call must not pay their import.
+# Lookups are not cached here, so `coloredcut.<name>` is whatever the defining
+# module holds now, monkeypatched or traced.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ReductionArtifact",
+            "ReductionKind",
+            "StructureReport",
+            "assignment_to_cut",
+            "cut_to_assignment",
+            "embed_complete",
+            "embed_complete_artifact",
+            "make_k4mf_connected",
+            "make_oct_one",
+            "multigraph_to_simple",
+            "nae_to_cliques",
+            "parse_provenance",
+            "sat_to_multigraph",
+            "serialize_provenance",
+            "strip_single_polarity",
+            "verify_series_parallel",
+            "verify_structural",
+        ),
+        "reductions",
+    ),
+    **dict.fromkeys(
+        (
+            "CnfFormula",
+            "brute_force_nae",
+            "brute_force_sat",
+            "dpll_solve",
+            "nae_satisfies",
+            "parse_dimacs",
+            "satisfies",
+            "serialize_assignment",
+            "serialize_dimacs",
+        ),
+        "sat",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BRUTE_FORCE_CAP",

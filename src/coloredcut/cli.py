@@ -34,21 +34,11 @@ from .graph import (
     serialize_graph,
 )
 from .kernel import KernelVerdict, kernelize_colors, kernelize_value
-from .reductions import (
-    ReductionArtifact,
-    ReductionKind,
-    embed_complete_artifact,
-    make_k4mf_connected,
-    make_oct_one,
-    multigraph_to_simple,
-    nae_to_cliques,
-    parse_provenance,
-    sat_to_multigraph,
-    serialize_provenance,
-    verify_structural,
-)
-from .sat import parse_dimacs
 from .solve import BRUTE_FORCE_CAP, colorful_cut_decide, greedy_half_colors, solve_via_kernel
+
+# The `ReductionKind` values, spelled out so that building the parser does not
+# load reductions.py: only `generate` and `verify --kind <construction>` use it.
+_KINDS = ("planar-multi", "planar-simple", "k4mf", "oct1", "complete", "nae")
 
 
 def _read(path: str) -> str:
@@ -120,21 +110,10 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     return 0
 
 
-_GENERATORS = {
-    ReductionKind.PLANAR_MULTI: lambda f: sat_to_multigraph(f),
-    ReductionKind.PLANAR_SIMPLE: lambda f: multigraph_to_simple(sat_to_multigraph(f)),
-    ReductionKind.K4MF: lambda f: make_k4mf_connected(
-        multigraph_to_simple(sat_to_multigraph(f))
-    ),
-    ReductionKind.OCT_ONE: lambda f: make_oct_one(sat_to_multigraph(f)),
-    ReductionKind.COMPLETE: lambda f: embed_complete_artifact(
-        multigraph_to_simple(sat_to_multigraph(f))
-    ),
-    ReductionKind.NAE_CLIQUES: lambda f: nae_to_cliques(f),
-}
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .reductions import _GENERATORS, ReductionKind, serialize_provenance
+    from .sat import parse_dimacs
+
     formula = parse_dimacs(_read(args.cnf))
     kind = ReductionKind(args.reduction)
     artifact = _GENERATORS[kind](formula)
@@ -150,6 +129,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     results: list[tuple[str, bool, str]] = [("graph-valid", True, "")]
     if args.kind != "graph":
+        from .reductions import (
+            ReductionArtifact,
+            ReductionKind,
+            parse_provenance,
+            verify_structural,
+        )
+
         kind = ReductionKind(args.kind)
         color_meaning: dict[int, tuple] = {}
         vertex_meaning: dict[int, tuple] = {}
@@ -221,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--reduction",
         required=True,
-        choices=[kind.value for kind in ReductionKind],
+        choices=_KINDS,
     )
     p_gen.add_argument("--cnf", required=True, help="DIMACS CNF input")
     p_gen.add_argument(
@@ -233,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--kind",
         required=True,
-        choices=[kind.value for kind in ReductionKind] + ["graph"],
+        choices=(*_KINDS, "graph"),
     )
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--cut", default=None)

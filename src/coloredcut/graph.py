@@ -100,14 +100,16 @@ def cut_edges(g: ColoredGraph, cut: Cut) -> list[int]:
     """Indices (0-based, file order) of the edges crossing the cut."""
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
-    return [i for i, (u, v, _) in enumerate(g.edges) if cut.crosses(u, v)]
+    s = cut.s_side
+    return [i for i, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)]
 
 
 def cut_colors(g: ColoredGraph, cut: Cut) -> frozenset[int]:
     """The set of colors appearing on at least one crossing edge."""
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
-    return frozenset(c for u, v, c in g.edges if cut.crosses(u, v))
+    s = cut.s_side  # inlined `cut.crosses`: this runs once per edge
+    return frozenset(c for u, v, c in g.edges if (u in s) != (v in s))
 
 
 def is_colorful(g: ColoredGraph, cut: Cut) -> bool:

@@ -623,6 +623,21 @@ def nae_to_cliques(f: CnfFormula) -> ReductionArtifact:
     )
 
 
+# Each construction from a 3-CNF formula, as `coloredcut generate` builds it.
+_GENERATORS = {
+    ReductionKind.PLANAR_MULTI: lambda f: sat_to_multigraph(f),
+    ReductionKind.PLANAR_SIMPLE: lambda f: multigraph_to_simple(sat_to_multigraph(f)),
+    ReductionKind.K4MF: lambda f: make_k4mf_connected(
+        multigraph_to_simple(sat_to_multigraph(f))
+    ),
+    ReductionKind.OCT_ONE: lambda f: make_oct_one(sat_to_multigraph(f)),
+    ReductionKind.COMPLETE: lambda f: embed_complete_artifact(
+        multigraph_to_simple(sat_to_multigraph(f))
+    ),
+    ReductionKind.NAE_CLIQUES: lambda f: nae_to_cliques(f),
+}
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -819,7 +834,7 @@ def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer id in {raw!r}")
         tag = tokens[2]
-        args = tuple(int(t) if t.lstrip("-").isdigit() else t for t in tokens[3:])
+        args = tuple(int(t) if t.removeprefix("-").isdecimal() else t for t in tokens[3:])
         if tokens[0] == "color":
             if tag not in _COLOR_TAGS:
                 raise FormatError(f"line {lineno}: unknown color tag {tag!r}")

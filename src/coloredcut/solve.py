@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _color_classes, cut_colors, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
-from .sat import CnfFormula
+
+if TYPE_CHECKING:  # a runtime import would load sat.py on every solve
+    from .sat import CnfFormula
 
 BRUTE_FORCE_CAP = 24
 
@@ -218,6 +220,8 @@ def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     if g.p < 1:
         raise ValueError("colorful cut encoding needs at least one color")
+    from .sat import CnfFormula
+
     n = g.n
     clauses: list[tuple[int, ...]] = []
     aux_var = {e: n + 1 + e for e in range(g.m)}

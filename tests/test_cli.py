@@ -11,6 +11,7 @@ import pytest
 from coloredcut import (
     ColoredGraph,
     CnfFormula,
+    ReductionKind,
     brute_force_max,
     color_span,
     cut_colors,
@@ -451,14 +452,67 @@ def test_verify_apex_outside_graph_fails_the_check(cnf_file, capsys, tmp_path):
     assert "check apex-removal-bipartite: fail (apex 99 is outside 1..7)" in out
 
 
-def test_import_leaves_networkx_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, coloredcut.cli; print('networkx' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+LEAN_COMMANDS = (
+    ["solve"],
+    ["solve", "-k", "3"],
+    ["solve", "--algo", "greedy"],
+    ["kernelize"],
+    ["kernelize", "--param", "k", "-k", "3"],
+    ["stats"],
+    ["colorful"],
+    ["verify", "--kind", "graph", "--graph"],
+)
+
+
+def test_import_leaves_networkx_unloaded(graph_file):
+    # solving subcommands never load the generators or the SAT tools, while
+    # `import coloredcut` loads the solving modules up front, so a library
+    # caller's first timed call pays no import
+    argvs = [[*argv, graph_file(TRIANGLE)] for argv in LEAN_COMMANDS]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import coloredcut\n"
+        "print(all(f'coloredcut.{m}' in sys.modules for m in ('graph', 'kernel', 'solve')))\n"
+        "from coloredcut.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes)\n"
+        "print([m for m in ('networkx', 'coloredcut.reductions', 'coloredcut.sat')"
+        " if m in sys.modules])\n"
     )
-    assert result.stdout.strip() == "False"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines() == ["True", "[0, 1, 0, 0, 0, 0, 1, 0]", "[]"]
+
+
+def test_package_surface(monkeypatch):
+    import coloredcut
+    from coloredcut import errors, graph, kernel, reductions, sat, solve
+    from coloredcut.cli import _KINDS
+
+    owners = {}
+    for module in (errors, graph, kernel, solve, reductions, sat):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", module.__name__) == module.__name__:
+                owners.setdefault(name, module)
+    for name in coloredcut.__all__:
+        assert getattr(coloredcut, name) is getattr(owners[name], name), name
+    star: dict = {}
+    exec("from coloredcut import *", star)
+    assert set(coloredcut.__all__) <= star.keys()
+    assert set(coloredcut.__all__) <= set(dir(coloredcut))
+    assert not hasattr(coloredcut, "nope")
+    assert list(_KINDS) == [k.value for k in ReductionKind]
+    # lazy names are looked up on every access, so a rebinding shows through
+    monkeypatch.setattr(reductions, "parse_provenance", "patched")
+    monkeypatch.setattr(sat, "parse_dimacs", "patched")
+    assert coloredcut.parse_provenance == coloredcut.parse_dimacs == "patched"
 
 
 # ------------------------------------------------------------------- stats

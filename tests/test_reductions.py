@@ -763,6 +763,13 @@ def test_provenance_parse_errors():
         parse_provenance("color 1\n")
 
 
+def test_provenance_keeps_near_integers_as_strings():
+    # `--5` and `²` pass `lstrip("-").isdigit()` but `int()` rejects them
+    colors, vertices = parse_provenance("color 1 pair --5 ² -7 12\nvertex 2 tree -0\n")
+    assert colors == {1: ("pair", "--5", "²", -7, 12)}
+    assert vertices == {2: ("tree", 0)}
+
+
 def test_provenance_skips_blank_lines():
     colors, vertices = parse_provenance("\ncolor 2 fresh\n\nvertex 4 apex\n")
     assert colors == {2: ("fresh",)}
