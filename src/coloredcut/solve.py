@@ -6,9 +6,13 @@ Three routes:
   vertices an edge touches (exact, capped), bit-parallel over big-int truth
   tables of the masks, first optimum in increasing mask order,
 * a greedy placement that always crosses at least half the colors,
-* colorful cut: forced crossings contracted with a parity union-find, then
-  a depth-first search over the classes left, pruned per color, with a
-  bit-parallel block of classes at every node.
+* colorful cut: forced crossings contracted with a trailed parity
+  union-find, then a depth-first search without recursion that branches on
+  the first edge of the color with the fewest edges and contracts again at
+  every node; a quotient of at most `_HANDOFF` = 26 classes goes to a
+  search pruned per color with a bit-parallel block of classes at every
+  node.  Branching starts only where the first contraction leaves more than
+  26 classes, so only there can the witness differ from the block search's.
 
 The CNF encoding of colorful cut stays public as a test oracle; no route
 hands it to DPLL.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _color_classes, cut_colors, is_colorful
@@ -45,6 +49,13 @@ _BLOCK_BITS = 16
 # benchmark corpus (seeds 1-3, quotients of 4-36 classes), 14 gave the most
 # ops per second and the shortest slowest op.
 _LEAF_BITS = 14
+
+# The colorful search hands a live quotient of at most this many classes to
+# the bit-parallel `_search_quotient` instead of branching further, so a
+# quotient that small from the first contraction is searched by that block
+# alone.  On the colorful_sat corpus (seeds 1-8) 15, 20 and 26 gave about
+# equal ops per second, and 32 about a third fewer.
+_HANDOFF = 26
 
 
 @dataclass(frozen=True)
@@ -241,88 +252,125 @@ def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
     return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)
 
 
+class _Contraction:
+    """Parity union-find with live colors, trailed so that unions and the
+    colors and edges they drop can be undone.
+
+    Every vertex has a root and a parity, and side(v) = side(root) ^
+    parity(v).  A color's live edges (u, v, flip) cross iff side(u) ^
+    side(v) ^ flip.  Unions go by weight (the color incidences on a class,
+    heavier root kept), so a find climbs O(log m) links without path
+    compression.  Each union, color update and dropped color is pushed on
+    the trail, and `undo` pops back to a mark.
+    """
+
+    __slots__ = ("up", "touching", "live", "trail")
+
+    def __init__(self, colors: dict[int, list[tuple[int, int, int]]]) -> None:
+        self.up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, parity to it)
+        self.touching: dict[int, list[int]] = defaultdict(list)  # root -> colors on its class
+        for c, edges in colors.items():
+            for u, v, _ in edges:
+                self.touching[u].append(c)
+                self.touching[v].append(c)
+        self.live = colors
+        self.trail: list[tuple] = []  # (color, edges) or (absorbed, absorbing, count)
+
+    def find(self, v: int) -> tuple[int, int]:
+        parity = 0
+        while v in self.up:
+            v, step = self.up[v]
+            parity ^= step
+        return v, parity
+
+    def unite(self, a: int, b: int, flip: int) -> list[int]:
+        """Unite roots a and b so that the edge (a, b, flip) crosses; returns
+        the colors on the absorbed class, the only ones whose edges change."""
+        touching = self.touching
+        if len(touching[a]) < len(touching[b]):
+            a, b = b, a
+        self.up[b] = (a, flip ^ 1)  # side(a) ^ side(b) ^ flip == 1
+        self.trail.append((b, a, len(touching[a])))
+        moved = touching.pop(b)
+        touching[a] += moved
+        return moved
+
+    def propagate(self, colors: Iterable[int]) -> bool:
+        """Examine `colors`, and the colors on every class a union absorbs,
+        to a fixpoint; False when some color is left with no live edge.
+
+        An edge inside one class crosses always (the color is satisfied and
+        dropped) or never (the edge is dropped).  A color whose live edges
+        all join the same two classes with the same relative parity must
+        cross there, so those classes are united with the parity that makes
+        it cross.  Otherwise the color keeps one edge (a, b, flip) per
+        distinct quotient edge, with roots a < b.
+        """
+        live, trail = self.live, self.trail
+        queue = deque(c for c in dict.fromkeys(colors) if c in live)
+        queued = set(queue)
+        while queue:
+            c = queue.popleft()
+            queued.discard(c)
+            keys: dict[tuple[int, int, int], None] = {}
+            for u, v, flip in live[c]:
+                (a, x), (b, y) = self.find(u), self.find(v)
+                if a != b:
+                    keys[(a, b, x ^ y ^ flip) if a < b else (b, a, x ^ y ^ flip)] = None
+                elif x ^ y ^ flip:
+                    break  # always crosses: the color is satisfied
+            else:
+                if not keys:
+                    return False
+                if len(keys) > 1:
+                    trail.append((c, live[c]))
+                    live[c] = list(keys)
+                    continue
+                ((a, b, flip),) = keys
+                for d in self.unite(a, b, flip):
+                    if d != c and d in live and d not in queued:
+                        queue.append(d)
+                        queued.add(d)
+            trail.append((c, live.pop(c)))
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Pop the trail back to `mark`, a length it had before."""
+        live, touching, trail = self.live, self.touching, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if len(entry) == 2:  # (color, its edges before)
+                c, edges = entry
+                live[c] = edges
+            else:  # (absorbed root, absorbing root, its color count before)
+                b, a, count = entry
+                del self.up[b]
+                touching[b] = touching[a][count:]
+                del touching[a][count:]
+
+
 def _contract_forced(
     g: ColoredGraph,
-) -> Optional[tuple[dict[int, tuple[int, int]], list[set[tuple[int, int, int]]]]]:
-    """Contract forced crossings to a fixpoint with a parity union-find.
-
-    Every touched vertex v has a root and a parity, and side(v) = side(root)
-    ^ parity(v).  An edge inside one class crosses always (odd parity: its
-    color is satisfied and dropped) or never (even parity: the edge is
-    dropped).  A color whose live edges all join the same two classes with
-    the same relative parity must cross there, so those classes are united
-    with the parity that makes it cross and the color is dropped.  A color
-    left with no live edge can never cross: the answer is None.
+) -> Optional[tuple[dict[int, tuple[int, int]], list[list[tuple[int, int, int]]]]]:
+    """Contract the forced crossings of g to a fixpoint (`_Contraction`),
+    or None when some color can never cross.
 
     Returns the (root, parity) of every touched vertex and, for each color
     still live, its distinct quotient edges (a, b, flip) with roots a < b;
     such an edge crosses iff side(a) ^ side(b) ^ flip.  Only touched
-    vertices enter the union-find.
+    vertices enter the union-find.  The colorful search runs the same
+    propagation on the quotient after every branch.
     """
-    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, parity to it)
-
-    def find(v: int) -> tuple[int, int]:
-        path = []
-        while v in up:
-            path.append(v)
-            v = up[v][0]
-        parity = 0
-        for w in reversed(path):  # compress: point the whole path at the root
-            parity ^= up[w][1]
-            up[w] = (v, parity)
-        return v, (up[path[0]][1] if path else 0)
-
     classes = _color_classes(g)
-    live = {c: list(pairs) for c, pairs in enumerate(classes)}
-    touching: dict[int, list[int]] = defaultdict(list)  # root -> colors on its class
-    for c, pairs in live.items():
-        for u, v in pairs:
-            touching[u].append(c)
-            touching[v].append(c)
-    queue = deque(live)
-    queued = set(live)
-    while queue:
-        c = queue.popleft()
-        queued.discard(c)
-        kept = []
-        keys = set()
-        for u, v in live[c]:
-            (a, x), (b, y) = find(u), find(v)
-            if a != b:
-                kept.append((u, v))
-                keys.add((min(a, b), max(a, b), x ^ y))
-            elif x != y:
-                break  # always crosses: the color is satisfied
-        else:
-            if not kept:
-                return None
-            if len(keys) > 1:
-                live[c] = kept
-                continue
-            ((a, b, flip),) = keys
-            if len(touching[a]) < len(touching[b]):
-                a, b = b, a
-            up[b] = (a, flip ^ 1)  # side(a) ^ side(b) ^ flip == 1: it crosses
-            # only colors on b's class can see their edges change
-            for d in touching.pop(b):
-                touching[a].append(d)
-                if d != c and d in live and d not in queued:
-                    queue.append(d)
-                    queued.add(d)
-        del live[c]
-    labels = {v: find(v) for pairs in classes for pair in pairs for v in pair}
-    quotient = []
-    for pairs in live.values():
-        edges = set()
-        for u, v in pairs:
-            (a, x), (b, y) = labels[u], labels[v]
-            edges.add((min(a, b), max(a, b), x ^ y))
-        quotient.append(edges)
-    return labels, quotient
+    contraction = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
+    if not contraction.propagate(range(len(classes))):
+        return None
+    labels = {v: contraction.find(v) for pairs in classes for pair in pairs for v in pair}
+    return labels, list(contraction.live.values())
 
 
 def _search_quotient(
-    order: list[int], colors: list[set[tuple[int, int, int]]]
+    order: list[int], colors: Sequence[Iterable[tuple[int, int, int]]]
 ) -> Optional[dict[int, int]]:
     """Sides (1 = S) of the classes in `order` under which every color has a
     crossing quotient edge, or None if there are none.
@@ -337,7 +385,8 @@ def _search_quotient(
     a fully set color has no crossing edge under any low mask.  At a leaf
     the lowest surviving mask wins.  Every mask is scanned, including the
     one putting every class on S: a class may hold both parities, so that
-    can still be a nontrivial cut.
+    can still be a nontrivial cut.  The colorful search calls it on live
+    quotients of at most `_HANDOFF` classes.
     """
     k = len(order)
     pos = {r: i for i, r in enumerate(order)}
@@ -399,16 +448,62 @@ def _search_quotient(
     return dict(zip(order, bits))
 
 
+def _search_classes(colors: list[list[tuple[int, int, int]]]) -> Optional[dict[int, int]]:
+    """Sides (1 = S) of the quotient classes under which every color in
+    `colors` has a crossing edge, or None if there are none.
+
+    A depth-first search without recursion over a `_Contraction` of the
+    quotient, propagating after every branch.  At a node where some color has
+    no live edge it backtracks, and where no color is live it succeeds.  When
+    the live quotient has at most `_HANDOFF` classes it is handed to
+    `_search_quotient`, and a None there backtracks.  Otherwise it branches on
+    the first edge of the live color with the fewest edges: it crosses, then
+    it does not.  At the root no union is made yet, so a quotient of at most
+    `_HANDOFF` classes goes to `_search_quotient` as it stands.
+    """
+    state = _Contraction(dict(enumerate(colors)))
+    live = state.live
+    stack: list[tuple[int, int, int, int]] = []  # (trail mark, a, b, flip) of untried branches
+    ok = True
+    while True:
+        if ok:
+            roots: set[int] = set()
+            for edges in live.values():
+                roots.update(x for edge in edges for x in edge[:2])
+                if len(roots) > _HANDOFF:
+                    break
+            if len(roots) > _HANDOFF:
+                a, b, flip = min(live.values(), key=len)[0]
+                stack.append((len(state.trail), a, b, flip ^ 1))  # then: it does not cross
+                ok = state.propagate(state.unite(a, b, flip))  # first: it crosses
+                continue
+            found = _search_quotient(sorted(roots), list(live.values())) if live else {}
+            if found is not None:
+                break
+        if not stack:
+            return None
+        mark, a, b, flip = stack.pop()
+        state.undo(mark)
+        ok = state.propagate(state.unite(a, b, flip))
+    sides = {}
+    for r in {x for edges in colors for edge in edges for x in edge[:2]}:
+        root, parity = state.find(r)
+        sides[r] = found.get(root, 1) ^ parity
+    return sides
+
+
 def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
     """A cut crossing all p colors, or None if no such cut exists.
 
     Forced crossings are contracted first (`_contract_forced`), then the
-    classes the remaining colors touch are searched (`_search_quotient`) in
-    increasing root order.  The first colorful class assignment found is
-    lifted: side(v) = side(root) ^ parity(v), classes no remaining color
-    touches sit on S, and vertices no edge touches on T.  With p >= 1 a
-    colorful cut crosses an edge, so it is nontrivial.  The cut is recounted
-    on g before it is returned.
+    classes the remaining colors touch are searched (`_search_classes`),
+    propagating forced crossings again after every branch.  A contracted
+    quotient of at most `_HANDOFF` classes goes straight to the bit-parallel
+    `_search_quotient`, so only a larger one can change which colorful cut is
+    found.  The assignment found is lifted: side(v) = side(root) ^
+    parity(v), classes no remaining color touches sit on S, and vertices no
+    edge touches on T.  With p >= 1 a colorful cut crosses an edge, so it is
+    nontrivial.  The cut is recounted on g before it is returned.
     """
     if g.n < 2:
         return None  # there is no nontrivial bipartition at all
@@ -418,12 +513,9 @@ def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
     if contracted is None:
         return None
     labels, colors = contracted
-    sides: Optional[dict[int, int]] = {}
-    if colors:
-        order = sorted({r for edges in colors for a, b, _ in edges for r in (a, b)})
-        sides = _search_quotient(order, colors)
-        if sides is None:
-            return None
+    sides = _search_classes(colors)
+    if sides is None:
+        return None
     s_side = frozenset(v for v, (root, parity) in labels.items() if sides.get(root, 1) ^ parity)
     cut = Cut(g.n, s_side)
     if not is_colorful(g, cut):

@@ -203,6 +203,22 @@ def random_3cnf(
     return CnfFormula(var_count, tuple(clauses))
 
 
+def unsat_3cnf_draws(clause_count: int, count: int = 3) -> list[CnfFormula]:
+    """The first `count` unsatisfiable draws of
+    `random_3cnf(random.Random(3), 4, clause_count)`.  At 16 and 18 clauses
+    their planar graphs contract to 48-54 classes, where a colorful search
+    that propagates only at the root takes seconds per graph."""
+    from coloredcut import brute_force_sat
+
+    rng = random.Random(3)
+    draws: list[CnfFormula] = []
+    while len(draws) < count:
+        f = random_3cnf(rng, 4, clause_count)
+        if brute_force_sat(f) is None:
+            draws.append(f)
+    return draws
+
+
 def all_3var_formulas(max_clauses: int):
     """Every 3-CNF over variables 1,2,3 (slot order fixed, clauses distinct)
     with 1..max_clauses clauses."""

@@ -17,13 +17,17 @@ from coloredcut import (
     cut_colors,
     distinct_pairs_of_color,
     is_colorful,
+    multigraph_to_simple,
     parse_cut,
     parse_graph,
     parse_provenance,
     serialize_dimacs,
+    sat_to_multigraph,
     serialize_graph,
 )
 from coloredcut.cli import main
+
+from helpers import unsat_3cnf_draws
 
 TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
@@ -65,6 +69,16 @@ def test_colorful_yes_on_rainbow_c4(graph_file, capsys, tmp_path):
 
 def test_colorful_no_on_rainbow_triangle(graph_file, capsys):
     code, out, _ = run(capsys, ["colorful", graph_file(TRIANGLE)])
+    assert code == 1
+    assert out.strip() == "colorful no"
+
+
+def test_colorful_no_on_an_18_clause_planar_tail_graph(graph_file, capsys):
+    # an unsatisfiable 4-variable formula whose planar-simple graph contracts
+    # to a quotient of more than 50 classes
+    f = unsat_3cnf_draws(18, count=1)[0]
+    g = multigraph_to_simple(sat_to_multigraph(f)).graph
+    code, out, _ = run(capsys, ["colorful", graph_file(g)])
     assert code == 1
     assert out.strip() == "colorful no"
 

@@ -48,6 +48,7 @@ from helpers import (
     oracle_max_cut_colors,
     random_3cnf,
     random_multigraph,
+    unsat_3cnf_draws,
 )
 from test_graph import RAINBOW_TRIANGLE, graphs
 
@@ -314,24 +315,33 @@ def _forced_multigraph(rng: random.Random) -> ColoredGraph:
     return ColoredGraph(g.n, tuple(edges), p)
 
 
-def test_colorful_differential_against_brute_force_and_dpll():
+def _forced_multigraph_pairs():
+    """600 `_forced_multigraph` graphs, each with the same graph carrying
+    0-15 untouched vertices spread among the ids."""
     rng = random.Random(106)
-    answers = set()
     for _ in range(600):
         g = _forced_multigraph(rng)
-        want = brute_force_max(g).value == g.p
-        # the same graph with 0-15 untouched vertices spread among the ids
         n = g.n + rng.randint(0, 15)
         ids = rng.sample(range(1, n + 1), n)
-        spread = ColoredGraph(n, tuple((ids[u - 1], ids[v - 1], c) for u, v, c in g.edges), g.p)
+        yield g, ColoredGraph(n, tuple((ids[u - 1], ids[v - 1], c) for u, v, c in g.edges), g.p)
+
+
+def _check_colorful_answer(g: ColoredGraph, want: bool) -> None:
+    cut = colorful_cut_decide(g)
+    assert (cut is not None) == want
+    if cut is not None:
+        assert is_colorful(g, cut)
+        # untouched vertices sit on T
+        assert cut.s_side <= {x for u, v, _ in g.edges for x in (u, v)}
+
+
+def test_colorful_differential_against_brute_force_and_dpll():
+    answers = set()
+    for g, spread in _forced_multigraph_pairs():
+        want = brute_force_max(g).value == g.p
         assert (dpll_solve(encode_colorful_to_cnf(spread).formula) is not None) == want
         for h in (g, spread):
-            cut = colorful_cut_decide(h)
-            assert (cut is not None) == want
-            if cut is not None:
-                assert is_colorful(h, cut)
-                # untouched vertices sit on T
-                assert cut.s_side <= {x for u, v, _ in h.edges for x in (u, v)}
+            _check_colorful_answer(h, want)
         answers.add(want)
     assert answers == {True, False}
 
@@ -350,18 +360,22 @@ _GENERATORS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_GENERATORS))
-def test_colorful_matches_formula_truth_on_every_construction(kind):
-    # colorful iff the formula is satisfiable (not-all-equal satisfiable for
-    # nae); DPLL on the encoding cross-checks the graphs small enough for it
+def _construction_formulas() -> list[CnfFormula]:
     rng = random.Random(107)
     formulas = [UNSAT8, CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3)))]
     while len(formulas) < 14:
         f = random_3cnf(rng, 4, rng.randint(3, 9))
         if strip_single_polarity(f)[0]:
             formulas.append(f)
+    return formulas
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_colorful_matches_formula_truth_on_every_construction(kind):
+    # colorful iff the formula is satisfiable (not-all-equal satisfiable for
+    # nae); DPLL on the encoding cross-checks the graphs small enough for it
     truths = set()
-    for f in formulas:
+    for f in _construction_formulas():
         truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
         g = _GENERATORS[kind](f).graph
         cut = colorful_cut_decide(g)
@@ -372,6 +386,53 @@ def test_colorful_matches_formula_truth_on_every_construction(kind):
             assert (dpll_solve(encode_colorful_to_cnf(g).formula) is not None) == truth
         truths.add(truth)
     assert truths == {True, False}
+
+
+def test_colorful_branching_matches_the_references(monkeypatch):
+    # with a 2-class hand-off every quotient of three or more classes is
+    # decided by branching and propagation, not by the bit-parallel block
+    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
+    answers = set()
+    for g, spread in _forced_multigraph_pairs():
+        want = brute_force_max(g).value == g.p
+        for h in (g, spread):
+            _check_colorful_answer(h, want)
+        answers.add(want)
+    for kind in sorted(_GENERATORS):
+        for f in _construction_formulas():
+            truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
+            _check_colorful_answer(_GENERATORS[kind](f).graph, truth)
+            answers.add(truth)
+    assert answers == {True, False}
+
+
+def test_colorful_branching_backtracks_into_the_second_branch(monkeypatch):
+    # found by a seeded scan: with a 2-class hand-off the first branch (the
+    # first edge of the shortest color crosses) fails, and every colorful cut
+    # lies under its sibling, where that edge does not cross
+    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
+    g = ColoredGraph(
+        9,
+        ((8, 3, 1), (6, 3, 2), (4, 5, 3), (8, 4, 4), (2, 3, 5))
+        + ((5, 8, 6), (2, 8, 4), (5, 9, 1), (8, 6, 3)),
+        6,
+    )
+    assert brute_force_max(g).value == g.p
+    cut = colorful_cut_decide(g)
+    assert cut is not None and is_colorful(g, cut)
+
+
+def test_colorful_tail_formulas_stay_fast():
+    # 16- and 18-clause unsatisfiable planar graphs: their quotients have
+    # 48-54 classes, which a search that only prunes fully set colors takes
+    # seconds to tens of seconds to refute
+    start = time.perf_counter()
+    for clause_count in (16, 18):
+        for f in unsat_3cnf_draws(clause_count):
+            multi = sat_to_multigraph(f)
+            assert colorful_cut_decide(multi.graph) is None
+            assert colorful_cut_decide(multigraph_to_simple(multi).graph) is None
+    assert time.perf_counter() - start < 5.0
 
 
 def test_contraction_cascades_to_a_fixpoint():
@@ -402,7 +463,7 @@ def test_contraction_cascade_against_color_order_stays_fast():
     assert cut is not None
 
 
-def test_quotient_deeper_than_the_recursion_limit():
+def test_quotient_deeper_than_the_recursion_limit(monkeypatch):
     # each color joins 3i+1 to 3i+2 and to 3i+3: nothing is forced, so all
     # 3K vertices stay classes, more than a recursive search could nest
     K = 2000
@@ -411,7 +472,19 @@ def test_quotient_deeper_than_the_recursion_limit():
     labels, quotient = _contract_forced(g)
     assert len({root for root, _ in labels.values()}) == 3 * K > sys.getrecursionlimit()
     assert len(quotient) == K
-    assert colorful_cut_decide(g) is not None
+    start = time.perf_counter()
+    cut = colorful_cut_decide(g)
+    assert time.perf_counter() - start < 2.0
+    assert cut is not None and is_colorful(g, cut)
+    # every live color spans three classes, so with a 2-class hand-off the
+    # bit-parallel block never runs and each of the K colors is one branch
+    # on the search's stack: K > the recursion limit deep
+    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
+    monkeypatch.setattr("coloredcut.solve._search_quotient", None)
+    start = time.perf_counter()
+    cut = colorful_cut_decide(g)
+    assert time.perf_counter() - start < 2.0
+    assert cut is not None and is_colorful(g, cut)
 
 
 def test_quotient_search_keeps_the_all_one_side_mask():
