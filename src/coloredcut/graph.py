@@ -17,7 +17,7 @@ vertices in increasing order; both sides must be nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 from typing import Collection, Iterable
 
 from .errors import FormatError
@@ -25,34 +25,87 @@ from .errors import FormatError
 Edge = tuple[int, int, int]  # (u, v, color)
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    """Undirected edge-colored multigraph on vertices 1..n with colors 1..p."""
+class _Record:
+    """Immutable value type over the fields named in `__slots__`, in order.
 
+    Equality, hash and repr are those of a frozen dataclass with the same
+    fields, without importing `dataclasses` (and `inspect`) at start-up.
+    Each subclass sets its fields in `__init__` through `object.__setattr__`.
+    Copy, deepcopy and pickle rebuild through the public constructor, since
+    slots assigned one by one on restore would hit `__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ColoredGraph(_Record):
+    """Undirected edge-colored multigraph on vertices 1..n with colors 1..p.
+
+    n, p and the edge fields must be integers (`operator.index`); they are
+    stored as plain ints, the edges as a tuple of (u, v, color) triples.
+    """
+
+    __slots__ = ("n", "edges", "p")
     n: int
     edges: tuple[Edge, ...]
     p: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), int(c)) for u, v, c in self.edges)
-        )
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if self.p < 0:
-            raise ValueError(f"color count must be nonnegative, got {self.p}")
+    def __init__(self, n: int, edges: Iterable[Edge], p: int) -> None:
+        n, p = index(n), index(p)
+        edges = tuple((index(u), index(v), index(c)) for u, v, c in edges)
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if p < 0:
+            raise ValueError(f"color count must be nonnegative, got {p}")
         seen_colors: set[int] = set()
-        for u, v, c in self.edges:
-            if not (1 <= u <= self.n) or not (1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{self.n}")
+        for u, v, c in edges:
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= c <= self.p):
-                raise ValueError(f"edge ({u},{v}) has color {c} outside 1..{self.p}")
+            if not (1 <= c <= p):
+                raise ValueError(f"edge ({u},{v}) has color {c} outside 1..{p}")
             seen_colors.add(c)
-        if len(seen_colors) != self.p:
-            dead = sorted(set(range(1, self.p + 1)) - seen_colors)
+        if len(seen_colors) != p:
+            dead = sorted(set(range(1, p + 1)) - seen_colors)
             raise ValueError(f"colors {dead} are declared but appear on no edge")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...], p: int) -> ColoredGraph:
+        """Build without checks, from ints that already pass every check of
+        the constructor (as `parse_graph` makes sure, line by line)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "p", p)
+        return g
 
     @property
     def m(self) -> int:
@@ -65,21 +118,28 @@ class ColoredGraph:
         return [i for i, (_, _, c) in enumerate(self.edges) if c == color]
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A nontrivial bipartition of 1..n, stored as the S side."""
+class Cut(_Record):
+    """A nontrivial bipartition of 1..n, stored as the S side.
 
+    n and the vertices must be integers (`operator.index`); they are stored
+    as plain ints.
+    """
+
+    __slots__ = ("n", "s_side")
     n: int
     s_side: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_side", frozenset(self.s_side))
-        if not self.s_side:
+    def __init__(self, n: int, s_side: Iterable[int]) -> None:
+        n = index(n)
+        s_side = frozenset(map(index, s_side))
+        if not s_side:
             raise ValueError("cut is trivial: S side is empty")
-        if any(not (1 <= v <= self.n) for v in self.s_side):
-            raise ValueError(f"cut contains vertices outside 1..{self.n}")
-        if len(self.s_side) == self.n:
+        if min(s_side) < 1 or max(s_side) > n:
+            raise ValueError(f"cut contains vertices outside 1..{n}")
+        if len(s_side) == n:
             raise ValueError("cut is trivial: T side is empty")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s_side", s_side)
 
     @property
     def t_side(self) -> frozenset[int]:
@@ -200,7 +260,11 @@ def dedupe_edges(g: ColoredGraph) -> ColoredGraph:
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse the ECG format.  Raises FormatError naming the offending line."""
+    """Parse the ECG format.  Raises FormatError naming the offending line.
+
+    Every check of the `ColoredGraph` constructor is made here, once per
+    line, so the graph is built without a second pass over the edges.
+    """
     lines = text.splitlines()
     header: list[str] | None = None
     header_lineno = 0
@@ -255,7 +319,7 @@ def parse_graph(text: str) -> ColoredGraph:
         raise FormatError(
             f"line {header_lineno}: colors {dead} are declared but appear on no edge"
         )
-    return ColoredGraph(n, tuple(edges), p)
+    return ColoredGraph._trusted(n, tuple(edges), p)
 
 
 def serialize_graph(g: ColoredGraph) -> str:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import InvariantError
-from .graph import ColoredGraph, Cut, _color_classes
+from .graph import ColoredGraph, Cut, _color_classes, _Record
 
 
 class KernelVerdict(Enum):
@@ -33,8 +32,7 @@ class KernelVerdict(Enum):
     REDUCED = "reduced"
 
 
-@dataclass(frozen=True)
-class KernelOutcome:
+class KernelOutcome(_Record):
     """Result of exhaustive rule application.
 
     reduced_graph is present exactly when verdict is REDUCED.  removed_colors
@@ -45,12 +43,36 @@ class KernelOutcome:
     survive in their order among the rest but are not listed, so it is O(m).
     """
 
+    __slots__ = (
+        "verdict",
+        "reduced_graph",
+        "removed_colors",
+        "remaining_k",
+        "color_renaming",
+        "vertex_renaming",
+    )
     verdict: KernelVerdict
     reduced_graph: Optional[ColoredGraph]
     removed_colors: tuple[int, ...]
     remaining_k: Optional[int]
     color_renaming: dict[int, int]
     vertex_renaming: dict[int, int]
+
+    def __init__(
+        self,
+        verdict: KernelVerdict,
+        reduced_graph: Optional[ColoredGraph],
+        removed_colors: tuple[int, ...],
+        remaining_k: Optional[int],
+        color_renaming: dict[int, int],
+        vertex_renaming: dict[int, int],
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reduced_graph", reduced_graph)
+        object.__setattr__(self, "removed_colors", removed_colors)
+        object.__setattr__(self, "remaining_k", remaining_k)
+        object.__setattr__(self, "color_renaming", color_renaming)
+        object.__setattr__(self, "vertex_renaming", vertex_renaming)
 
 
 def claim1_bound(beta: int) -> int:

@@ -27,11 +27,10 @@ Witness checks raise `InvariantError`, so they also run under ``python -O``.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapExceededError, InvariantError
-from .graph import ColoredGraph, Cut, _color_classes, cut_colors, is_colorful
+from .graph import ColoredGraph, Cut, _color_classes, _Record, cut_colors, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
 
 if TYPE_CHECKING:  # a runtime import would load sat.py on every solve
@@ -58,21 +57,34 @@ _LEAF_BITS = 14
 _HANDOFF = 26
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
+    __slots__ = ("value", "witness", "method", "explored")
     value: int
     witness: Cut
     method: str
     explored: int
 
+    def __init__(self, value: int, witness: Cut, method: str, explored: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "explored", explored)
 
-@dataclass(frozen=True)
-class ColorfulEncoding:
+
+class ColorfulEncoding(_Record):
     """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
 
+    __slots__ = ("formula", "vertex_var", "aux_var")
     formula: CnfFormula
     vertex_var: dict[int, int]
     aux_var: dict[int, int]
+
+    def __init__(
+        self, formula: CnfFormula, vertex_var: dict[int, int], aux_var: dict[int, int]
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "vertex_var", vertex_var)
+        object.__setattr__(self, "aux_var", aux_var)
 
 
 def _periodic_tables(width: int) -> list[int]:

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,12 +10,15 @@ from coloredcut import (
     ColoredGraph,
     Cut,
     FormatError,
+    brute_force_max,
     color_span,
     cut_colors,
     cut_edges,
     dedupe_edges,
     distinct_pairs_of_color,
+    encode_colorful_to_cnf,
     is_colorful,
+    kernelize_colors,
     parse_cut,
     parse_dimacs,
     parse_graph,
@@ -67,6 +75,76 @@ def test_cut_validation():
     assert c.t_side == frozenset({2, 3})
     assert c.crosses(1, 2) and not c.crosses(2, 3)
     assert c.complement().s_side == frozenset({2, 3})
+
+
+class _Index:
+    """Integer-like but not an int: it converts only through `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_counts_and_edge_fields_must_be_integers():
+    # counts, edge fields and cut vertices go through operator.index: a
+    # non-integer raises, an integer-like is stored as a plain int
+    with pytest.raises(TypeError):
+        ColoredGraph(3.5, ((1, 2, 1), (2, 3, 1)), 1)
+    with pytest.raises(TypeError):
+        ColoredGraph(3, ((1, 2, 1), (2, 3, 1)), 1.0)
+    with pytest.raises(TypeError):
+        ColoredGraph(3, ((1.9, 2, 1),), 1)
+    with pytest.raises(TypeError):
+        ColoredGraph(3, (("1", "2", "1"),), 1)
+    with pytest.raises(TypeError):
+        Cut(3.5, frozenset({1}))
+    with pytest.raises(TypeError):
+        Cut(3, frozenset({1.5}))
+    g = ColoredGraph(_Index(3), ((_Index(1), 2, True),), _Index(1))
+    assert g == ColoredGraph(3, ((1, 2, 1),), 1)
+    assert {type(x) for x in (g.n, g.p, *g.edges[0])} == {int}
+    cut = Cut(_Index(3), {_Index(1)})
+    assert cut == Cut(3, {1}) and {type(x) for x in (cut.n, *cut.s_side)} == {int}
+
+
+def _records(g):
+    return [g, Cut(g.n, {1}), kernelize_colors(g), brute_force_max(g), encode_colorful_to_cnf(g)]
+
+
+@pytest.mark.parametrize(
+    "record,other,hashable",
+    zip(
+        _records(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2)),
+        _records(ColoredGraph(4, ((1, 2, 1), (3, 4, 2), (2, 3, 2)), 2)),
+        (True, True, False, True, False),
+    ),
+    ids=["ColoredGraph", "Cut", "KernelOutcome", "SolveResult", "ColorfulEncoding"],
+)
+def test_value_types_behave_as_frozen_dataclasses(record, other, hashable):
+    # a frozen dataclass over the same fields is the reference for repr and hash
+    cls = type(record)
+    fields = tuple(inspect.signature(cls).parameters)
+    values = tuple(getattr(record, name) for name in fields)
+    reference = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)(*values)
+    assert repr(record) == repr(reference)
+    twin = cls(*values)
+    assert twin == record and not twin != record
+    assert record != other and record != reference and record != values
+    if hashable:
+        assert hash(record) == hash(twin) == hash(reference)
+    else:  # it holds dicts
+        with pytest.raises(TypeError):
+            hash(record)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and repr(clone) == repr(record)
 
 
 def test_cut_edges_on_path():
@@ -153,6 +231,19 @@ def test_parse_graph_errors_name_lines():
         (parse_graph, "p ecg 3 1 1\ne 1 x 1\n", "line 2: non-integer field in edge line"),
         (parse_graph, "p ecg 3 1 1\n\ne 2 2 1\n", "line 3: self-loop at vertex 2"),
         (parse_graph, "p ecg 3 1 1\ne 1 2 2\n", "line 2: color 2 outside 1..1"),
+        (parse_graph, "p ecg 3 2 1\ne 1 2 1\n\ne 1 4 1\n", "line 4: vertex outside 1..3"),
+        (parse_graph, "p ecg 3 1 1\ne 0 2 1\n", "line 2: vertex outside 1..3"),
+        (parse_graph, "p ecg 3 1 1\ne 1 2 1\ne 2 3 1\n", "line 3: more than the 1 edges"),
+        (
+            parse_graph,
+            "c x\np ecg 3 2 1\ne 1 2 1\n",
+            "line 2: header declares 2 edges but file has 1",
+        ),
+        (
+            parse_graph,
+            "c x\n\np ecg 3 1 2\ne 1 2 1\n",
+            "line 3: colors [2] are declared but appear on no edge",
+        ),
         (parse_graph, "c only a comment\n", "line 1: missing 'p ecg' header"),
         (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "line 2: cut file must contain exactly one"),
         (lambda t: parse_cut(t, 4), "", "line 1: cut file must contain exactly one"),
