@@ -18,7 +18,7 @@ vertices in increasing order; both sides must be nonempty.
 from __future__ import annotations
 
 from operator import index
-from typing import Collection, Iterable
+from collections.abc import Collection, Iterable
 
 from .errors import FormatError
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from enum import Enum
-from typing import Optional, Sequence
 
 from .errors import InvariantError
 from .graph import ColoredGraph, Cut, _color_classes, _Record
@@ -52,18 +52,18 @@ class KernelOutcome(_Record):
         "vertex_renaming",
     )
     verdict: KernelVerdict
-    reduced_graph: Optional[ColoredGraph]
+    reduced_graph: ColoredGraph | None
     removed_colors: tuple[int, ...]
-    remaining_k: Optional[int]
+    remaining_k: int | None
     color_renaming: dict[int, int]
     vertex_renaming: dict[int, int]
 
     def __init__(
         self,
         verdict: KernelVerdict,
-        reduced_graph: Optional[ColoredGraph],
+        reduced_graph: ColoredGraph | None,
         removed_colors: tuple[int, ...],
-        remaining_k: Optional[int],
+        remaining_k: int | None,
         color_renaming: dict[int, int],
         vertex_renaming: dict[int, int],
     ) -> None:
@@ -83,7 +83,7 @@ def claim1_bound(beta: int) -> int:
     return 2 * math.comb(beta, 2)
 
 
-def rule_star_find(g: ColoredGraph) -> Optional[int]:
+def rule_star_find(g: ColoredGraph) -> int | None:
     """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None:
     the first color the rule removes."""
     return next(iter(_removal_order(_color_classes(g))), None)
@@ -112,7 +112,7 @@ def _build_reduced(
     g: ColoredGraph,
     classes: list[dict[tuple[int, int], int]],
     removed: list[int],
-    remaining_k: Optional[int],
+    remaining_k: int | None,
 ) -> KernelOutcome:
     removed_set = set(removed)
     alive_colors = [c for c in range(1, g.p + 1) if c not in removed_set]

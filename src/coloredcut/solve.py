@@ -9,10 +9,7 @@ Three routes:
 * colorful cut: forced crossings contracted with a trailed parity
   union-find, then a depth-first search without recursion that branches on
   the first edge of the color with the fewest edges and contracts again at
-  every node; a quotient of at most `_HANDOFF` = 26 classes goes to a
-  search pruned per color with a bit-parallel block of classes at every
-  node.  Branching starts only where the first contraction leaves more than
-  26 classes, so only there can the witness differ from the block search's.
+  every node, down to the node where no color is left to cross.
 
 The CNF encoding of colorful cut stays public as a test oracle; no route
 hands it to DPLL.
@@ -27,14 +24,11 @@ Witness checks raise `InvariantError`, so they also run under ``python -O``.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _color_classes, _Record, cut_colors, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
-
-if TYPE_CHECKING:  # a runtime import would load sat.py on every solve
-    from .sat import CnfFormula
 
 BRUTE_FORCE_CAP = 24
 
@@ -42,19 +36,6 @@ BRUTE_FORCE_CAP = 24
 # is a 2^16-bit (8 KiB) int, so memory stays bounded at the cap.  Of widths
 # 12..20, 16 was the fastest at n = 16..24.
 _BLOCK_BITS = 16
-
-# Classes of the colorful search scanned bit-parallel as one block, so a
-# truth table is a 2^14-bit (2 KiB) int.  Of widths 8..16 on the colorful_sat
-# benchmark corpus (seeds 1-3, quotients of 4-36 classes), 14 gave the most
-# ops per second and the shortest slowest op.
-_LEAF_BITS = 14
-
-# The colorful search hands a live quotient of at most this many classes to
-# the bit-parallel `_search_quotient` instead of branching further, so a
-# quotient that small from the first contraction is searched by that block
-# alone.  On the colorful_sat corpus (seeds 1-8) 15, 20 and 26 gave about
-# equal ops per second, and 32 about a third fewer.
-_HANDOFF = 26
 
 
 class SolveResult(_Record):
@@ -75,7 +56,7 @@ class ColorfulEncoding(_Record):
     """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
 
     __slots__ = ("formula", "vertex_var", "aux_var")
-    formula: CnfFormula
+    formula: CnfFormula  # from sat.py, which no solving path loads
     vertex_var: dict[int, int]
     aux_var: dict[int, int]
 
@@ -363,159 +344,68 @@ class _Contraction:
 
 def _contract_forced(
     g: ColoredGraph,
-) -> Optional[tuple[dict[int, tuple[int, int]], list[list[tuple[int, int, int]]]]]:
+) -> tuple[dict[int, tuple[int, int]], list[list[tuple[int, int, int]]]] | None:
     """Contract the forced crossings of g to a fixpoint (`_Contraction`),
     or None when some color can never cross.
 
-    Returns the (root, parity) of every touched vertex and, for each color
-    still live, its distinct quotient edges (a, b, flip) with roots a < b;
-    such an edge crosses iff side(a) ^ side(b) ^ flip.  Only touched
-    vertices enter the union-find.  The colorful search runs the same
-    propagation on the quotient after every branch.
+    Returns the (root, parity) of every touched vertex, found once per
+    vertex, and, for each color still live, its distinct quotient edges
+    (a, b, flip) with roots a < b; such an edge crosses iff side(a) ^
+    side(b) ^ flip.  Only touched vertices enter the union-find.
+    `_search_classes` branches in a union-find of its own over the quotient,
+    so its unions move quotient incidences, not the far longer incidence
+    lists of g.
     """
     classes = _color_classes(g)
     contraction = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
     if not contraction.propagate(range(len(classes))):
         return None
-    labels = {v: contraction.find(v) for pairs in classes for pair in pairs for v in pair}
+    touched = {v for pairs in classes for pair in pairs for v in pair}
+    labels = {v: contraction.find(v) for v in touched}
     return labels, list(contraction.live.values())
 
 
-def _search_quotient(
-    order: list[int], colors: Sequence[Iterable[tuple[int, int, int]]]
-) -> Optional[dict[int, int]]:
-    """Sides (1 = S) of the classes in `order` under which every color has a
-    crossing quotient edge, or None if there are none.
-
-    The first class is pinned to S (complement symmetry).  The next
-    `_LEAF_BITS` classes form the low block, scanned bit-parallel as in
-    `brute_force_max`: each low class's side is a truth table over the
-    block's masks, and a color crosses on the OR over its edges of
-    T_a ^ T_b ^ flip.  A depth-first search sets the remaining high classes
-    in order, T before S, and keeps the AND over every color whose classes
-    are all set or low; it prunes as soon as that AND is zero, that is when
-    a fully set color has no crossing edge under any low mask.  At a leaf
-    the lowest surviving mask wins.  Every mask is scanned, including the
-    one putting every class on S: a class may hold both parities, so that
-    can still be a nontrivial cut.  The colorful search calls it on live
-    quotients of at most `_HANDOFF` classes.
-    """
-    k = len(order)
-    pos = {r: i for i, r in enumerate(order)}
-    width = min(_LEAF_BITS, k - 1)
-    full = (1 << (1 << width)) - 1
-    # truth tables of the pinned class and the low block; 0 for high classes
-    low = [full] + _periodic_tables(width) + [0] * (k - 1 - width)
-    bits = [1] + [0] * k  # high class sides; bits[k] stays 0 for "no class"
-    # closing[q]: the colors whose last high class sits at position q (0 when
-    # they touch only the pinned and the low classes).  An edge is stored as
-    # (h, h', base, complement): it crosses on `base` when bits[h] ^ bits[h']
-    # is 0, else on `complement`, where base folds in its low tables and flip.
-    closing: list[list[list[tuple[int, int, int, int]]]] = [[] for _ in range(k)]
-    for edges in colors:
-        folded = []
-        last = 0
-        for a, b, flip in edges:
-            i, j = (x if x > width else 0 for x in (pos[a], pos[b]))
-            base = low[pos[a]] ^ low[pos[b]] ^ (full if flip else 0)
-            folded.append((i or k, j or k, base, base ^ full))
-            last = max(last, i, j)
-        closing[last].append(folded)
-
-    def narrow(colorful: int, q: int) -> int:
-        for edges in closing[q]:
-            crossing = 0
-            for h, h2, base, complement in edges:
-                crossing |= complement if bits[h] ^ bits[h2] else base
-            colorful &= crossing
-            if not colorful:
-                break
-        return colorful
-
-    # depth-first over the high classes, without recursion: bits[q] is -1
-    # while position q is untried, and masks[q] is the AND once every class
-    # before q is set
-    start = width + 1
-    masks = [0] * (k + 1)
-    masks[start] = narrow(full, 0)
-    if not masks[start]:
-        return None
-    bits[start:k] = [-1] * (k - start)
-    q = start
-    while q < k:
-        if bits[q] < 1:
-            bits[q] += 1
-            masks[q + 1] = narrow(masks[q], q)
-            if masks[q + 1]:
-                q += 1
-        else:  # both sides failed: backtrack
-            bits[q] = -1
-            q -= 1
-            if q < start:
-                return None
-    found = masks[k]
-    first = (found & -found).bit_length() - 1
-    for j in range(width):
-        bits[j + 1] = (first >> j) & 1
-    return dict(zip(order, bits))
-
-
-def _search_classes(colors: list[list[tuple[int, int, int]]]) -> Optional[dict[int, int]]:
+def _search_classes(colors: list[list[tuple[int, int, int]]]) -> dict[int, int] | None:
     """Sides (1 = S) of the quotient classes under which every color in
     `colors` has a crossing edge, or None if there are none.
 
     A depth-first search without recursion over a `_Contraction` of the
-    quotient, propagating after every branch.  At a node where some color has
-    no live edge it backtracks, and where no color is live it succeeds.  When
-    the live quotient has at most `_HANDOFF` classes it is handed to
-    `_search_quotient`, and a None there backtracks.  Otherwise it branches on
-    the first edge of the live color with the fewest edges: it crosses, then
-    it does not.  At the root no union is made yet, so a quotient of at most
-    `_HANDOFF` classes goes to `_search_quotient` as it stands.
+    quotient.  It branches on the first edge of the live color with the
+    fewest edges, which crosses in the first branch and not in the second,
+    and propagates forced crossings after every branch.  A branch whose
+    propagation leaves some color with no live edge backtracks; once no
+    color is live every color crosses, whatever side each class takes, so
+    the search stops and every class of its union-find sits on S.
     """
     state = _Contraction(dict(enumerate(colors)))
     live = state.live
     stack: list[tuple[int, int, int, int]] = []  # (trail mark, a, b, flip) of untried branches
     ok = True
-    while True:
-        if ok:
-            roots: set[int] = set()
-            for edges in live.values():
-                roots.update(x for edge in edges for x in edge[:2])
-                if len(roots) > _HANDOFF:
-                    break
-            if len(roots) > _HANDOFF:
-                a, b, flip = min(live.values(), key=len)[0]
-                stack.append((len(state.trail), a, b, flip ^ 1))  # then: it does not cross
-                ok = state.propagate(state.unite(a, b, flip))  # first: it crosses
-                continue
-            found = _search_quotient(sorted(roots), list(live.values())) if live else {}
-            if found is not None:
-                break
-        if not stack:
+    while live or not ok:
+        if ok:  # branch: the edge crosses first
+            a, b, flip = min(live.values(), key=len)[0]
+            stack.append((len(state.trail), a, b, flip ^ 1))  # then: it does not cross
+        elif stack:  # backtrack into the latest untried branch
+            mark, a, b, flip = stack.pop()
+            state.undo(mark)
+        else:
             return None
-        mark, a, b, flip = stack.pop()
-        state.undo(mark)
         ok = state.propagate(state.unite(a, b, flip))
-    sides = {}
-    for r in {x for edges in colors for edge in edges for x in edge[:2]}:
-        root, parity = state.find(r)
-        sides[r] = found.get(root, 1) ^ parity
-    return sides
+    roots = {x for edges in colors for edge in edges for x in edge[:2]}
+    return {r: 1 ^ state.find(r)[1] for r in roots}
 
 
-def colorful_cut_decide(g: ColoredGraph) -> Optional[Cut]:
+def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     """A cut crossing all p colors, or None if no such cut exists.
 
     Forced crossings are contracted first (`_contract_forced`), then the
     classes the remaining colors touch are searched (`_search_classes`),
-    propagating forced crossings again after every branch.  A contracted
-    quotient of at most `_HANDOFF` classes goes straight to the bit-parallel
-    `_search_quotient`, so only a larger one can change which colorful cut is
-    found.  The assignment found is lifted: side(v) = side(root) ^
-    parity(v), classes no remaining color touches sit on S, and vertices no
-    edge touches on T.  With p >= 1 a colorful cut crosses an edge, so it is
-    nontrivial.  The cut is recounted on g before it is returned.
+    which branches and propagates forced crossings again after every branch
+    until no color is left to cross.  The assignment found is lifted:
+    side(v) = side(root) ^ parity(v), classes no remaining color touches sit
+    on S, and vertices no edge touches on T.  With p >= 1 a colorful cut
+    crosses an edge, so it is nontrivial.  The cut is recounted on g before
+    it is returned.
     """
     if g.n < 2:
         return None  # there is no nontrivial bipartition at all
@@ -565,7 +455,7 @@ def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveRe
     return SolveResult(total, witness, "kernel+brute-force", explored)
 
 
-def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Optional[Cut]]:
+def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Cut | None]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
     Runs the value-parameterized kernel first.  On EARLY_YES (every k up to

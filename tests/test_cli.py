@@ -479,10 +479,11 @@ LEAN_COMMANDS = (
 
 
 def test_import_leaves_networkx_unloaded(graph_file):
-    # solving subcommands never load the generators, the SAT tools or
-    # `dataclasses` (whose `inspect` import outweighs the package's own), while
-    # `import coloredcut` loads the solving modules up front, so a library
-    # caller's first timed call pays no import
+    # solving subcommands never load the generators, the SAT tools,
+    # `dataclasses` (whose `inspect` import outweighs the package's own) or
+    # `typing`, while `import coloredcut` loads the solving modules up front,
+    # so a library caller's first timed call pays no import.  The child runs
+    # with -S, since a `.pth` file in site-packages may load `typing` itself.
     argvs = [[*argv, graph_file(TRIANGLE)] for argv in LEAN_COMMANDS]
     probe = (
         "import contextlib, io, sys\n"
@@ -492,12 +493,12 @@ def test_import_leaves_networkx_unloaded(graph_file):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {argvs!r}]\n"
         "print(codes)\n"
-        "lazy = ('networkx', 'dataclasses', 'coloredcut.reductions', 'coloredcut.sat')\n"
+        "lazy = ('networkx', 'dataclasses', 'typing', 'coloredcut.reductions', 'coloredcut.sat')\n"
         "print([m for m in lazy if m in sys.modules])\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,

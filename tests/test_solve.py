@@ -39,7 +39,7 @@ from coloredcut import (
     solve_via_kernel,
     strip_single_polarity,
 )
-from coloredcut.solve import _contract_forced, _search_quotient
+from coloredcut.solve import _contract_forced
 
 from helpers import (
     inflate_one_color,
@@ -378,39 +378,17 @@ def test_colorful_matches_formula_truth_on_every_construction(kind):
     for f in _construction_formulas():
         truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
         g = _GENERATORS[kind](f).graph
-        cut = colorful_cut_decide(g)
-        assert (cut is not None) == truth
-        if cut is not None:
-            assert is_colorful(g, cut)
+        _check_colorful_answer(g, truth)
         if g.m <= 60:
             assert (dpll_solve(encode_colorful_to_cnf(g).formula) is not None) == truth
         truths.add(truth)
     assert truths == {True, False}
 
 
-def test_colorful_branching_matches_the_references(monkeypatch):
-    # with a 2-class hand-off every quotient of three or more classes is
-    # decided by branching and propagation, not by the bit-parallel block
-    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
-    answers = set()
-    for g, spread in _forced_multigraph_pairs():
-        want = brute_force_max(g).value == g.p
-        for h in (g, spread):
-            _check_colorful_answer(h, want)
-        answers.add(want)
-    for kind in sorted(_GENERATORS):
-        for f in _construction_formulas():
-            truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
-            _check_colorful_answer(_GENERATORS[kind](f).graph, truth)
-            answers.add(truth)
-    assert answers == {True, False}
-
-
-def test_colorful_branching_backtracks_into_the_second_branch(monkeypatch):
-    # found by a seeded scan: with a 2-class hand-off the first branch (the
-    # first edge of the shortest color crosses) fails, and every colorful cut
-    # lies under its sibling, where that edge does not cross
-    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
+def test_colorful_branching_backtracks_into_the_second_branch():
+    # found by a seeded scan: the first branch (the first edge of the
+    # shortest color crosses) fails, and every colorful cut lies under its
+    # sibling, where that edge does not cross
     g = ColoredGraph(
         9,
         ((8, 3, 1), (6, 3, 2), (4, 5, 3), (8, 4, 4), (2, 3, 5))
@@ -463,9 +441,10 @@ def test_contraction_cascade_against_color_order_stays_fast():
     assert cut is not None
 
 
-def test_quotient_deeper_than_the_recursion_limit(monkeypatch):
+def test_quotient_deeper_than_the_recursion_limit():
     # each color joins 3i+1 to 3i+2 and to 3i+3: nothing is forced, so all
-    # 3K vertices stay classes, more than a recursive search could nest
+    # 3K vertices stay classes, and each of the K colors is one branch on the
+    # search's stack, K deeper than a recursive search could nest
     K = 2000
     edges = [(3 * i + 1, 3 * i + t, i + 1) for i in range(K) for t in (2, 3)]
     g = ColoredGraph(3 * K, tuple(edges), K)
@@ -476,30 +455,13 @@ def test_quotient_deeper_than_the_recursion_limit(monkeypatch):
     cut = colorful_cut_decide(g)
     assert time.perf_counter() - start < 2.0
     assert cut is not None and is_colorful(g, cut)
-    # every live color spans three classes, so with a 2-class hand-off the
-    # bit-parallel block never runs and each of the K colors is one branch
-    # on the search's stack: K > the recursion limit deep
-    monkeypatch.setattr("coloredcut.solve._HANDOFF", 2)
-    monkeypatch.setattr("coloredcut.solve._search_quotient", None)
-    start = time.perf_counter()
-    cut = colorful_cut_decide(g)
-    assert time.perf_counter() - start < 2.0
-    assert cut is not None and is_colorful(g, cut)
 
 
 def test_quotient_search_keeps_the_all_one_side_mask():
-    # classes 1, 2, 3 with class 1 pinned to S.  An edge (a, b, 1) crosses
-    # iff a and b sit on the same side, (a, b, 0) iff they do not; each
-    # color rules out one of the other three side pairs of classes 2 and 3,
-    # so every class on S is the only colorful assignment
-    colors = [
-        {(1, 2, 0), (1, 3, 1)},
-        {(1, 2, 1), (1, 3, 0)},
-        {(1, 2, 1), (1, 3, 1), (2, 3, 0)},
-    ]
-    assert _search_quotient([1, 2, 3], colors) == {1: 1, 2: 1, 3: 1}
-    # the same colors in a graph: the single-edge colors put 4, 5 and 6
-    # opposite 1 in one class, so every class on S is the nontrivial cut
+    # the single-edge colors put 4, 5 and 6 opposite 1 in one class.  On the
+    # quotient of classes 1, 2, 3 each other color rules out one of the other
+    # three side pairs of classes 2 and 3 against class 1, so the only
+    # colorful assignment puts every class on one side: the nontrivial cut
     # {1, 2, 3} | {4, 5, 6}
     g = ColoredGraph(
         6,
@@ -509,17 +471,6 @@ def test_quotient_search_keeps_the_all_one_side_mask():
     )
     assert colorful_cut_decide(g) == Cut(6, frozenset({1, 2, 3}))
     assert oracle_colorful_cut(g) == frozenset({1, 2, 3})
-
-
-def test_quotient_search_prunes_only_fully_set_colors(monkeypatch):
-    # with a one-class low block nearly every class is set depth-first, so
-    # the verdicts rest on pruning colors exactly when their classes are set
-    monkeypatch.setattr("coloredcut.solve._LEAF_BITS", 1)
-    rng = random.Random(108)
-    for _ in range(200):
-        g = _forced_multigraph(rng)
-        cut = colorful_cut_decide(g)
-        assert (cut is not None) == (brute_force_max(g).value == g.p)
 
 
 def test_colorful_never_runs_dpll(monkeypatch):
