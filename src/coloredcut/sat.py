@@ -8,7 +8,7 @@ bool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import CapExceededError, FormatError, InvariantError
 
@@ -130,33 +130,33 @@ def _assignment_from_index(index: int, var_count: int) -> Assignment:
     }
 
 
-def brute_force_sat(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignment]:
-    """First satisfying assignment in lexicographic order (false < true), or None."""
+def _first_assignment(
+    f: CnfFormula, cap: int, name: str, accepts: Callable[[CnfFormula, Assignment], bool]
+) -> Optional[Assignment]:
+    """First assignment in lexicographic order (false < true) that `accepts`, or None."""
     if f.var_count > cap:
         raise CapExceededError(
-            f"refusing brute-force SAT on {f.var_count} variables (cap {cap})"
+            f"refusing brute-force {name} on {f.var_count} variables (cap {cap})"
         )
     for index in range(1 << f.var_count):
         asg = _assignment_from_index(index, f.var_count)
-        if satisfies(f, asg):
+        if accepts(f, asg):
             return asg
     return None
+
+
+def brute_force_sat(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignment]:
+    """First satisfying assignment in lexicographic order (false < true), or None."""
+    return _first_assignment(f, cap, "SAT", satisfies)
 
 
 def brute_force_nae(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignment]:
     """First assignment (same order as brute_force_sat) where every clause is
     not-all-equal, or None."""
-    if f.var_count > cap:
-        raise CapExceededError(
-            f"refusing brute-force NAE on {f.var_count} variables (cap {cap})"
-        )
-    if any(len(cl) < 2 for cl in f.clauses):
+    # the cap refusal comes first, so short clauses are only checked under it
+    if f.var_count <= cap and any(len(cl) < 2 for cl in f.clauses):
         raise ValueError("not-all-equal needs at least two literals per clause")
-    for index in range(1 << f.var_count):
-        asg = _assignment_from_index(index, f.var_count)
-        if nae_satisfies(f, asg):
-            return asg
-    return None
+    return _first_assignment(f, cap, "NAE", nae_satisfies)
 
 
 # ---------------------------------------------------------------------------

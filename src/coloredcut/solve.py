@@ -6,10 +6,11 @@ Three routes:
   vertices an edge touches (exact, capped), bit-parallel over big-int truth
   tables of the masks, first optimum in increasing mask order,
 * a greedy placement that always crosses at least half the colors,
-* colorful cut: forced crossings contracted with a trailed parity
-  union-find, then a depth-first search without recursion that branches on
-  the first edge of the color with the fewest edges and contracts again at
-  every node, down to the node where no color is left to cross.
+* colorful cut: one trailed parity union-find contracts the forced
+  crossings, is settled onto the quotient, and is then searched in place
+  depth-first without recursion, branching on the first edge of the color
+  with the fewest edges and contracting again at every node, down to the
+  node where no color is left to cross.
 
 The CNF encoding of colorful cut stays public as a test oracle; no route
 hands it to DPLL.
@@ -162,6 +163,8 @@ def _greedy_sides(g: ColoredGraph, gprime: list[tuple[int, int]]) -> frozenset[i
     side with fewer already placed neighbors (ties to S), counting parallel
     edges with multiplicity, so at least half of the subgraph's edges end up
     crossing.  Untouched vertices stay on T, so the cost is O(m), not O(n).
+    When every smaller neighbor of w is on S, a subgraph edge (u, w) with
+    u < w puts w on T, so with a subgraph edge S never holds every vertex.
     """
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in gprime:
@@ -174,9 +177,6 @@ def _greedy_sides(g: ColoredGraph, gprime: list[tuple[int, int]]) -> frozenset[i
             s_side.add(v)
     if not s_side:
         s_side.add(1)  # g has no edges
-    elif len(s_side) == g.n:
-        # every vertex is touched and the subgraph has no edges
-        s_side.discard(g.n)
     return frozenset(s_side)
 
 
@@ -254,19 +254,27 @@ class _Contraction:
     side(v) ^ flip.  Unions go by weight (the color incidences on a class,
     heavier root kept), so a find climbs O(log m) links without path
     compression.  Each union, color update and dropped color is pushed on
-    the trail, and `undo` pops back to a mark.
+    the trail, and `undo` pops back to a mark.  `settle` recounts the
+    weights over the live edges alone and forgets the trail, so a search
+    that starts after it weighs and moves quotient incidences only.
     """
 
     __slots__ = ("up", "touching", "live", "trail")
 
     def __init__(self, colors: dict[int, list[tuple[int, int, int]]]) -> None:
         self.up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, parity to it)
+        self.live = colors
+        self.settle()
+
+    def settle(self) -> None:
+        """Count each class's color incidences over the live edges alone and
+        empty the trail: the state so far can no longer be undone, and later
+        unions weigh and move only the incidences still live."""
         self.touching: dict[int, list[int]] = defaultdict(list)  # root -> colors on its class
-        for c, edges in colors.items():
+        for c, edges in self.live.items():
             for u, v, _ in edges:
                 self.touching[u].append(c)
                 self.touching[v].append(c)
-        self.live = colors
         self.trail: list[tuple] = []  # (color, edges) or (absorbed, absorbing, count)
 
     def find(self, v: int) -> tuple[int, int]:
@@ -342,42 +350,30 @@ class _Contraction:
                 del touching[a][count:]
 
 
-def _contract_forced(
-    g: ColoredGraph,
-) -> tuple[dict[int, tuple[int, int]], list[list[tuple[int, int, int]]]] | None:
-    """Contract the forced crossings of g to a fixpoint (`_Contraction`),
-    or None when some color can never cross.
+def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
+    """A cut crossing all p colors, or None if no such cut exists.
 
-    Returns the (root, parity) of every touched vertex, found once per
-    vertex, and, for each color still live, its distinct quotient edges
-    (a, b, flip) with roots a < b; such an edge crosses iff side(a) ^
-    side(b) ^ flip.  Only touched vertices enter the union-find.
-    `_search_classes` branches in a union-find of its own over the quotient,
-    so its unions move quotient incidences, not the far longer incidence
-    lists of g.
+    One `_Contraction` over the color classes of g first contracts the
+    forced crossings to a fixpoint and is settled, so that branch unions move
+    only quotient incidences.  A depth-first search without recursion then
+    branches on the first edge of the live color with the fewest edges, which
+    crosses in the first branch and not in the second, and propagates forced
+    crossings after every branch.  A branch whose propagation leaves some
+    color with no live edge backtracks; once no color is live every color
+    crosses, whatever side each class takes.  Every root sits on S, so a
+    touched vertex is on S iff its parity to its root is 0, and vertices no
+    edge touches sit on T.  With p >= 1 a colorful cut crosses an edge, so it
+    is nontrivial.  The cut is recounted on g before it is returned.
     """
+    if g.n < 2:
+        return None  # there is no nontrivial bipartition at all
+    if g.p == 0:
+        return Cut(g.n, frozenset({1}))
     classes = _color_classes(g)
-    contraction = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
-    if not contraction.propagate(range(len(classes))):
+    state = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
+    if not state.propagate(range(len(classes))):
         return None
-    touched = {v for pairs in classes for pair in pairs for v in pair}
-    labels = {v: contraction.find(v) for v in touched}
-    return labels, list(contraction.live.values())
-
-
-def _search_classes(colors: list[list[tuple[int, int, int]]]) -> dict[int, int] | None:
-    """Sides (1 = S) of the quotient classes under which every color in
-    `colors` has a crossing edge, or None if there are none.
-
-    A depth-first search without recursion over a `_Contraction` of the
-    quotient.  It branches on the first edge of the live color with the
-    fewest edges, which crosses in the first branch and not in the second,
-    and propagates forced crossings after every branch.  A branch whose
-    propagation leaves some color with no live edge backtracks; once no
-    color is live every color crosses, whatever side each class takes, so
-    the search stops and every class of its union-find sits on S.
-    """
-    state = _Contraction(dict(enumerate(colors)))
+    state.settle()
     live = state.live
     stack: list[tuple[int, int, int, int]] = []  # (trail mark, a, b, flip) of untried branches
     ok = True
@@ -391,35 +387,8 @@ def _search_classes(colors: list[list[tuple[int, int, int]]]) -> dict[int, int] 
         else:
             return None
         ok = state.propagate(state.unite(a, b, flip))
-    roots = {x for edges in colors for edge in edges for x in edge[:2]}
-    return {r: 1 ^ state.find(r)[1] for r in roots}
-
-
-def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
-    """A cut crossing all p colors, or None if no such cut exists.
-
-    Forced crossings are contracted first (`_contract_forced`), then the
-    classes the remaining colors touch are searched (`_search_classes`),
-    which branches and propagates forced crossings again after every branch
-    until no color is left to cross.  The assignment found is lifted:
-    side(v) = side(root) ^ parity(v), classes no remaining color touches sit
-    on S, and vertices no edge touches on T.  With p >= 1 a colorful cut
-    crosses an edge, so it is nontrivial.  The cut is recounted on g before
-    it is returned.
-    """
-    if g.n < 2:
-        return None  # there is no nontrivial bipartition at all
-    if g.p == 0:
-        return Cut(g.n, frozenset({1}))
-    contracted = _contract_forced(g)
-    if contracted is None:
-        return None
-    labels, colors = contracted
-    sides = _search_classes(colors)
-    if sides is None:
-        return None
-    s_side = frozenset(v for v, (root, parity) in labels.items() if sides.get(root, 1) ^ parity)
-    cut = Cut(g.n, s_side)
+    touched = {v for pairs in classes for pair in pairs for v in pair}
+    cut = Cut(g.n, frozenset(v for v in touched if not state.find(v)[1]))
     if not is_colorful(g, cut):
         raise InvariantError("the lifted quotient assignment is not a colorful cut")
     return cut

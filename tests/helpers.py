@@ -219,6 +219,18 @@ def unsat_3cnf_draws(clause_count: int, count: int = 3) -> list[CnfFormula]:
     return draws
 
 
+def root_contraction(g: ColoredGraph):
+    """The `_Contraction` that `colorful_cut_decide` builds over g's color
+    classes, after its root propagation: None when some color can never
+    cross."""
+    from coloredcut.graph import _color_classes
+    from coloredcut.solve import _Contraction
+
+    classes = _color_classes(g)
+    state = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
+    return state if state.propagate(range(len(classes))) else None
+
+
 def all_3var_formulas(max_clauses: int):
     """Every 3-CNF over variables 1,2,3 (slot order fixed, clauses distinct)
     with 1..max_clauses clauses."""

@@ -464,6 +464,10 @@ def test_verify_apex_outside_graph_fails_the_check(cnf_file, capsys, tmp_path):
     )
     assert code == 1
     assert "check apex-removal-bipartite: fail (apex 99 is outside 1..7)" in out
+    # without --provenance the apex is vertex 1, where the construction puts it
+    code, out, _ = run(capsys, ["verify", "--kind", "oct1", "--graph", base + ".ecg"])
+    assert code == 0
+    assert "check apex-removal-bipartite: pass" in out
 
 
 LEAN_COMMANDS = (

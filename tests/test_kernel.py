@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coloredcut import (
     ColoredGraph,
     Cut,
+    InvariantError,
     KernelVerdict,
     augment_cut,
     claim1_bound,
@@ -264,6 +265,12 @@ def test_augment_cut_flips_the_first_free_endpoint():
     assert kernelize_colors(g).removed_colors == (2, 1)
     cut = Cut(6, frozenset({1, 3, 5}))
     assert augment_cut(g, (2, 1), cut) == Cut(6, frozenset({1, 3}))
+    # the rule removes nothing here: on T, color 2's only edge joins the
+    # endpoints of the witness edges of colors 1 and 3, so no flip is free
+    g = ColoredGraph(3, ((1, 3, 1), (2, 3, 3), (1, 2, 2)), 3)
+    assert kernelize_colors(g).removed_colors == ()
+    with pytest.raises(InvariantError, match="color 2 cannot be restored"):
+        augment_cut(g, (2,), Cut(3, frozenset({3})))
 
 
 @st.composite

@@ -696,6 +696,15 @@ def test_verify_structural_reports_counterexamples():
     failed = {item.name: item.detail for item in report.items if not item.passed}
     assert failed == {"connected": "graph is disconnected"}
 
+    star = ReductionArtifact(
+        ColoredGraph(5, ((1, 2, 1), (1, 3, 1), (1, 4, 2), (1, 5, 2)), 2),
+        ReductionKind.K4MF,
+        None,
+    )
+    report = verify_structural(star)
+    failed = {item.name: item.detail for item in report.items if not item.passed}
+    assert failed == {"max-degree-3": "vertex 1 has degree 4"}
+
     # triangle 2-3-4 survives deleting the apex, vertex 1
     odd_rest = ReductionArtifact(
         ColoredGraph(4, ((2, 3, 1), (3, 4, 1), (2, 4, 2), (1, 2, 2)), 2),
@@ -717,6 +726,7 @@ def test_connected_check_counts_untouched_vertices():
         (ColoredGraph(4, ((1, 2, 1), (3, 4, 2)), 2), False),
         (ColoredGraph(2, (), 0), False),
         (ColoredGraph(1, (), 0), True),
+        (ColoredGraph(0, (), 0), False),
     ]
     for g, connected in cases:
         artifact = ReductionArtifact(g, ReductionKind.K4MF, None)

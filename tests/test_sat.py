@@ -95,6 +95,13 @@ def test_brute_force_nae():
     assert brute_force_nae(f) == {1: False, 2: True}
     with pytest.raises(ValueError):
         brute_force_nae(CnfFormula(1, ((1,),)))
+    # over the cap the refusal comes before the short-clause check
+    f = CnfFormula(21, ((21,),))
+    with pytest.raises(CapExceededError, match="brute-force NAE on 21 variables"):
+        brute_force_nae(f)
+    with pytest.raises(ValueError, match="two literals"):
+        brute_force_nae(f, cap=21)
+    assert brute_force_nae(CnfFormula(21, ((1, 21),)), cap=21) is not None
 
 
 def test_dpll_unit_propagation_chain():

@@ -39,7 +39,6 @@ from coloredcut import (
     solve_via_kernel,
     strip_single_polarity,
 )
-from coloredcut.solve import _contract_forced
 
 from helpers import (
     inflate_one_color,
@@ -48,6 +47,7 @@ from helpers import (
     oracle_max_cut_colors,
     random_3cnf,
     random_multigraph,
+    root_contraction,
     unsat_3cnf_draws,
 )
 from test_graph import RAINBOW_TRIANGLE, graphs
@@ -162,29 +162,6 @@ def test_brute_edgeless_graph_takes_the_first_mask(n):
     assert res.value == 0
     assert res.witness.s_side == frozenset({1})
     assert res.explored == 0  # only vertex 1 is enumerated
-
-
-def test_brute_witness_check_survives_optimize_flag():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = (
-        "import coloredcut.solve as s\n"
-        "from coloredcut import ColoredGraph, InvariantError\n"
-        "assert False, 'asserts are on'\n"
-        "s.cut_colors = lambda g, cut: frozenset()\n"
-        "try:\n"
-        "    s.brute_force_max(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "raised"
 
 
 # --------------------------------------------------------------------- greedy
@@ -418,8 +395,7 @@ def test_contraction_cascades_to_a_fixpoint():
     # edges of color 2 cross together, so it is forced too and nothing is
     # left to search
     g = ColoredGraph(4, ((1, 2, 1), (1, 3, 2), (2, 4, 2), (3, 4, 3)), 3)
-    _, quotient = _contract_forced(g)
-    assert quotient == []
+    assert root_contraction(g).live == {}
     assert colorful_cut_decide(g) == Cut(4, frozenset({1, 4}))
 
 
@@ -434,10 +410,10 @@ def test_contraction_cascade_against_color_order_stays_fast():
     edges = [e for i in range(1, L) for e in ((i, i + 1, i), (i, i + 3, i))]
     g = ColoredGraph(L + 2, tuple(edges) + ((L, L + 1, L), (L + 1, L + 2, L + 1)), L + 1)
     start = time.perf_counter()
-    _, quotient = _contract_forced(g)
+    state = root_contraction(g)
     cut = colorful_cut_decide(g)
     assert time.perf_counter() - start < 5.0
-    assert quotient == []
+    assert state.live == {}
     assert cut is not None
 
 
@@ -448,9 +424,10 @@ def test_quotient_deeper_than_the_recursion_limit():
     K = 2000
     edges = [(3 * i + 1, 3 * i + t, i + 1) for i in range(K) for t in (2, 3)]
     g = ColoredGraph(3 * K, tuple(edges), K)
-    labels, quotient = _contract_forced(g)
-    assert len({root for root, _ in labels.values()}) == 3 * K > sys.getrecursionlimit()
-    assert len(quotient) == K
+    state = root_contraction(g)
+    roots = {state.find(v)[0] for v in range(1, 3 * K + 1)}
+    assert len(roots) == 3 * K > sys.getrecursionlimit()
+    assert len(state.live) == K
     start = time.perf_counter()
     cut = colorful_cut_decide(g)
     assert time.perf_counter() - start < 2.0
@@ -484,18 +461,54 @@ def test_colorful_never_runs_dpll(monkeypatch):
     assert colorful_cut_decide(RAINBOW_C4) is not None
 
 
-def test_colorful_witness_check_survives_optimize_flag():
+# (stub, call on the path 1-2-3 colored 1, 2, message of the check it trips);
+# each stub leaves the checks before the targeted one passing
+NO_COLORS = "s.cut_colors = lambda g, cut: frozenset()"
+WITNESS_CHECKS = {
+    "brute": (
+        NO_COLORS,
+        "s.brute_force_max(G)",
+        "brute-force witness does not cross the 2 colors it scored",
+    ),
+    "colorful": (
+        "s.is_colorful = lambda g, cut: False",
+        "s.colorful_cut_decide(G)",
+        "the lifted quotient assignment is not a colorful cut",
+    ),
+    "greedy": (
+        NO_COLORS,
+        "s.greedy_half_colors(G)",
+        "greedy cut crosses fewer than half of 2 colors",
+    ),
+    "kernel-lift": (
+        "s.augment_cut = lambda g, removed, cut: s.Cut(g.n, frozenset({1, 2}))",
+        "s.solve_via_kernel(G)",
+        "lifted witness does not cross the 2 colors it claims",
+    ),
+    "early-yes": (
+        NO_COLORS,
+        "s.decide_max(G, 1)",
+        "early-yes witness crosses fewer than 1 colors",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stub,call,message", list(WITNESS_CHECKS.values()), ids=list(WITNESS_CHECKS)
+)
+def test_witness_checks_survive_optimize_flag(stub, call, message):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = (
         "import coloredcut.solve as s\n"
         "from coloredcut import ColoredGraph, InvariantError\n"
         "assert False, 'asserts are on'\n"
-        "s.is_colorful = lambda g, cut: False\n"
+        "G = ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2)\n"
+        f"{stub}\n"
         "try:\n"
-        "    s.colorful_cut_decide(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
+        f"    {call}\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", probe],
@@ -504,7 +517,7 @@ def test_colorful_witness_check_survives_optimize_flag():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "raised"
+    assert result.stdout.strip() == message
 
 
 # ------------------------------------------------------------------ decide_max
