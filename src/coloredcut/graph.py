@@ -91,8 +91,7 @@ class ColoredGraph(_Record):
                 raise ValueError(f"edge ({u},{v}) has color {c} outside 1..{p}")
             seen_colors.add(c)
         if len(seen_colors) != p:
-            dead = sorted(set(range(1, p + 1)) - seen_colors)
-            raise ValueError(f"colors {dead} are declared but appear on no edge")
+            raise ValueError(_dead_colors(seen_colors, p, len(edges)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "p", p)
@@ -315,11 +314,20 @@ def parse_graph(text: str) -> ColoredGraph:
         )
     present = {c for _, _, c in edges}
     if len(present) != p:
-        dead = sorted(set(range(1, p + 1)) - present)
-        raise FormatError(
-            f"line {header_lineno}: colors {dead} are declared but appear on no edge"
-        )
+        raise FormatError(f"line {header_lineno}: {_dead_colors(present, p, m)}")
     return ColoredGraph._trusted(n, tuple(edges), p)
+
+
+def _dead_colors(present: Collection[int], p: int, m: int) -> str:
+    """Name the colors of 1..p that no edge of m carries.
+
+    Only colors up to m + 1 are listed, one or more of which is dead, and
+    the rest are counted, so a huge declared p costs O(m) time and text.
+    """
+    dead = [c for c in range(1, min(p, m + 1) + 1) if c not in present]
+    more = p - len(present) - len(dead)
+    listed = f"{dead} and {more} more" if more else f"{dead}"
+    return f"colors {listed} are declared but appear on no edge"
 
 
 def serialize_graph(g: ColoredGraph) -> str:

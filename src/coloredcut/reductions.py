@@ -37,7 +37,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .errors import FormatError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _span, is_colorful
@@ -65,7 +64,7 @@ class ReductionArtifact:
 
     graph: ColoredGraph
     kind: ReductionKind
-    formula: Optional[CnfFormula]
+    formula: CnfFormula | None
     active_clauses: tuple[int, ...] = ()
     literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]] = field(
         default_factory=dict
@@ -325,143 +324,90 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
 
     The tree has one leaf per gadget (heap-ordered complete binary tree on m
     leaves; a single node when m = 1) attached to the gadget's lowest-index
-    maximum-degree vertex; every added edge gets a fresh color.  A vertex of
-    degree d >= 4 becomes a path on 2*max(1, d_int - 3) + 1 fresh vertices
-    (d_int counts its gadget neighbors): neighbors reached through the same
-    original triangle side stay contiguous, path ends adopt two neighbors,
-    every other odd path position one, and a tree edge moves to the second
-    path vertex.  Path edges carry fresh colors, so in any colorful cut the
-    path alternates sides and all attachment points land together, which is
-    what keeps the cut correspondence exact.
+    maximum-degree vertex; every added edge gets a fresh color.  Only clause
+    corners reach degree four.  Their edges split into bundles by position:
+    `multigraph_to_simple` writes triangle side e as edges 3e = (a, x) and
+    3e+2 = (y, b), with b the corner after a around the triangle, so the L
+    edges that end at a corner come from the previous corner and the R edges
+    that start there lead to the next one.  The corner becomes a path on
+    2*max(1, s - 1) + 1 fresh vertices, s = max(1, L - 1) + max(1, R - 1).
+    In edge order, the incoming bundle takes the first path vertex twice and
+    then every second vertex inward, the outgoing bundle likewise from the
+    last vertex, and a tree edge moves to the second path vertex.  Path
+    edges carry fresh colors, so in any colorful cut the path alternates
+    sides and all attachment points land together, which is what keeps the
+    cut correspondence exact.  The disjoint attachment blocks, oriented
+    around the triangle, keep every repaired triangle outerplanar, hence
+    free of K4 minors.
     """
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
     h = a.graph
     m = len(a.active_clauses)
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v, _ in h.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    n1 = h.n + 2 * m - 1
+    edges = [[u, v, c] for u, v, c in h.edges]
+    color_meaning = dict(a.color_meaning)
+    # incident[v]: (edge index, side of v in the edge), in edge order
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n1 + 1)]
+    for idx, (u, v, _) in enumerate(h.edges):
+        incident[u].append((idx, 0))
+        incident[v].append((idx, 1))
 
     # Gadget j's corners are 3j+1..3j+3, each of degree >= 2; its subdivision
     # vertices have degree 2 and higher numbers, so the gadget's lowest-index
     # maximum-degree vertex is its first corner of maximum degree.
-    attach = [max(range(3 * j + 1, 3 * j + 4), key=lambda v: len(adj[v])) for j in range(m)]
+    degree = [len(ends) for ends in incident]
+    attach = [max(range(3 * j + 1, 3 * j + 4), key=degree.__getitem__) for j in range(m)]
 
     # binary tree on m leaves, heap order: nodes 1..2m-1, leaves m..2m-1
-    new_pairs: list[tuple[int, int]] = []
-    for t in range(1, m):
-        new_pairs.append((h.n + t, h.n + 2 * t))
-        new_pairs.append((h.n + t, h.n + 2 * t + 1))
-    for j in range(m):
-        new_pairs.append((attach[j], h.n + m - 1 + j + 1))
-
-    combined: list[tuple[int, int, int]] = list(h.edges)
-    color_meaning = dict(a.color_meaning)
-    for u, v in new_pairs:
+    tree = [(h.n + t // 2, h.n + t) for t in range(2, 2 * m)]
+    tree += [(attach[j], h.n + m + j) for j in range(m)]
+    for u, v in tree:
+        incident[u].append((len(edges), 0))
+        incident[v].append((len(edges), 1))
         color = len(color_meaning) + 1
-        combined.append((u, v, color))
         color_meaning[color] = ("fresh",)
-    n1 = h.n + 2 * m - 1
+        edges.append([u, v, color])
 
     vertex_meaning = dict(a.vertex_meaning)
     for t in range(1, 2 * m):
         vertex_meaning[h.n + t] = ("tree", t)
 
-    incident: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for idx, (u, v, _) in enumerate(combined):
-        incident[u].append((idx, 0, v))
-        incident[v].append((idx, 1, u))
-
-    def far_corner(corner: int, subdiv: int) -> int:
-        """The corner at the other end of the 2-subdivision path from `corner`."""
-        mid = next(w for w in adj[subdiv] if w != corner)
-        return next(w for w in adj[mid] if w != subdiv)
-
-    def block_fill(path: list[int], count: int, from_left: bool) -> list[int]:
-        """Attachment vertices for `count` edges at one end of the path: the
-        end vertex takes two, then every second vertex inward takes one."""
-        if from_left:
-            slots = [path[0], path[0]] + [path[i] for i in range(2, len(path), 2)]
-        else:
-            slots = [path[-1], path[-1]] + [
-                path[i] for i in range(len(path) - 3, -1, -2)
-            ]
-        return slots[:count]
-
-    endpoint_override: dict[tuple[int, int], int] = {}
-    extra_pairs: list[tuple[int, int]] = []
-    removed: set[int] = set()
+    split: set[int] = set()
     next_id = n1
-    for v in sorted(incident):
-        items = incident[v]
-        if len(items) < 4:
+    for v, ends in enumerate(incident):
+        if len(ends) < 4:
             continue
-        # only clause-gadget corners ever exceed degree three
-        tree_items = [it for it in items if it[2] > h.n]
-        gadget_items = [it for it in items if it[2] <= h.n]
-        groups: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for it in gadget_items:
-            groups[far_corner(v, it[2])].append(it)
-        # orient the two bundles around the triangle: the one toward the
-        # cyclically next corner goes to the right end of the path, the one
-        # toward the previous corner to the left end.  Together with the
-        # disjoint attachment blocks this keeps every repaired triangle
-        # outerplanar, hence free of K4 minors.
-        _, _, t = a.vertex_meaning[v]
-        succ = t % 3 + 1
-        left_items: list[tuple[int, int, int]] = []
-        right_items: list[tuple[int, int, int]] = []
-        for corner, grp in sorted(groups.items()):
-            if a.vertex_meaning[corner][2] == succ:
-                right_items = grp
-            else:
-                left_items = grp
-        left_slots = max(1, len(left_items) - 1) if left_items else 0
-        right_slots = max(1, len(right_items) - 1) if right_items else 0
-        path_len = 2 * max(1, left_slots + right_slots - 1) + 1
-        path = list(range(next_id + 1, next_id + path_len + 1))
-        next_id += path_len
-        for (idx, side, _), target in zip(
-            left_items, block_fill(path, len(left_items), from_left=True)
-        ):
-            endpoint_override[(idx, side)] = target
-        for (idx, side, _), target in zip(
-            right_items, block_fill(path, len(right_items), from_left=False)
-        ):
-            endpoint_override[(idx, side)] = target
-        for idx, side, _ in tree_items:
-            endpoint_override[(idx, side)] = path[1]
-        extra_pairs.extend((path[i], path[i + 1]) for i in range(path_len - 1))
-        removed.add(v)
-        old = vertex_meaning.pop(v)
+        sides = [side for idx, side in ends if idx < h.m]
+        slots = max(1, sides.count(1) - 1) + max(1, sides.count(0) - 1)
+        path = list(range(next_id + 1, next_id + 2 * max(1, slots - 1) + 2))
+        next_id = path[-1]
+        # side 0 leads to the next corner: right end; side 1: left end
+        targets = (iter([path[-1], *path[::-2]]), iter([path[0], *path[::2]]))
+        for idx, side in ends:
+            edges[idx][side] = next(targets[side]) if idx < h.m else path[1]
+        for w, x in zip(path, path[1:]):
+            color = len(color_meaning) + 1
+            color_meaning[color] = ("fresh",)
+            edges.append([w, x, color])
+        split.add(v)
+        _, j, t = vertex_meaning.pop(v)
         for pos, w in enumerate(path, start=1):
-            vertex_meaning[w] = ("subdiv", "corner", old[1], old[2], pos)
+            vertex_meaning[w] = ("subdiv", "corner", j, t, pos)
 
-    survivors = [v for v in range(1, n1 + 1) if v not in removed]
-    survivors.extend(range(n1 + 1, next_id + 1))
+    survivors = [v for v in range(1, next_id + 1) if v not in split]
     rename = {old: new for new, old in enumerate(survivors, start=1)}
-
-    final_edges: list[tuple[int, int, int]] = []
-    for idx, (u, v, c) in enumerate(combined):
-        u2 = endpoint_override.get((idx, 0), u)
-        v2 = endpoint_override.get((idx, 1), v)
-        final_edges.append((rename[u2], rename[v2], c))
-    for u, v in extra_pairs:
-        color = len(color_meaning) + 1
-        color_meaning[color] = ("fresh",)
-        final_edges.append((rename[u], rename[v], color))
-
-    graph = ColoredGraph(len(survivors), tuple(final_edges), len(color_meaning))
+    graph = ColoredGraph(
+        len(survivors),
+        tuple((rename[u], rename[v], c) for u, v, c in edges),
+        len(color_meaning),
+    )
     return ReductionArtifact(
         graph,
         ReductionKind.K4MF,
         a.formula,
         a.active_clauses,
-        {
-            key: indices  # middle edges never touch a split vertex
-            for key, indices in a.literal_edge_map.items()
-        },
+        dict(a.literal_edge_map),  # middle edges never touch a split vertex
         color_meaning,
         {rename[v]: meaning for v, meaning in vertex_meaning.items()},
     )

@@ -7,8 +7,8 @@ bool.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .errors import CapExceededError, FormatError, InvariantError
 
@@ -132,7 +132,7 @@ def _assignment_from_index(index: int, var_count: int) -> Assignment:
 
 def _first_assignment(
     f: CnfFormula, cap: int, name: str, accepts: Callable[[CnfFormula, Assignment], bool]
-) -> Optional[Assignment]:
+) -> Assignment | None:
     """First assignment in lexicographic order (false < true) that `accepts`, or None."""
     if f.var_count > cap:
         raise CapExceededError(
@@ -145,12 +145,12 @@ def _first_assignment(
     return None
 
 
-def brute_force_sat(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignment]:
+def brute_force_sat(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Assignment | None:
     """First satisfying assignment in lexicographic order (false < true), or None."""
     return _first_assignment(f, cap, "SAT", satisfies)
 
 
-def brute_force_nae(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignment]:
+def brute_force_nae(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Assignment | None:
     """First assignment (same order as brute_force_sat) where every clause is
     not-all-equal, or None."""
     # the cap refusal comes first, so short clauses are only checked under it
@@ -163,7 +163,7 @@ def brute_force_nae(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Optional[Assignm
 # DPLL
 
 
-def _propagate(active: list[list[int]], asg: Assignment) -> Optional[list[list[int]]]:
+def _propagate(active: list[list[int]], asg: Assignment) -> list[list[int]] | None:
     """Unit-propagate, strip assigned literals, drop satisfied clauses.
 
     Mutates asg with the forced values; returns the simplified clause list,
@@ -196,7 +196,7 @@ def _propagate(active: list[list[int]], asg: Assignment) -> Optional[list[list[i
         active = next_active
 
 
-def _search(active: list[list[int]], asg: Assignment) -> Optional[Assignment]:
+def _search(active: list[list[int]], asg: Assignment) -> Assignment | None:
     while True:
         if not active:
             return asg
@@ -227,7 +227,7 @@ def _search(active: list[list[int]], asg: Assignment) -> Optional[Assignment]:
         return None
 
 
-def dpll_solve(f: CnfFormula) -> Optional[Assignment]:
+def dpll_solve(f: CnfFormula) -> Assignment | None:
     """Deterministic DPLL: unit propagation, pure-literal elimination, and
     branching on the smallest-index unassigned variable, true branch first.
 

@@ -500,6 +500,30 @@ def test_import_leaves_networkx_unloaded(graph_file):
         "lazy = ('networkx', 'dataclasses', 'typing', 'coloredcut.reductions', 'coloredcut.sat')\n"
         "print([m for m in lazy if m in sys.modules])\n"
     )
+    assert _run_isolated(probe) == ["True", "[0, 1, 0, 0, 0, 0, 1, 0]", "[]"]
+
+
+def test_generate_and_verify_leave_typing_unloaded(cnf_file, tmp_path):
+    # the generators and the SAT tools load, but their annotations need no
+    # `typing` either
+    base = str(tmp_path / "k4mf")
+    argvs = [
+        ["generate", "--reduction", "k4mf", "--cnf", cnf_file, "--output", base],
+        ["verify", "--kind", "k4mf", "--graph", base + ".ecg", "--provenance", base + ".prov"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from coloredcut.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'coloredcut.reductions' in sys.modules, 'typing' in sys.modules)\n"
+    )
+    assert _run_isolated(probe) == ["[0, 0] True False"]
+
+
+def _run_isolated(probe):
+    """Stdout lines of `probe` run in a child with -S and this checkout's
+    package on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -508,7 +532,7 @@ def test_import_leaves_networkx_unloaded(graph_file):
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines() == ["True", "[0, 1, 0, 0, 0, 0, 1, 0]", "[]"]
+    return result.stdout.splitlines()
 
 
 def test_package_surface(monkeypatch):

@@ -7,22 +7,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coloredcut import (
+    CnfFormula,
     ColoredGraph,
     Cut,
     FormatError,
+    ReductionArtifact,
+    ReductionKind,
+    assignment_to_cut,
+    augment_cut,
     brute_force_max,
+    claim1_bound,
     color_span,
+    colorful_cut_decide,
     cut_colors,
     cut_edges,
+    cut_to_assignment,
     dedupe_edges,
     distinct_pairs_of_color,
     encode_colorful_to_cnf,
     is_colorful,
     kernelize_colors,
+    make_k4mf_connected,
+    multigraph_to_simple,
     parse_cut,
     parse_dimacs,
     parse_graph,
     parse_provenance,
+    sat_to_multigraph,
     serialize_cut,
     serialize_graph,
 )
@@ -244,6 +255,11 @@ def test_parse_graph_errors_name_lines():
             "c x\n\np ecg 3 1 2\ne 1 2 1\n",
             "line 3: colors [2] are declared but appear on no edge",
         ),
+        (
+            parse_graph,
+            "p ecg 2 1 2000000\ne 1 2 1\n",
+            "line 1: colors [2] and 1999998 more are declared but appear on no edge",
+        ),
         (parse_graph, "c only a comment\n", "line 1: missing 'p ecg' header"),
         (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "line 2: cut file must contain exactly one"),
         (lambda t: parse_cut(t, 4), "", "line 1: cut file must contain exactly one"),
@@ -259,10 +275,59 @@ def test_parse_graph_errors_name_lines():
     ],
 )
 def test_parse_errors_name_the_line(parse, text, message):
-    # the message opens with the offending line wherever one is to blame
+    # the message opens with the offending line wherever one is to blame,
+    # and stays short whatever the header declares
     with pytest.raises(FormatError) as exc:
         parse(text)
     assert str(exc.value).startswith(message)
+    assert len(str(exc.value)) < 200
+
+
+def _k4mf_with_a_colorful_cut():
+    a = sat_to_multigraph(CnfFormula(1, ((1, -1, 1),)))
+    c = make_k4mf_connected(multigraph_to_simple(a))
+    return c, colorful_cut_decide(c.graph)
+
+
+_NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, None)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ColoredGraph(-1, (), 0), "vertex count must be nonnegative, got -1"),
+        (lambda: ColoredGraph(2, (), -1), "color count must be nonnegative, got -1"),
+        (
+            lambda: ColoredGraph(2, ((1, 2, 1),), 2_000_000),
+            "colors [2] and 1999998 more are declared but appear on no edge",
+        ),
+        (
+            lambda: cut_colors(RAINBOW_TRIANGLE, Cut(4, {1})),
+            "cut is over 1..4 but graph has 3 vertices",
+        ),
+        (lambda: color_span(RAINBOW_TRIANGLE, 4), "color 4 outside 1..3"),
+        (lambda: distinct_pairs_of_color(RAINBOW_TRIANGLE, 0), "color 0 outside 1..3"),
+        (lambda: claim1_bound(-1), "bound argument must be nonnegative, got -1"),
+        (
+            lambda: augment_cut(RAINBOW_TRIANGLE, [], Cut(4, {1})),
+            "cut is over 1..4 but graph has 3 vertices",
+        ),
+        (lambda: assignment_to_cut(_NO_FORMULA, {}), "artifact carries no source formula"),
+        (
+            lambda: cut_to_assignment(_NO_FORMULA, Cut(3, {1})),
+            "artifact carries no source formula",
+        ),
+        (
+            lambda: cut_to_assignment(*_k4mf_with_a_colorful_cut()),
+            "no cut-to-assignment recipe for kind k4mf",
+        ),
+        (lambda: CnfFormula(-1, ()), "variable count must be nonnegative, got -1"),
+    ],
+)
+def test_bad_arguments_name_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_parse_cut():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -28,6 +29,7 @@ from coloredcut import (
     parse_provenance,
     sat_to_multigraph,
     satisfies,
+    serialize_graph,
     serialize_provenance,
     strip_single_polarity,
     verify_series_parallel,
@@ -329,24 +331,29 @@ def test_k4mf_literal_map_keeps_pair_colors():
             assert c.graph.edges[new_e][2] == b.graph.edges[old_e][2]
 
 
+# six clauses over four variables with slot multiplicities up to three;
+# an earlier repair layout produced a K4 minor on exactly this formula
+K4MF_HEAVY = CnfFormula(
+    4,
+    (
+        (3, 1, 4),
+        (-4, -2, 3),
+        (-1, 2, -3),
+        (2, -3, 4),
+        (2, -4, -3),
+        (-4, -2, -1),
+    ),
+)
+
+# see test_k4mf_tree_leaf_attaches_to_first_corner_of_maximum_degree
+K4MF_TIE = CnfFormula(3, ((1, 2, 2), (-1, -2, -2), (3, -3, 3)))
+
+
 def test_k4mf_heavy_multiplicity_regression():
-    # six clauses over four variables with slot multiplicities up to three;
-    # an earlier repair layout produced a K4 minor on exactly this formula
-    f = CnfFormula(
-        4,
-        (
-            (3, 1, 4),
-            (-4, -2, 3),
-            (-1, 2, -3),
-            (2, -3, 4),
-            (2, -4, -3),
-            (-4, -2, -1),
-        ),
-    )
-    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f)))
+    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(K4MF_HEAVY)))
     report = verify_structural(c)
     assert report.all_passed, [i for i in report.items if not i.passed]
-    assert oracle_sat(f) is not None
+    assert oracle_sat(K4MF_HEAVY) is not None
     assert colorful_cut_decide(c.graph) is not None
 
 
@@ -355,8 +362,7 @@ def test_k4mf_tree_leaf_attaches_to_first_corner_of_maximum_degree():
     # slot's multiplicity is the number of opposite-polarity occurrences of
     # its variable.  Clauses 1 and 2 give corner degrees 3, 3, 4; clause 3
     # gives 2, 3, 3, a tie that the lower corner wins.
-    f = CnfFormula(3, ((1, 2, 2), (-1, -2, -2), (3, -3, 3)))
-    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f)))
+    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(K4MF_TIE)))
     assert verify_structural(c).all_passed
     # heap order: tree nodes 3, 4, 5 are the leaves of clauses 1, 2, 3
     leaves = {
@@ -391,6 +397,25 @@ def test_k4mf_random_structure_and_sat_direction():
         assert report.all_passed, (f, [i for i in report.items if not i.passed])
         if oracle_sat(f) is not None:
             assert colorful_cut_decide(c.graph) is not None
+
+
+@pytest.mark.parametrize(
+    "f,shape,digest",
+    [
+        (DEMO, (42, 47, 41), "b6e5b4c1f8a3a1ac"),
+        (K4MF_HEAVY, (163, 190, 170), "4be5e6dda6aaa020"),
+        (K4MF_TIE, (48, 55, 48), "945e8df7c7aa111f"),
+        (random_3cnf(random.Random(16), 20, 40), (1058, 1227, 1111), "ecadf6cc15eb05c1"),
+    ],
+    ids=["demo", "heavy", "tie", "random-20-40"],
+)
+def test_k4mf_output_is_pinned(f, shape, digest):
+    # the structural tests above accept many layouts; these pins hold the
+    # exact vertex numbering, edge order, colors and provenance
+    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f)))
+    assert (c.graph.n, c.graph.m, c.graph.p) == shape
+    text = serialize_graph(c.graph) + serialize_provenance(c)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_k4mf_rejects_wrong_kind():
