@@ -55,11 +55,14 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None) -> None:
+def _answer(line: str, body: str, output: str | None) -> None:
+    """Print the answer line and then body, or write body to output first so
+    that a failed write prints no answer."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(line + "\n" + body)
     else:
-        _write(output, text)
+        _write(output, body)
+        print(line)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -69,8 +72,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         witness = greedy_half_colors(g)
     value = len(cut_colors(g, witness))
-    print(f"value {value}")
-    _emit(serialize_cut(witness), args.output)
+    _answer(f"value {value}", serialize_cut(witness), args.output)
     if args.k is not None:
         return 0 if value >= args.k else 1
     return 0
@@ -81,8 +83,7 @@ def _cmd_colorful(args: argparse.Namespace) -> int:
     if cut is None:
         print("colorful no")
         return 1
-    print("colorful yes")
-    _emit(serialize_cut(cut), args.output)
+    _answer("colorful yes", serialize_cut(cut), args.output)
     return 0
 
 
@@ -92,8 +93,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
         if args.k is not None:
             raise ValueError("-k requires --param k")
         outcome = kernelize_colors(g)
-        print(f"removed {len(outcome.removed_colors)} colors, p' {outcome.reduced_graph.p}")
-        _emit(serialize_graph(outcome.reduced_graph), args.output)
+        line = f"removed {len(outcome.removed_colors)} colors, p' {outcome.reduced_graph.p}"
+        _answer(line, serialize_graph(outcome.reduced_graph), args.output)
         return 0
     if args.k is None:
         raise ValueError("--param k requires -k")
@@ -102,11 +103,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
         print("early yes")
         print(f"removed {len(outcome.removed_colors)} colors, k' {outcome.remaining_k}")
         return 0
-    print(
+    line = (
         f"removed {len(outcome.removed_colors)} colors,"
         f" p' {outcome.reduced_graph.p}, k' {outcome.remaining_k}"
     )
-    _emit(serialize_graph(outcome.reduced_graph), args.output)
+    _answer(line, serialize_graph(outcome.reduced_graph), args.output)
     return 0
 
 

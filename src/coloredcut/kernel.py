@@ -185,6 +185,9 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
     """
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
+    for color in removed_colors:
+        if not 1 <= color <= g.p:
+            raise ValueError(f"color {color} outside 1..{g.p}")
     if not removed_colors:
         return cut
     # Exact duplicates follow their first copy, so they change neither the

@@ -143,13 +143,6 @@ def sat_to_multigraph(f: CnfFormula) -> ReductionArtifact:
         raise ValueError("no clauses left after removing single-polarity variables")
     clauses = [f.clauses[j] for j in kept]
     pos, neg = _occurrences(clauses)
-    occ_index: dict[tuple[int, int], tuple[int, int, bool]] = {}
-    for i, occs in pos.items():
-        for number, (j, slot) in enumerate(occs, start=1):
-            occ_index[(j, slot)] = (i, number, True)
-    for i, occs in neg.items():
-        for number, (j, slot) in enumerate(occs, start=1):
-            occ_index[(j, slot)] = (i, number, False)
 
     pair_color: dict[tuple[int, int, int], int] = {}
     color_meaning: dict[int, tuple] = {}
@@ -162,24 +155,23 @@ def sat_to_multigraph(f: CnfFormula) -> ReductionArtifact:
 
     edges: list[tuple[int, int, int]] = []
     literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]] = {}
+    vertex_meaning: dict[int, tuple] = {}
+    seen: Counter[int] = Counter()  # occurrences of each literal numbered so far
     for j, clause in enumerate(clauses):
-        for slot in range(1, 4):
+        for slot, lit in enumerate(clause, start=1):
+            vertex_meaning[3 * j + slot] = ("corner", j + 1, slot)
             off_a, off_b = _SLOT_CORNERS[slot]
             a, b = 3 * j + off_a, 3 * j + off_b
-            var, number, positive = occ_index[(j, slot)]
+            var, positive = abs(lit), lit > 0
+            seen[lit] += 1
+            number = seen[lit]
             partners = len(neg[var]) if positive else len(pos[var])
-            indices = []
+            first = len(edges)
             for other in range(1, partners + 1):
                 key = (var, number, other) if positive else (var, other, number)
-                indices.append(len(edges))
                 edges.append((a, b, pair_color[key]))
-            literal_edge_map[(var, number, positive)] = tuple(indices)
-
-    n = 3 * len(clauses)
-    vertex_meaning = {
-        3 * j + t: ("corner", j + 1, t) for j in range(len(clauses)) for t in (1, 2, 3)
-    }
-    graph = ColoredGraph(n, tuple(edges), len(pair_color))
+            literal_edge_map[(var, number, positive)] = tuple(range(first, len(edges)))
+    graph = ColoredGraph(3 * len(clauses), tuple(edges), len(pair_color))
     return ReductionArtifact(
         graph,
         ReductionKind.PLANAR_MULTI,
@@ -516,48 +508,34 @@ def nae_to_cliques(f: CnfFormula) -> ReductionArtifact:
     pos, neg = _occurrences(list(f.clauses))
     occurring = sorted(set(pos) | set(neg))
 
-    a_id = {var: 3 * m + 2 * r + 1 for r, var in enumerate(occurring)}
-    b_id = {var: 3 * m + 2 * r + 2 for r, var in enumerate(occurring)}
-    n = 3 * m + 2 * len(occurring)
-
     edges: list[tuple[int, int, int]] = []
     color_meaning: dict[int, tuple] = {}
+    vertex_meaning: dict[int, tuple] = {}
     for j in range(m):
         c1, c2, c3 = 3 * j + 1, 3 * j + 2, 3 * j + 3
         edges.extend([(c1, c2, j + 1), (c1, c3, j + 1), (c2, c3, j + 1)])
         color_meaning[j + 1] = ("clause", j + 1)
-
-    def occ_vertex(occ: tuple[int, int]) -> int:
-        j, slot = occ
-        return 3 * j + slot
+        for t in (1, 2, 3):
+            vertex_meaning[3 * j + t] = ("corner", j + 1, t)
 
     literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]] = {}
     fresh = m
-    for var in occurring:
-        for number, occ in enumerate(pos.get(var, []), start=1):
+    for r, var in enumerate(occurring):
+        for positive, hub in ((True, 3 * m + 2 * r + 1), (False, 3 * m + 2 * r + 2)):
+            vertex_meaning[hub] = ("a" if positive else "b", var)
+            occs = pos[var] if positive else neg[var]
+            for number, (j, slot) in enumerate(occs, start=1):
+                fresh += 1
+                literal_edge_map[(var, number, positive)] = (len(edges),)
+                edges.append((hub, 3 * j + slot, fresh))
+                color_meaning[fresh] = ("fresh",)
+        if pos[var] and neg[var]:
+            (pj, ps), (nj, ns) = pos[var][0], neg[var][0]
             fresh += 1
-            literal_edge_map[(var, number, True)] = (len(edges),)
-            edges.append((a_id[var], occ_vertex(occ), fresh))
-            color_meaning[fresh] = ("fresh",)
-        for number, occ in enumerate(neg.get(var, []), start=1):
-            fresh += 1
-            literal_edge_map[(var, number, False)] = (len(edges),)
-            edges.append((b_id[var], occ_vertex(occ), fresh))
-            color_meaning[fresh] = ("fresh",)
-        if pos.get(var) and neg.get(var):
-            fresh += 1
-            edges.append((occ_vertex(pos[var][0]), occ_vertex(neg[var][0]), fresh))
+            edges.append((3 * pj + ps, 3 * nj + ns, fresh))
             color_meaning[fresh] = ("fresh",)
 
-    vertex_meaning: dict[int, tuple] = {}
-    for j in range(m):
-        for t in (1, 2, 3):
-            vertex_meaning[3 * j + t] = ("corner", j + 1, t)
-    for var in occurring:
-        vertex_meaning[a_id[var]] = ("a", var)
-        vertex_meaning[b_id[var]] = ("b", var)
-
-    graph = ColoredGraph(n, tuple(edges), fresh)
+    graph = ColoredGraph(3 * m + 2 * len(occurring), tuple(edges), fresh)
     return ReductionArtifact(
         graph,
         ReductionKind.NAE_CLIQUES,

@@ -666,11 +666,13 @@ def test_unwritable_output_is_exit_2(graph_file, cnf_file, capsys, tmp_path):
     missing = str(tmp_path / "no" / "such" / "out")
     for argv in (
         ["solve", graph_file(TRIANGLE), "--output", missing],
+        ["colorful", graph_file(C4), "--output", missing],
         ["kernelize", graph_file(STAR), "--output", missing],
         ["generate", "--reduction", "nae", "--cnf", cnf_file, "--output", missing],
     ):
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 2
+        assert out == ""  # no answer line for a run that failed
         assert err.startswith(f"error: cannot write {missing}")
 
 

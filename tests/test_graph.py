@@ -312,6 +312,11 @@ _NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, No
             lambda: augment_cut(RAINBOW_TRIANGLE, [], Cut(4, {1})),
             "cut is over 1..4 but graph has 3 vertices",
         ),
+        (
+            lambda: augment_cut(ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2), [3], Cut(2, {1})),
+            "color 3 outside 1..2",
+        ),
+        (lambda: augment_cut(RAINBOW_TRIANGLE, [-1], Cut(3, {1})), "color -1 outside 1..3"),
         (lambda: assignment_to_cut(_NO_FORMULA, {}), "artifact carries no source formula"),
         (
             lambda: cut_to_assignment(_NO_FORMULA, Cut(3, {1})),

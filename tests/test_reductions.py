@@ -35,6 +35,7 @@ from coloredcut import (
     verify_series_parallel,
     verify_structural,
 )
+from coloredcut.reductions import _GENERATORS
 
 from helpers import (
     all_3var_formulas,
@@ -399,20 +400,49 @@ def test_k4mf_random_structure_and_sat_direction():
             assert colorful_cut_decide(c.graph) is not None
 
 
+R16 = random_3cnf(random.Random(16), 20, 40)
+R17 = random_3cnf(random.Random(17), 6, 10)
+
+
 @pytest.mark.parametrize(
-    "f,shape,digest",
+    "kind,f,shape,digest",
     [
-        (DEMO, (42, 47, 41), "b6e5b4c1f8a3a1ac"),
-        (K4MF_HEAVY, (163, 190, 170), "4be5e6dda6aaa020"),
-        (K4MF_TIE, (48, 55, 48), "945e8df7c7aa111f"),
-        (random_3cnf(random.Random(16), 20, 40), (1058, 1227, 1111), "ecadf6cc15eb05c1"),
+        ("k4mf", DEMO, (42, 47, 41), "b6e5b4c1f8a3a1ac"),
+        ("k4mf", K4MF_HEAVY, (163, 190, 170), "4be5e6dda6aaa020"),
+        ("k4mf", K4MF_TIE, (48, 55, 48), "945e8df7c7aa111f"),
+        ("k4mf", R16, (1058, 1227, 1111), "ecadf6cc15eb05c1"),
+        ("planar-multi", DEMO, (9, 12, 6), "8fb05c166f2a6ab0"),
+        ("planar-multi", R16, (93, 232, 116), "7ba41ff8171435d9"),
+        ("planar-simple", DEMO, (33, 36, 30), "4f3075a705c4208c"),
+        ("planar-simple", R16, (557, 696, 580), "d0f970b2a8a0b72b"),
+        ("oct1", DEMO, (7, 12, 6), "5bb9f7b98a0f02d8"),
+        ("oct1", R16, (63, 232, 116), "a1c9735f9b12afc3"),
+        ("complete", DEMO, (34, 561, 31), "94b68375e1e7bc3a"),
+        ("complete", R17, (183, 16653, 191), "e241ce9313246e2b"),
+        ("nae", NAE_DEMO, (15, 20, 14), "eeca1234a00504b8"),
+        ("nae", R16, (158, 257, 177), "65d481bc6b051296"),
     ],
-    ids=["demo", "heavy", "tie", "random-20-40"],
+    ids=[
+        "k4mf-demo",
+        "k4mf-heavy",
+        "k4mf-tie",
+        "k4mf-random-20-40",
+        "planar-multi-demo",
+        "planar-multi-random-20-40",
+        "planar-simple-demo",
+        "planar-simple-random-20-40",
+        "oct1-demo",
+        "oct1-random-20-40",
+        "complete-demo",
+        "complete-random-6-10",
+        "nae-demo",
+        "nae-random-20-40",
+    ],
 )
-def test_k4mf_output_is_pinned(f, shape, digest):
-    # the structural tests above accept many layouts; these pins hold the
-    # exact vertex numbering, edge order, colors and provenance
-    c = make_k4mf_connected(multigraph_to_simple(sat_to_multigraph(f)))
+def test_construction_output_is_pinned(kind, f, shape, digest):
+    # the structural tests accept many layouts; these pins hold the exact
+    # vertex numbering, edge order, colors and provenance that `generate` writes
+    c = _GENERATORS[ReductionKind(kind)](f)
     assert (c.graph.n, c.graph.m, c.graph.p) == shape
     text = serialize_graph(c.graph) + serialize_provenance(c)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
