@@ -120,7 +120,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     artifact = _GENERATORS[kind](formula)
     g = artifact.graph
     _write(args.output + ".ecg", serialize_graph(g))
-    _write(args.output + ".prov", serialize_provenance(artifact))
+    try:
+        _write(args.output + ".prov", serialize_provenance(artifact))
+    except FormatError:
+        Path(args.output + ".ecg").unlink()  # write both files or neither
+        raise
     print(f"generated {kind.value}: n {g.n} m {g.m} p {g.p}")
     print(f"wrote {args.output}.ecg and {args.output}.prov")
     return 0

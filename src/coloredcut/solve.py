@@ -6,11 +6,13 @@ Three routes:
   vertices an edge touches (exact, capped), bit-parallel over big-int truth
   tables of the masks, first optimum in increasing mask order,
 * a greedy placement that always crosses at least half the colors,
-* colorful cut: one trailed parity union-find contracts the forced
-  crossings, is settled onto the quotient, and is then searched in place
-  depth-first without recursion, branching on the first edge of the color
-  with the fewest edges and contracting again at every node, down to the
-  node where no color is left to cross.
+* colorful cut: one BFS labels the colors with a single endpoint pair,
+  which must cross; one trailed parity union-find, seeded with those labels
+  as depth-one stars, contracts the other colors' forced crossings, is
+  settled onto the quotient, and is then searched in place depth-first
+  without recursion, branching on the first edge of the color with the
+  fewest edges and contracting again at every node, down to the node where
+  no color is left to cross.
 
 The CNF encoding of colorful cut stays public as a test oracle; no route
 hands it to DPLL.
@@ -28,7 +30,7 @@ from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
-from .graph import ColoredGraph, Cut, _color_classes, _Record, cut_colors, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _Record, cut_colors, is_colorful
 from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
 
 BRUTE_FORCE_CAP = 24
@@ -250,19 +252,23 @@ class _Contraction:
     colors and edges they drop can be undone.
 
     Every vertex has a root and a parity, and side(v) = side(root) ^
-    parity(v).  A color's live edges (u, v, flip) cross iff side(u) ^
-    side(v) ^ flip.  Unions go by weight (the color incidences on a class,
-    heavier root kept), so a find climbs O(log m) links without path
-    compression.  Each union, color update and dropped color is pushed on
-    the trail, and `undo` pops back to a mark.  `settle` recounts the
-    weights over the live edges alone and forgets the trail, so a search
-    that starts after it weighs and moves quotient incidences only.
+    parity(v).  It starts from `up`, links (parent, parity) that are already
+    made, and a color's live edges (u, v, flip) between roots cross iff
+    side(u) ^ side(v) ^ flip.  Unions go by weight (the color incidences on
+    a class, heavier root kept), so a find climbs O(log m) links above the
+    starting links without path compression.  Each union, color update and
+    dropped color is pushed on the trail, and `undo` pops back to a mark.
+    `settle` recounts the weights over the live edges alone and forgets the
+    trail, so a search that starts after it weighs and moves quotient
+    incidences only.
     """
 
     __slots__ = ("up", "touching", "live", "trail")
 
-    def __init__(self, colors: dict[int, list[tuple[int, int, int]]]) -> None:
-        self.up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, parity to it)
+    def __init__(
+        self, up: dict[int, tuple[int, int]], colors: dict[int, list[tuple[int, int, int]]]
+    ) -> None:
+        self.up = up  # vertex -> (parent, parity to it)
         self.live = colors
         self.settle()
 
@@ -305,20 +311,26 @@ class _Contraction:
         all join the same two classes with the same relative parity must
         cross there, so those classes are united with the parity that makes
         it cross.  Otherwise the color keeps one edge (a, b, flip) per
-        distinct quotient edge, with roots a < b.
+        distinct quotient edge, with roots a < b.  `find` and `unite` are
+        written out in the loop: it is the colorful route's hot path.
         """
-        live, trail = self.live, self.trail
+        live, trail, up, touching = self.live, self.trail, self.up, self.touching
         queue = deque(c for c in dict.fromkeys(colors) if c in live)
         queued = set(queue)
         while queue:
             c = queue.popleft()
             queued.discard(c)
             keys: dict[tuple[int, int, int], None] = {}
-            for u, v, flip in live[c]:
-                (a, x), (b, y) = self.find(u), self.find(v)
+            for a, b, flip in live[c]:
+                while a in up:
+                    a, step = up[a]
+                    flip ^= step
+                while b in up:
+                    b, step = up[b]
+                    flip ^= step
                 if a != b:
-                    keys[(a, b, x ^ y ^ flip) if a < b else (b, a, x ^ y ^ flip)] = None
-                elif x ^ y ^ flip:
+                    keys[(a, b, flip) if a < b else (b, a, flip)] = None
+                elif flip:
                     break  # always crosses: the color is satisfied
             else:
                 if not keys:
@@ -328,7 +340,13 @@ class _Contraction:
                     live[c] = list(keys)
                     continue
                 ((a, b, flip),) = keys
-                for d in self.unite(a, b, flip):
+                if len(touching[a]) < len(touching[b]):
+                    a, b = b, a
+                up[b] = (a, flip ^ 1)
+                trail.append((b, a, len(touching[a])))
+                moved = touching.pop(b)
+                touching[a] += moved
+                for d in moved:
                     if d != c and d in live and d not in queued:
                         queue.append(d)
                         queued.add(d)
@@ -350,30 +368,63 @@ class _Contraction:
                 del touching[a][count:]
 
 
+def _root_contraction(g: ColoredGraph) -> _Contraction | None:
+    """The settled `_Contraction` of g's forced crossings, or None when some
+    color can never cross.
+
+    A color with one distinct endpoint pair must cross on it, so one BFS
+    labels the graph of those pairs, vertices taken in increasing order: a
+    pair with equal parities closes an odd cycle of must-cross edges, and
+    otherwise every labelled vertex links to its component's root (its
+    smallest vertex) with its depth parity.  The union-find starts from
+    those depth-one stars and holds only the other colors, each edge moved
+    onto its endpoints' roots, and one `propagate` runs them to a fixpoint.
+    """
+    classes = _color_classes(g)
+    forced = [next(iter(pairs)) for pairs in classes if len(pairs) == 1]
+    labels = _bfs_labels(sorted({x for pair in forced for x in pair}), forced)
+    if any(labels[u][1] == labels[v][1] for u, v in forced):
+        return None
+    colors: dict[int, list[tuple[int, int, int]]] = {}
+    for c, pairs in enumerate(classes):
+        if len(pairs) != 1:
+            edges = colors[c] = []
+            for u, v in pairs:
+                a, x = labels.get(u, (u, 0))
+                b, y = labels.get(v, (v, 0))
+                edges.append((a, b, x ^ y))
+    up = {v: label for v, label in labels.items() if label[0] != v}
+    state = _Contraction(up, colors)
+    if not state.propagate(list(colors)):
+        return None
+    state.settle()
+    return state
+
+
 def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     """A cut crossing all p colors, or None if no such cut exists.
 
-    One `_Contraction` over the color classes of g first contracts the
-    forced crossings to a fixpoint and is settled, so that branch unions move
-    only quotient incidences.  A depth-first search without recursion then
-    branches on the first edge of the live color with the fewest edges, which
-    crosses in the first branch and not in the second, and propagates forced
-    crossings after every branch.  A branch whose propagation leaves some
-    color with no live edge backtracks; once no color is live every color
-    crosses, whatever side each class takes.  Every root sits on S, so a
-    touched vertex is on S iff its parity to its root is 0, and vertices no
-    edge touches sit on T.  With p >= 1 a colorful cut crosses an edge, so it
-    is nontrivial.  The cut is recounted on g before it is returned.
+    `_root_contraction` settles the forced crossings first: one BFS labels
+    the colors with a single endpoint pair, and one `_Contraction` seeded
+    with those labels contracts the other colors to a fixpoint, so that
+    branch unions move only quotient incidences.  A depth-first search
+    without recursion then branches on the first edge of the live color with
+    the fewest edges, which crosses in the first branch and not in the
+    second, and propagates forced crossings after every branch.  A branch
+    whose propagation leaves some color with no live edge backtracks; once
+    no color is live every color crosses, whatever side each class takes.
+    Every root sits on S, so a touched vertex is on S iff its parity to its
+    root is 0, and vertices no edge touches sit on T.  With p >= 1 a
+    colorful cut crosses an edge, so it is nontrivial.  The cut is recounted
+    on g before it is returned.
     """
     if g.n < 2:
         return None  # there is no nontrivial bipartition at all
     if g.p == 0:
         return Cut(g.n, frozenset({1}))
-    classes = _color_classes(g)
-    state = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
-    if not state.propagate(range(len(classes))):
+    state = _root_contraction(g)
+    if state is None:
         return None
-    state.settle()
     live = state.live
     stack: list[tuple[int, int, int, int]] = []  # (trail mark, a, b, flip) of untried branches
     ok = True
@@ -387,7 +438,7 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
         else:
             return None
         ok = state.propagate(state.unite(a, b, flip))
-    touched = {v for pairs in classes for pair in pairs for v in pair}
+    touched = {x for u, v, _ in g.edges for x in (u, v)}
     cut = Cut(g.n, frozenset(v for v in touched if not state.find(v)[1]))
     if not is_colorful(g, cut):
         raise InvariantError("the lifted quotient assignment is not a colorful cut")

@@ -12,6 +12,10 @@ import random
 
 from coloredcut import CnfFormula, ColoredGraph
 
+# the settled contraction that `colorful_cut_decide` searches from, or None
+# when some color can never cross
+from coloredcut.solve import _root_contraction as root_contraction
+
 
 def oracle_max_cut_colors(g: ColoredGraph) -> int:
     """Maximum number of crossing colors over all bipartitions, by direct
@@ -217,18 +221,6 @@ def unsat_3cnf_draws(clause_count: int, count: int = 3) -> list[CnfFormula]:
         if brute_force_sat(f) is None:
             draws.append(f)
     return draws
-
-
-def root_contraction(g: ColoredGraph):
-    """The `_Contraction` that `colorful_cut_decide` builds over g's color
-    classes, after its root propagation: None when some color can never
-    cross."""
-    from coloredcut.graph import _color_classes
-    from coloredcut.solve import _Contraction
-
-    classes = _color_classes(g)
-    state = _Contraction({c: [(u, v, 0) for u, v in pairs] for c, pairs in enumerate(classes)})
-    return state if state.propagate(range(len(classes))) else None
 
 
 def all_3var_formulas(max_clauses: int):

@@ -676,6 +676,18 @@ def test_unwritable_output_is_exit_2(graph_file, cnf_file, capsys, tmp_path):
         assert err.startswith(f"error: cannot write {missing}")
 
 
+def test_generate_leaves_no_graph_when_the_provenance_write_fails(cnf_file, capsys, tmp_path):
+    (tmp_path / "base.prov").mkdir()
+    base = str(tmp_path / "base")
+    code, out, err = run(
+        capsys, ["generate", "--reduction", "nae", "--cnf", cnf_file, "--output", base]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {base}.prov: ")
+    assert not (tmp_path / "base.ecg").exists()
+
+
 def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("coloredcut.solve.cut_colors", lambda g, cut: frozenset())

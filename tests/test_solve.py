@@ -399,6 +399,51 @@ def test_contraction_cascades_to_a_fixpoint():
     assert colorful_cut_decide(g) == Cut(4, frozenset({1, 4}))
 
 
+# single-pair colors, some listed twice or in both orientations: a chain
+# 1..8 (colors 1-7) and a tree on 9..15 (colors 8-13), each numbered so that
+# its two halves are joined last; color 14 stays live, color 15 crosses by
+# parity and color 16 stays live
+SINGLE_PAIR_CHAIN = (
+    (1, 2, 1), (2, 1, 1), (3, 2, 2), (3, 4, 3), (6, 5, 4),
+    (6, 7, 5), (8, 7, 6), (7, 8, 6), (4, 5, 7),
+)
+SINGLE_PAIR_TREE = ((9, 10, 8), (11, 9, 9), (9, 12, 10), (13, 14, 11), (15, 13, 12), (10, 13, 13))
+TWO_PAIR_COLORS = ((1, 9, 14), (2, 9, 14), (3, 6, 15), (4, 7, 15), (10, 16, 16), (11, 17, 16))
+
+
+@pytest.mark.parametrize(
+    "g, colorful",
+    [
+        (ColoredGraph(17, SINGLE_PAIR_CHAIN + SINGLE_PAIR_TREE + TWO_PAIR_COLORS, 16), True),
+        # an odd cycle of single-pair colors, each edge in both orientations
+        (
+            ColoredGraph(
+                6,
+                ((1, 2, 1), (2, 1, 1), (2, 3, 2), (3, 2, 2), (3, 1, 3), (1, 3, 3))
+                + ((4, 5, 4), (5, 6, 4)),
+                4,
+            ),
+            False,
+        ),
+    ],
+    ids=["chain-and-tree", "odd-cycle"],
+)
+def test_root_contraction_links_single_pair_colors_to_their_root(g, colorful):
+    state = root_contraction(g)
+    assert (colorful_cut_decide(g) is not None) == colorful == (brute_force_max(g).value == g.p)
+    if not colorful:
+        assert state is None
+        return
+    pairs: dict[int, set] = {}
+    for u, v, c in g.edges:
+        pairs.setdefault(c - 1, set()).add(frozenset((u, v)))
+    single = [c for c, ps in pairs.items() if len(ps) == 1]
+    for c in single:
+        for v in next(iter(pairs[c])):
+            assert v not in state.up or state.up[v][0] not in state.up
+    assert not set(single) & set(state.live)
+
+
 def test_contraction_cascade_against_color_order_stays_fast():
     # colors L and L+1 are single edges; color i < L joins i to i+1 and i+3,
     # which cross together only once i+1 and i+3 are forced to one side, that
