@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FormatError, InvariantError
-from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _span, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -453,16 +453,14 @@ def embed_complete(g: ColoredGraph) -> ColoredGraph:
     """
     if g.n < 2:
         raise ValueError(f"need at least two vertices, got {g.n}")
-    pairs = {frozenset((u, v)) for u, v, _ in g.edges}
-    if len(pairs) != g.m:
+    adj, repeat = _adjacency(g)
+    if repeat is not None:
         raise ValueError("input has parallel edges")
     fresh = g.p + 1
-    new_edges = [
-        (u, v, fresh)
-        for u in range(1, g.n + 2)
-        for v in range(u + 1, g.n + 2)
-        if frozenset((u, v)) not in pairs
-    ]
+    new_edges = []
+    for u in range(1, g.n + 2):
+        near = adj.get(u, ())
+        new_edges.extend((u, v, fresh) for v in range(u + 1, g.n + 2) if v not in near)
     return ColoredGraph(g.n + 1, g.edges + tuple(new_edges), fresh)
 
 
@@ -566,17 +564,38 @@ _GENERATORS = {
 # verifiers
 
 
-def verify_series_parallel(g: ColoredGraph) -> bool:
-    """True iff g has no K4 minor, by exhaustive reduction: delete vertices of
-    degree at most one, smooth degree-two vertices.  Adjacency sets merge the
-    parallel edges that smoothing creates, and smoothing never raises a degree,
-    so a worklist of degree-two-or-less vertices makes the reduction linear."""
+def _adjacency(g: ColoredGraph) -> tuple[dict[int, set[int]], tuple[int, int] | None]:
+    """Neighbour sets of the vertices that edges touch, and the endpoints
+    (u, v), as written, of the first edge in edge order that joins a pair an
+    earlier edge already joined (None when g is simple)."""
     adj: dict[int, set[int]] = {}
+    repeat = None
     for u, v, _ in g.edges:
-        if v in adj.setdefault(u, set()):
-            raise ValueError("input has parallel edges")
-        adj[u].add(v)
+        if repeat is None and v in adj.get(u, ()):
+            repeat = (u, v)
+        adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
+    return adj, repeat
+
+
+def verify_series_parallel(g: ColoredGraph) -> bool:
+    """True iff g has no K4 minor; raises ValueError on parallel edges.
+
+    Builds g's adjacency with `_adjacency`, the same one the K4-minor-free
+    checks of `verify_structural` read, and reduces it with `_reduces_away`.
+    """
+    adj, repeat = _adjacency(g)
+    if repeat is not None:
+        raise ValueError("input has parallel edges")
+    return _reduces_away(adj)
+
+
+def _reduces_away(adj: dict[int, set[int]]) -> bool:
+    """True iff the simple graph `adj` has no K4 minor (Duffin), by exhaustive
+    reduction: delete vertices of degree at most one, smooth degree-two
+    vertices.  Adjacency sets merge the parallel edges that smoothing creates,
+    and smoothing never raises a degree, so a worklist of degree-two-or-less
+    vertices makes the reduction linear.  Consumes `adj`."""
     work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while work:
         v = work.pop()
@@ -610,19 +629,10 @@ class StructureReport:
         return all(item.passed for item in self.items)
 
 
-def _check_connected(g: ColoredGraph) -> CheckItem:
-    if g.n == 0:
-        return CheckItem("connected", False, "graph has no vertices")
-    pairs = [e[:2] for e in g.edges]  # with n >= 2 every vertex needs an edge
-    ok = g.n == 1 or (len({x for e in pairs for x in e}) == g.n and _span(pairs) == 1)
-    return CheckItem("connected", ok, "" if ok else "graph is disconnected")
-
-
 def _check_max_degree(g: ColoredGraph, limit: int) -> CheckItem:
-    degree = Counter()
-    for u, v, _ in g.edges:
-        degree[u] += 1
-        degree[v] += 1
+    # parallel edges count, so the degree comes from the edges, not `_adjacency`
+    degree = Counter(u for u, _, _ in g.edges)
+    degree.update(v for _, v, _ in g.edges)
     bad = min((v for v, d in degree.items() if d > limit), default=None)
     if bad is None:
         return CheckItem(f"max-degree-{limit}", True)
@@ -644,22 +654,40 @@ def _check_class_sizes(g: ColoredGraph, limit: int, exact: bool) -> CheckItem:
     return CheckItem(name, False, f"color {bad} has {sizes[bad]} edges")
 
 
-def _check_simple(g: ColoredGraph) -> CheckItem:
-    seen: set[frozenset[int]] = set()
-    for u, v, _ in g.edges:
-        pair = frozenset((u, v))
-        if pair in seen:
-            return CheckItem("simple", False, f"parallel edges between {u} and {v}")
-        seen.add(pair)
-    return CheckItem("simple", True)
+def _check_simple(repeat: tuple[int, int] | None) -> CheckItem:
+    """The simple item from `_adjacency`'s first repeated pair."""
+    if repeat is None:
+        return CheckItem("simple", True)
+    return CheckItem("simple", False, "parallel edges between {} and {}".format(*repeat))
 
 
-def _check_series_parallel(g: ColoredGraph) -> CheckItem:
-    try:
-        ok = verify_series_parallel(g)
-    except ValueError as exc:  # parallel edges: the simple check names them
-        return CheckItem("series-parallel", False, str(exc))
-    return CheckItem("series-parallel", ok, "" if ok else "a K4 minor remains")
+def _check_k4mf(g: ColoredGraph) -> list[CheckItem]:
+    """The five K4-minor-free items, all read from one `_adjacency`."""
+    adj, repeat = _adjacency(g)
+    if g.n == 0:
+        connected = CheckItem("connected", False, "graph has no vertices")
+    else:
+        # n = 1 is connected; with n >= 2 every vertex needs an edge, so a key in adj
+        reached = {next(iter(adj))} if len(adj) == g.n else set()
+        queue = list(reached)
+        for v in queue:
+            new = adj[v] - reached
+            reached |= new
+            queue.extend(new)
+        ok = g.n == 1 or len(reached) == g.n
+        connected = CheckItem("connected", ok, "" if ok else "graph is disconnected")
+    if repeat is not None:  # the simple item names the pair
+        series_parallel = CheckItem("series-parallel", False, "input has parallel edges")
+    else:
+        ok = _reduces_away(adj)  # after the BFS: it consumes adj
+        series_parallel = CheckItem("series-parallel", ok, "" if ok else "a K4 minor remains")
+    return [
+        connected,
+        _check_max_degree(g, 3),
+        _check_class_sizes(g, 2, exact=False),
+        _check_simple(repeat),
+        series_parallel,
+    ]
 
 
 def _check_apex_bipartite(a: ReductionArtifact) -> CheckItem:
@@ -682,12 +710,17 @@ def _check_apex_bipartite(a: ReductionArtifact) -> CheckItem:
 
 
 def _check_complete(g: ColoredGraph) -> CheckItem:
-    pairs = {frozenset((u, v)) for u, v, _ in g.edges}
-    for u in range(1, g.n + 1):
-        for v in range(u + 1, g.n + 1):
-            if frozenset((u, v)) not in pairs:
-                return CheckItem("complete", False, f"missing edge between {u} and {v}")
-    return CheckItem("complete", True)
+    # distinct pairs within 1..n number n(n-1)/2 exactly when every pair is there
+    pairs = {(u, v) if u < v else (v, u) for u, v, _ in g.edges}
+    if len(pairs) == g.n * (g.n - 1) // 2:
+        return CheckItem("complete", True)
+    u, v = next(
+        (u, v)
+        for u in range(1, g.n + 1)
+        for v in range(u + 1, g.n + 1)
+        if (u, v) not in pairs
+    )
+    return CheckItem("complete", False, f"missing edge between {u} and {v}")
 
 
 def _check_clique_classes(g: ColoredGraph) -> CheckItem:
@@ -702,20 +735,19 @@ def _check_clique_classes(g: ColoredGraph) -> CheckItem:
 
 
 def verify_structural(a: ReductionArtifact) -> StructureReport:
-    """Kind-specific structural checklist for a generated graph."""
+    """Kind-specific structural checklist for a generated graph.
+
+    The K4-minor-free kind builds one adjacency (`_adjacency`) and reads its
+    connected, simple and series-parallel items from it; the series-parallel
+    item fails on parallel edges, which the simple item names.
+    """
     g = a.graph
     if a.kind is ReductionKind.PLANAR_MULTI:
         items = [_check_class_sizes(g, 2, exact=True)]
     elif a.kind is ReductionKind.PLANAR_SIMPLE:
-        items = [_check_simple(g), _check_class_sizes(g, 2, exact=False)]
+        items = [_check_simple(_adjacency(g)[1]), _check_class_sizes(g, 2, exact=False)]
     elif a.kind is ReductionKind.K4MF:
-        items = [
-            _check_connected(g),
-            _check_max_degree(g, 3),
-            _check_class_sizes(g, 2, exact=False),
-            _check_simple(g),
-            _check_series_parallel(g),
-        ]
+        items = _check_k4mf(g)
     elif a.kind is ReductionKind.OCT_ONE:
         items = [_check_class_sizes(g, 2, exact=True), _check_apex_bipartite(a)]
     elif a.kind is ReductionKind.COMPLETE:
@@ -735,36 +767,48 @@ _VERTEX_TAGS = {"corner", "a", "b", "tree", "subdiv", "apex"}
 
 
 def serialize_provenance(a: ReductionArtifact) -> str:
-    lines = []
-    for c in sorted(a.color_meaning):
-        lines.append("color " + str(c) + " " + " ".join(str(x) for x in a.color_meaning[c]))
-    for v in sorted(a.vertex_meaning):
-        lines.append("vertex " + str(v) + " " + " ".join(str(x) for x in a.vertex_meaning[v]))
+    colors, vertices = a.color_meaning, a.vertex_meaning
+    lines = [f"color {c} {' '.join(map(str, colors[c]))}" for c in sorted(colors)]
+    lines += [f"vertex {v} {' '.join(map(str, vertices[v]))}" for v in sorted(vertices)]
     return "\n".join(lines) + "\n"
 
 
+class _Tokens(dict):
+    """Token -> value: int(t) for an optionally signed run of decimal digits,
+    else t itself.  Each distinct token is converted once per parse."""
+
+    def __missing__(self, t: str) -> int | str:
+        value = self[t] = int(t) if t.removeprefix("-").isdecimal() else t
+        return value
+
+
 def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
-    """Parse a provenance sidecar into (color_meaning, vertex_meaning)."""
-    color_meaning: dict[int, tuple] = {}
-    vertex_meaning: dict[int, tuple] = {}
+    """Parse a provenance sidecar into (color_meaning, vertex_meaning).
+
+    An id may appear once per section; a repeat is a FormatError.
+    """
+    sections = {
+        "color": (_COLOR_TAGS, {}, {}),  # (tags, meaning, id -> line of its definition)
+        "vertex": (_VERTEX_TAGS, {}, {}),
+    }
+    convert = _Tokens().__getitem__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        if len(tokens) < 3 or tokens[0] not in ("color", "vertex"):
+        if len(tokens) < 3 or tokens[0] not in sections:
             raise FormatError(f"line {lineno}: malformed provenance line {raw!r}")
         try:
             ident = int(tokens[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer id in {raw!r}")
-        tag = tokens[2]
-        args = tuple(int(t) if t.removeprefix("-").isdecimal() else t for t in tokens[3:])
-        if tokens[0] == "color":
-            if tag not in _COLOR_TAGS:
-                raise FormatError(f"line {lineno}: unknown color tag {tag!r}")
-            color_meaning[ident] = (tag, *args)
-        else:
-            if tag not in _VERTEX_TAGS:
-                raise FormatError(f"line {lineno}: unknown vertex tag {tag!r}")
-            vertex_meaning[ident] = (tag, *args)
-    return color_meaning, vertex_meaning
+        tags, meaning, defined = sections[tokens[0]]
+        if tokens[2] not in tags:
+            raise FormatError(f"line {lineno}: unknown {tokens[0]} tag {tokens[2]!r}")
+        first = defined.setdefault(ident, lineno)
+        if first != lineno:
+            raise FormatError(
+                f"line {lineno}: {tokens[0]} {ident} already defined on line {first}"
+            )
+        meaning[ident] = tuple(map(convert, tokens[2:]))  # no tag is a number
+    return sections["color"][1], sections["vertex"][1]

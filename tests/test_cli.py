@@ -620,6 +620,8 @@ def test_malformed_graph_is_exit_2(capsys, tmp_path):
          "vertex 1 hub\n", "line 1: unknown vertex tag"),
         (["verify", "--kind", "graph", "--graph", "GRAPH", "--cut"],
          "s 1 9\n", "line 1: cut vertex outside 1..3"),
+        (["verify", "--kind", "oct1", "--graph", "GRAPH", "--provenance"],
+         "vertex 1 apex\nvertex 1 corner 1 1\n", "line 2: vertex 1 already defined on line 1"),
     ],
 )
 def test_malformed_inputs_are_exit_2(argv, text, message, graph_file, capsys, tmp_path):

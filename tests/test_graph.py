@@ -272,6 +272,16 @@ def test_parse_graph_errors_name_lines():
         (parse_dimacs, "p cnf 3 1\n1 b 3 0\n", "line 2: non-integer literal"),
         (parse_dimacs, "c only a comment\n", "line 1: missing 'p cnf' header"),
         (parse_provenance, "color 1 fresh\nvertex 2 hub\n", "line 2: unknown vertex tag"),
+        (
+            parse_provenance,
+            "color 1 fresh\ncolor 01 clause 1\n",
+            "line 2: color 1 already defined on line 1",
+        ),
+        (
+            parse_provenance,
+            "vertex 1 apex\n\nvertex 1 corner 1 1\n",
+            "line 3: vertex 1 already defined on line 1",
+        ),
     ],
 )
 def test_parse_errors_name_the_line(parse, text, message):

@@ -527,6 +527,8 @@ def test_embed_complete_output_is_complete():
 def test_embed_complete_rejections():
     with pytest.raises(ValueError):
         embed_complete(ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2))
+    with pytest.raises(ValueError, match="input has parallel edges"):
+        embed_complete(ColoredGraph(2, ((1, 2, 1), (2, 1, 2)), 2))
     with pytest.raises(ValueError):
         embed_complete(ColoredGraph(1, (), 0))
 
@@ -772,6 +774,58 @@ def test_verify_structural_reports_counterexamples():
     assert list(failed) == ["apex-removal-bipartite"]
     assert "odd cycle" in failed["apex-removal-bipartite"]
 
+    # every item pinned: parallel edges in both orientations, a degree-4
+    # vertex, a three-edge color and a second component
+    multi_fault = ColoredGraph(
+        7,
+        ((1, 2, 1), (1, 3, 2), (2, 1, 3), (1, 4, 2), (3, 4, 2), (5, 6, 4), (6, 7, 4)),
+        4,
+    )
+    k4 = ColoredGraph(
+        4, ((1, 2, 1), (1, 3, 1), (1, 4, 2), (2, 3, 2), (2, 4, 3), (3, 4, 3)), 3
+    )
+    # six edges on four vertices, one pair doubled and one pair missing
+    doubled = ColoredGraph(
+        4, ((1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 3, 4), (2, 1, 5), (3, 4, 6)), 6
+    )
+    cases = [
+        (
+            multi_fault,
+            ReductionKind.K4MF,
+            [
+                ("connected", False, "graph is disconnected"),
+                ("max-degree-3", False, "vertex 1 has degree 4"),
+                ("color-class-size-le-2", False, "color 2 has 3 edges"),
+                ("simple", False, "parallel edges between 2 and 1"),
+                ("series-parallel", False, "input has parallel edges"),
+            ],
+        ),
+        (
+            k4,
+            ReductionKind.K4MF,
+            [
+                ("connected", True, ""),
+                ("max-degree-3", True, ""),
+                ("color-class-size-le-2", True, ""),
+                ("simple", True, ""),
+                ("series-parallel", False, "a K4 minor remains"),
+            ],
+        ),
+        (
+            multi_fault,
+            ReductionKind.PLANAR_SIMPLE,
+            [
+                ("simple", False, "parallel edges between 2 and 1"),
+                ("color-class-size-le-2", False, "color 2 has 3 edges"),
+            ],
+        ),
+        (doubled, ReductionKind.COMPLETE, [("complete", False, "missing edge between 2 and 4")]),
+    ]
+    for g, kind, expected in cases:
+        report = verify_structural(ReductionArtifact(g, kind, None))
+        got = [(item.name, item.passed, item.detail) for item in report.items]
+        assert got == expected, (kind, g)
+
 
 def test_connected_check_counts_untouched_vertices():
     triangle = ((1, 2, 1), (2, 3, 1), (1, 3, 2))
@@ -839,3 +893,10 @@ def test_provenance_skips_blank_lines():
     colors, vertices = parse_provenance("\ncolor 2 fresh\n\nvertex 4 apex\n")
     assert colors == {2: ("fresh",)}
     assert vertices == {4: ("apex",)}
+
+
+def test_provenance_ids_are_per_section():
+    # a color and a vertex may share an id; only a repeat within one is an error
+    colors, vertices = parse_provenance("color 1 fresh\nvertex 1 apex\n")
+    assert colors == {1: ("fresh",)}
+    assert vertices == {1: ("apex",)}
