@@ -28,12 +28,10 @@ from .kernel import (
 )
 from .solve import (
     BRUTE_FORCE_CAP,
-    ColorfulEncoding,
     SolveResult,
     brute_force_max,
     colorful_cut_decide,
     decide_max,
-    encode_colorful_to_cnf,
     greedy_half_colors,
     solve_via_kernel,
 )
@@ -71,9 +69,11 @@ _LAZY = {
     **dict.fromkeys(
         (
             "CnfFormula",
+            "ColorfulEncoding",
             "brute_force_nae",
             "brute_force_sat",
             "dpll_solve",
+            "encode_colorful_to_cnf",
             "nae_satisfies",
             "parse_dimacs",
             "satisfies",

@@ -24,6 +24,7 @@ from pathlib import Path
 from .errors import CapExceededError, FormatError
 from .graph import (
     ColoredGraph,
+    _check_int_fields,
     _color_classes,
     _span,
     cut_colors,
@@ -39,6 +40,15 @@ from .solve import BRUTE_FORCE_CAP, colorful_cut_decide, greedy_half_colors, sol
 # The `ReductionKind` values, spelled out so that building the parser does not
 # load reductions.py: only `generate` and `verify --kind <construction>` use it.
 _KINDS = ("planar-multi", "planar-simple", "k4mf", "oct1", "complete", "nae")
+
+
+def _int_arg(text: str) -> int:
+    """Read an integer flag by the rule of the files' integer fields."""
+    try:
+        _check_int_fields([text])
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _read(path: str) -> str:
@@ -190,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="maximize the number of cut colors")
     p_solve.add_argument("graph", help="edge-colored graph file")
-    p_solve.add_argument("-k", type=int, default=None, help="exit 0 iff value >= k")
+    p_solve.add_argument("-k", type=_int_arg, default=None, help="exit 0 iff value >= k")
     p_solve.add_argument("--algo", choices=("kernel", "greedy"), default="kernel")
-    p_solve.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP, help="most vertices searched")
+    p_solve.add_argument("--cap", type=_int_arg, default=BRUTE_FORCE_CAP, help="most vertices searched")
     p_solve.add_argument("--output", default=None, help="write the cut here")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker = sub.add_parser("kernelize", help="remove colors that always cross")
     p_ker.add_argument("graph")
     p_ker.add_argument("--param", choices=("colors", "k"), default="colors")
-    p_ker.add_argument("-k", type=int, default=None)
+    p_ker.add_argument("-k", type=_int_arg, default=None)
     p_ker.add_argument("--output", default=None, help="write the reduced graph here")
     p_ker.set_defaults(func=_cmd_kernelize)
 
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--cut", default=None)
     p_ver.add_argument("--provenance", default=None)
-    p_ver.add_argument("--expect-colors", type=int, default=None)
+    p_ver.add_argument("--expect-colors", type=_int_arg, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_stat = sub.add_parser("stats", help="per-color summary")

@@ -258,6 +258,15 @@ def dedupe_edges(g: ColoredGraph) -> ColoredGraph:
 # ECG text format
 
 
+def _check_int_fields(tokens: list[str]) -> None:
+    """Raise ValueError when a token holds `_` or a non-ASCII character.
+    `int` takes those as digit separators and digits, but an integer field
+    of the text formats is a sign and ASCII digits."""
+    for t in tokens:
+        if "_" in t or not t.isascii():
+            raise ValueError(f"not a plain integer: {t!r}")
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the ECG format.  Raises FormatError naming the offending line.
 
@@ -265,6 +274,8 @@ def parse_graph(text: str) -> ColoredGraph:
     line, so the graph is built without a second pass over the edges.
     """
     lines = text.splitlines()
+    # one check of the whole text spares most files a check per line
+    plain = text.isascii() and "_" not in text
     header: list[str] | None = None
     header_lineno = 0
     edges: list[Edge] = []
@@ -281,6 +292,8 @@ def parse_graph(text: str) -> ColoredGraph:
             if len(tokens) != 5 or tokens[1] != "ecg":
                 raise FormatError(f"line {lineno}: malformed header {raw!r}")
             try:
+                if not plain:
+                    _check_int_fields(tokens[2:])
                 n, m, p = int(tokens[2]), int(tokens[3]), int(tokens[4])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in header {raw!r}")
@@ -296,6 +309,8 @@ def parse_graph(text: str) -> ColoredGraph:
         if len(tokens) != 4:
             raise FormatError(f"line {lineno}: malformed edge line {raw!r}")
         try:
+            if not plain:
+                _check_int_fields(tokens[1:])
             u, v, c = int(tokens[1]), int(tokens[2]), int(tokens[3])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer field in edge line {raw!r}")
@@ -349,6 +364,7 @@ def parse_cut(text: str, n: int) -> Cut:
     if tokens[0] != "s" or len(tokens) < 2:
         raise FormatError(f"line {lineno}: malformed cut line {line!r}")
     try:
+        _check_int_fields(tokens[1:])
         verts = [int(t) for t in tokens[1:]]
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer vertex in cut line {line!r}")

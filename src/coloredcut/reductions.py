@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FormatError, InvariantError
-from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, is_colorful
+from .graph import ColoredGraph, Cut, _bfs_labels, _check_int_fields, _color_classes, is_colorful
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -774,11 +774,11 @@ def serialize_provenance(a: ReductionArtifact) -> str:
 
 
 class _Tokens(dict):
-    """Token -> value: int(t) for an optionally signed run of decimal digits,
+    """Token -> value: int(t) for an optionally signed run of ASCII digits,
     else t itself.  Each distinct token is converted once per parse."""
 
     def __missing__(self, t: str) -> int | str:
-        value = self[t] = int(t) if t.removeprefix("-").isdecimal() else t
+        value = self[t] = int(t) if t.isascii() and t.removeprefix("-").isdecimal() else t
         return value
 
 
@@ -799,6 +799,7 @@ def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
         if len(tokens) < 3 or tokens[0] not in sections:
             raise FormatError(f"line {lineno}: malformed provenance line {raw!r}")
         try:
+            _check_int_fields(tokens[1:2])
             ident = int(tokens[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer id in {raw!r}")

@@ -1,4 +1,5 @@
-"""CNF formulas, DIMACS parsing, brute-force oracles, and a small DPLL solver.
+"""CNF formulas, the CNF encoding of colorful cut, DIMACS parsing,
+brute-force oracles, and a small DPLL solver.
 
 Literals use DIMACS conventions: variable i is the positive literal ``i``,
 its negation ``-i``.  Assignments are dicts mapping every variable 1..n to a
@@ -7,10 +8,12 @@ bool.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CapExceededError, FormatError, InvariantError
+from .graph import ColoredGraph, _check_int_fields
 
 Assignment = dict[int, bool]
 
@@ -36,6 +39,15 @@ class CnfFormula:
                     raise ValueError(f"clause {i + 1}: literal {lit} outside range")
 
 
+@dataclass(frozen=True)
+class ColorfulEncoding:
+    """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
+
+    formula: CnfFormula
+    vertex_var: dict[int, int]
+    aux_var: dict[int, int]
+
+
 def literal_true(lit: int, asg: Assignment) -> bool:
     return asg[abs(lit)] == (lit > 0)
 
@@ -52,6 +64,35 @@ def nae_satisfies(f: CnfFormula, asg: Assignment) -> bool:
         if all(values) or not any(values):
             return False
     return True
+
+
+def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
+    """CNF satisfiable iff g has a colorful cut: a test oracle for
+    `colorful_cut_decide`, which does not go through CNF.
+
+    Variables: x_v = v for v in 1..n (true means S side), z_e = n+1+e for
+    edge index e.  Clauses: four per edge tying z_e to x_u xor x_v, one per
+    color requiring some z_e of that class, and two blocking clauses that
+    forbid the trivial bipartitions.
+    """
+    if g.n < 2:
+        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
+    if g.p < 1:
+        raise ValueError("colorful cut encoding needs at least one color")
+    n = g.n
+    clauses: list[tuple[int, ...]] = []
+    aux_var = {e: n + 1 + e for e in range(g.m)}
+    by_color: dict[int, list[int]] = defaultdict(list)
+    for e, (u, v, c) in enumerate(g.edges):
+        z = aux_var[e]
+        clauses += ((-z, u, v), (-z, -u, -v), (z, u, -v), (z, -u, v))
+        by_color[c].append(z)
+    for c in range(1, g.p + 1):
+        clauses.append(tuple(by_color[c]))
+    clauses.append(tuple(range(1, n + 1)))
+    clauses.append(tuple(-v for v in range(1, n + 1)))
+    formula = CnfFormula(n + g.m, tuple(clauses))
+    return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +113,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {raw!r}")
             try:
+                _check_int_fields(tokens[2:])
                 header = (int(tokens[2]), int(tokens[3]))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in header {raw!r}")
@@ -81,6 +123,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if header is None:
             raise FormatError(f"line {lineno}: clause data before 'p cnf' header")
         try:
+            _check_int_fields(tokens)
             body.extend(int(t) for t in tokens)
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer literal in {raw!r}")

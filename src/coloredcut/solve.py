@@ -14,9 +14,6 @@ Three routes:
   fewest edges and contracting again at every node, down to the node where
   no color is left to cross.
 
-The CNF encoding of colorful cut stays public as a test oracle; no route
-hands it to DPLL.
-
 `solve_via_kernel` and `decide_max` share one route after the kernel: the
 exhaustive search of the reduced graph, then lift, `augment_cut` repair and
 a recount on the original graph.
@@ -53,22 +50,6 @@ class SolveResult(_Record):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "explored", explored)
-
-
-class ColorfulEncoding(_Record):
-    """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
-
-    __slots__ = ("formula", "vertex_var", "aux_var")
-    formula: CnfFormula  # from sat.py, which no solving path loads
-    vertex_var: dict[int, int]
-    aux_var: dict[int, int]
-
-    def __init__(
-        self, formula: CnfFormula, vertex_var: dict[int, int], aux_var: dict[int, int]
-    ) -> None:
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "vertex_var", vertex_var)
-        object.__setattr__(self, "aux_var", aux_var)
 
 
 def _periodic_tables(width: int) -> list[int]:
@@ -158,93 +139,42 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     return SolveResult(best_count, witness, "brute-force", (1 << (t - 1)) - 1)
 
 
-def _greedy_sides(g: ColoredGraph, gprime: list[tuple[int, int]]) -> frozenset[int]:
-    """Greedy placement over a one-edge-per-color subgraph of g.
+def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
+    """Greedy cut over the first edge of every color not in `removed_colors`,
+    repaired by `augment_cut` to cross the removed colors too.
 
     The vertices some edge of g touches are placed in increasing order on the
-    side with fewer already placed neighbors (ties to S), counting parallel
-    edges with multiplicity, so at least half of the subgraph's edges end up
-    crossing.  Untouched vertices stay on T, so the cost is O(m), not O(n).
-    When every smaller neighbor of w is on S, a subgraph edge (u, w) with
-    u < w puts w on T, so with a subgraph edge S never holds every vertex.
+    side with fewer already placed neighbors over those first edges (ties to
+    S), counting parallel edges with multiplicity, so at least half of the
+    first edges end up crossing.  Untouched vertices stay on T, so the cost
+    is O(m), not O(n).  When every smaller neighbor of w is on S, a first
+    edge (u, w) with u < w puts w on T, so with a first edge S never holds
+    every vertex; with none the S side is {1}.
     """
+    skip = set(removed_colors)
     adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in gprime:
-        adj[u].append(v)
-        adj[v].append(u)
+    for u, v, c in g.edges:
+        if c not in skip:
+            skip.add(c)  # later edges of c are not first edges
+            adj[u].append(v)
+            adj[v].append(u)
     s_side: set[int] = set()
     for v in sorted({x for u, w, _ in g.edges for x in (u, w)}):
         # placed neighbors are the smaller ones: count S minus T among them
         if sum(1 if w in s_side else -1 for w in adj.get(v, ()) if w < v) <= 0:
             s_side.add(v)
-    if not s_side:
-        s_side.add(1)  # g has no edges
-    return frozenset(s_side)
-
-
-def _first_edge_per_color(g: ColoredGraph, colors: set[int]) -> list[tuple[int, int]]:
-    first: dict[int, tuple[int, int]] = {}
-    for u, v, c in g.edges:
-        if c in colors and c not in first:
-            first[c] = (u, v)
-    return [first[c] for c in sorted(first)]
-
-
-def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
-    """Greedy cut over the first edge of every color the rule left, repaired
-    by `augment_cut` to cross the removed colors too."""
-    surviving = set(range(1, g.p + 1)) - set(removed_colors)
-    base = Cut(g.n, _greedy_sides(g, _first_edge_per_color(g, surviving)))
-    return augment_cut(g, removed_colors, base)
+    return augment_cut(g, removed_colors, Cut(g.n, s_side or {1}))
 
 
 def greedy_half_colors(g: ColoredGraph) -> Cut:
-    """A cut crossing at least ceil(p/2) colors, built greedily.
-
-    Keeps the first edge of each color in file order, then places the
-    touched vertices one by one on the side with fewer already-placed
-    neighbors in that subgraph (ties to S); untouched vertices go on T.  With
-    no edges at all the S side is {1}.
-    """
+    """A cut crossing at least ceil(p/2) colors, placed greedily over the
+    first edge of each color in file order (see `_greedy_cut`)."""
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     cut = _greedy_cut(g, ())
     if 2 * len(cut_colors(g, cut)) < g.p:
         raise InvariantError(f"greedy cut crosses fewer than half of {g.p} colors")
     return cut
-
-
-def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
-    """CNF satisfiable iff g has a colorful cut.
-
-    Variables: x_v = v for v in 1..n (true means S side), z_e = n+1+e for
-    edge index e.  Clauses: four per edge tying z_e to x_u xor x_v, one per
-    color requiring some z_e of that class, and two blocking clauses that
-    forbid the trivial bipartitions.
-    """
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if g.p < 1:
-        raise ValueError("colorful cut encoding needs at least one color")
-    from .sat import CnfFormula
-
-    n = g.n
-    clauses: list[tuple[int, ...]] = []
-    aux_var = {e: n + 1 + e for e in range(g.m)}
-    by_color: dict[int, list[int]] = defaultdict(list)
-    for e, (u, v, c) in enumerate(g.edges):
-        z = aux_var[e]
-        clauses.append((-z, u, v))
-        clauses.append((-z, -u, -v))
-        clauses.append((z, u, -v))
-        clauses.append((z, -u, v))
-        by_color[c].append(z)
-    for c in range(1, g.p + 1):
-        clauses.append(tuple(by_color[c]))
-    clauses.append(tuple(range(1, n + 1)))
-    clauses.append(tuple(-v for v in range(1, n + 1)))
-    formula = CnfFormula(n + g.m, tuple(clauses))
-    return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)
 
 
 class _Contraction:
@@ -485,8 +415,6 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if k < 1:
-        raise ValueError(f"target k must be at least 1, got {k}")
     outcome = kernelize_value(g, k)
     if outcome.verdict is KernelVerdict.EARLY_YES:
         base = _greedy_cut(g, outcome.removed_colors)

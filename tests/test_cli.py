@@ -73,6 +73,24 @@ def test_colorful_no_on_rainbow_triangle(graph_file, capsys):
     assert out.strip() == "colorful no"
 
 
+@pytest.mark.parametrize(
+    "argv,answer",
+    [
+        (["colorful", "GRAPH"], "colorful no"),
+        (["kernelize", "GRAPH", "--param", "k", "-k", "1"], "early yes"),
+    ],
+)
+def test_answers_without_a_body_leave_the_output_file_alone(
+    argv, answer, graph_file, capsys, tmp_path
+):
+    out_file = tmp_path / "kept.txt"
+    out_file.write_text("old\n")
+    argv = [graph_file(TRIANGLE) if a == "GRAPH" else a for a in argv]
+    _, out, _ = run(capsys, [*argv, "--output", str(out_file)])
+    assert out.splitlines()[0] == answer
+    assert out_file.read_text() == "old\n"
+
+
 def test_colorful_no_on_an_18_clause_planar_tail_graph(graph_file, capsys):
     # an unsatisfiable 4-variable formula whose planar-simple graph contracts
     # to a quotient of more than 50 classes
@@ -223,6 +241,33 @@ def test_removed_brute_force_flags_are_usage_errors(argv, graph_file, capsys):
         main([argv[0], graph_file(C4), *argv[1:]])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "GRAPH", "-k", "1_0"],
+        ["solve", "GRAPH", "--cap", "\uff12\uff10"],
+        ["kernelize", "GRAPH", "--param", "k", "-k", "\u0663"],
+        ["verify", "--kind", "graph", "--graph", "GRAPH", "--expect-colors", "1_0"],
+        ["solve", "GRAPH", "-k", "two"],
+    ],
+)
+def test_integer_flags_take_only_a_sign_and_ascii_digits(argv, graph_file, capsys):
+    argv = [graph_file(C4) if a == "GRAPH" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invalid int value: {argv[-1]!r}" in err
+
+
+def test_integer_flags_take_a_sign(graph_file, capsys):
+    code, out, _ = run(capsys, ["solve", graph_file(C4), "-k", "+4"])
+    assert (code, out.splitlines()[0]) == (0, "value 4")
+    code, _, _ = run(capsys, ["solve", graph_file(C4), "-k", "-1"])
+    assert code == 0
 
 
 # ------------------------------------------------------------------ kernelize
@@ -622,6 +667,7 @@ def test_malformed_graph_is_exit_2(capsys, tmp_path):
          "s 1 9\n", "line 1: cut vertex outside 1..3"),
         (["verify", "--kind", "oct1", "--graph", "GRAPH", "--provenance"],
          "vertex 1 apex\nvertex 1 corner 1 1\n", "line 2: vertex 1 already defined on line 1"),
+        (["stats"], "p ecg 1_0 1 1\ne 1 2 1\n", "line 1: non-integer field in header"),
     ],
 )
 def test_malformed_inputs_are_exit_2(argv, text, message, graph_file, capsys, tmp_path):

@@ -215,6 +215,9 @@ def test_parse_graph_roundtrip():
     g = parse_graph(text)
     assert g == RAINBOW_TRIANGLE
     assert parse_graph(serialize_graph(g)) == g
+    # a comment may hold any text; integer fields still split on any space
+    text = "c my_graph \uff12\np ecg 3 3 3\ne 1 2 1\ne 2\u00a03 2\ne 1 3 +3\n"
+    assert parse_graph(text) == RAINBOW_TRIANGLE
 
 
 def test_parse_graph_errors_name_lines():
@@ -240,6 +243,9 @@ def test_parse_graph_errors_name_lines():
         (parse_graph, "p ecg 3 -1 1\n", "line 1: negative count in header"),
         (parse_graph, "p ecg 3 1 1\ne 1 2\n", "line 2: malformed edge line"),
         (parse_graph, "p ecg 3 1 1\ne 1 x 1\n", "line 2: non-integer field in edge line"),
+        # `int` also takes `_` separators and non-ASCII digits
+        (parse_graph, "p ecg 1_0 1 1\ne 1 2 1\n", "line 1: non-integer field in header"),
+        (parse_graph, "p ecg 3 1 1\ne 1 \uff12 1\n", "line 2: non-integer field in edge line"),
         (parse_graph, "p ecg 3 1 1\n\ne 2 2 1\n", "line 3: self-loop at vertex 2"),
         (parse_graph, "p ecg 3 1 1\ne 1 2 2\n", "line 2: color 2 outside 1..1"),
         (parse_graph, "p ecg 3 2 1\ne 1 2 1\n\ne 1 4 1\n", "line 4: vertex outside 1..3"),
@@ -264,14 +270,20 @@ def test_parse_graph_errors_name_lines():
         (lambda t: parse_cut(t, 4), "s 1\ns 2\n", "line 2: cut file must contain exactly one"),
         (lambda t: parse_cut(t, 4), "", "line 1: cut file must contain exactly one"),
         (lambda t: parse_cut(t, 4), "s 1 two\n", "line 1: non-integer vertex"),
+        (lambda t: parse_cut(t, 20), "s 1_0\n", "line 1: non-integer vertex"),
+        (lambda t: parse_cut(t, 4), "s \u0663\n", "line 1: non-integer vertex"),
         (lambda t: parse_cut(t, 4), "s 1 5\n", "line 1: cut vertex outside 1..4"),
         (parse_dimacs, "p cnf 3 1\np cnf 3 1\n", "line 2: duplicate header"),
         (parse_dimacs, "p cnf three 1\n", "line 1: non-integer field in header"),
         (parse_dimacs, "p cnf 3 -1\n", "line 1: negative count in header"),
         (parse_dimacs, "c x\n1 2 3 0\np cnf 3 1\n", "line 2: clause data before"),
         (parse_dimacs, "p cnf 3 1\n1 b 3 0\n", "line 2: non-integer literal"),
+        (parse_dimacs, "p cnf 3_0 1\n1 -2 3 0\n", "line 1: non-integer field in header"),
+        (parse_dimacs, "p cnf 3 1\n1 -2 \uff13 0\n", "line 2: non-integer literal"),
         (parse_dimacs, "c only a comment\n", "line 1: missing 'p cnf' header"),
         (parse_provenance, "color 1 fresh\nvertex 2 hub\n", "line 2: unknown vertex tag"),
+        (parse_provenance, "color 1 fresh\nvertex 1_0 apex\n", "line 2: non-integer id"),
+        (parse_provenance, "vertex \u0663 apex\n", "line 1: non-integer id"),
         (
             parse_provenance,
             "color 1 fresh\ncolor 01 clause 1\n",
@@ -353,6 +365,10 @@ def test_parse_cut():
         parse_cut("s 1 2 3 4\n", 4)  # not proper
     with pytest.raises(FormatError):
         parse_cut("x 1\n", 4)
+    # a sign and ASCII digits only; any whitespace splits the fields
+    assert parse_cut("s +1\u00a03\n", 4) == Cut(4, frozenset({1, 3}))
+    with pytest.raises(FormatError):
+        parse_cut("s 1 \uff13\n", 4)  # full-width digit
 
 
 def test_serialize_cut_sorted():

@@ -880,13 +880,18 @@ def test_provenance_parse_errors():
         parse_provenance("edge 1 fresh\n")
     with pytest.raises(FormatError):
         parse_provenance("color 1\n")
+    with pytest.raises(FormatError):
+        parse_provenance("vertex 1_0 corner 3 1\n")  # `int` takes `_` separators
 
 
 def test_provenance_keeps_near_integers_as_strings():
-    # `--5` and `²` pass `lstrip("-").isdigit()` but `int()` rejects them
-    colors, vertices = parse_provenance("color 1 pair --5 ² -7 12\nvertex 2 tree -0\n")
-    assert colors == {1: ("pair", "--5", "²", -7, 12)}
-    assert vertices == {2: ("tree", 0)}
+    # `--5` and `²` pass `lstrip("-").isdigit()` but `int()` rejects them;
+    # `int()` reads `1_2` and the Arabic-Indic three, but they are not ASCII digits
+    colors, vertices = parse_provenance(
+        "color 1 pair --5 ² -7 12 1_2 -\u0663\nvertex 2 tree -0 \u0663\n"
+    )
+    assert colors == {1: ("pair", "--5", "²", -7, 12, "1_2", "-\u0663")}
+    assert vertices == {2: ("tree", 0, "\u0663")}
 
 
 def test_provenance_skips_blank_lines():

@@ -59,6 +59,10 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 1 1\n0\n")  # empty clause
     with pytest.raises(FormatError):
         parse_dimacs("p sat 1 1\n1 0\n")
+    with pytest.raises(FormatError):
+        parse_dimacs("p cnf 3_0 1\n1 -2 3 0\n")  # `int` takes `_` separators
+    with pytest.raises(FormatError):
+        parse_dimacs("p cnf 3 1\n1 -\u0662 3 0\n")  # and non-ASCII digits
 
 
 def test_dimacs_roundtrip():

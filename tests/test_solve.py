@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -196,6 +197,43 @@ def test_greedy_and_early_yes_put_untouched_vertices_on_t():
     for cut, s_side in ((greedy_half_colors(g), {2, 5}), (decide_max(g, 2)[1], {4, 5})):
         assert cut.s_side == s_side
         assert len(cut_colors(g, cut)) == 2
+
+
+def _pinned_corpus() -> list[ColoredGraph]:
+    """Seeded multigraphs with parallel edges, untouched vertices (vertex 1
+    among them on about half), and on every other draw a color the rule
+    removes."""
+    rng = random.Random(7)
+    corpus = []
+    for i in range(300):
+        g = _with_duplicates(rng, random_multigraph(rng, n_max=10, p_max=6))
+        if i % 2:
+            g = inflate_one_color(rng, g) or g
+        shift = rng.randint(0, 1)
+        edges = tuple((u + shift, v + shift, c) for u, v, c in g.edges)
+        corpus.append(ColoredGraph(g.n + shift + rng.randint(0, 2), edges, g.p))
+    return corpus
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_greedy_decide_and_encoding_outputs_are_pinned():
+    # sha256 prefixes of every greedy witness, every decide_max answer at
+    # k = 1..p+1 and every CNF encoding over one seeded corpus, so that a
+    # rewrite of these routes shows it gives the same bytes
+    corpus = _pinned_corpus()
+    assert sum(bool(kernelize_colors(g).removed_colors) for g in corpus) == 120
+    assert sum(1 not in {x for u, v, _ in g.edges for x in (u, v)} for g in corpus) == 151
+
+    def answer(g: ColoredGraph, k: int) -> str:
+        yes, cut = decide_max(g, k)
+        return f"{yes} {None if cut is None else sorted(cut.s_side)}"
+
+    assert _digest(repr(sorted(greedy_half_colors(g).s_side)) for g in corpus) == "0c1857323d6e7744"
+    assert _digest(answer(g, k) for g in corpus for k in range(1, g.p + 2)) == "a7876cc9e24d1cfa"
+    assert _digest(repr(encode_colorful_to_cnf(g)) for g in corpus) == "7f86c0aa0239b5d9"
 
 
 def test_greedy_half_and_below_optimum():
