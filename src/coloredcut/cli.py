@@ -159,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         elif kind is ReductionKind.OCT_ONE:
             vertex_meaning = {1: ("apex",)}  # the construction pins the apex there
         artifact = ReductionArtifact(
-            g, kind, None, (), {}, color_meaning, vertex_meaning
+            g, kind, None, color_meaning=color_meaning, vertex_meaning=vertex_meaning
         )
         report = verify_structural(artifact)
         results.extend((item.name, item.passed, item.detail) for item in report.items)

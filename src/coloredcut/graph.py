@@ -30,12 +30,17 @@ class _Record:
 
     Equality, hash and repr are those of a frozen dataclass with the same
     fields, without importing `dataclasses` (and `inspect`) at start-up.
-    Each subclass sets its fields in `__init__` through `object.__setattr__`.
-    Copy, deepcopy and pickle rebuild through the public constructor, since
-    slots assigned one by one on restore would hit `__setattr__`.
+    Each subclass checks its arguments in `__init__` and hands the values to
+    `_Record.__init__`, the one place that sets fields.  Copy, deepcopy and
+    pickle rebuild through the public constructor, since slots assigned one
+    by one on restore would hit `__setattr__`.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -92,18 +97,14 @@ class ColoredGraph(_Record):
             seen_colors.add(c)
         if len(seen_colors) != p:
             raise ValueError(_dead_colors(seen_colors, p, len(edges)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "p", p)
+        super().__init__(n, edges, p)
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...], p: int) -> ColoredGraph:
         """Build without checks, from ints that already pass every check of
         the constructor (as `parse_graph` makes sure, line by line)."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "p", p)
+        _Record.__init__(g, n, edges, p)
         return g
 
     @property
@@ -137,8 +138,7 @@ class Cut(_Record):
             raise ValueError(f"cut contains vertices outside 1..{n}")
         if len(s_side) == n:
             raise ValueError("cut is trivial: T side is empty")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s_side", s_side)
+        super().__init__(n, s_side)
 
     @property
     def t_side(self) -> frozenset[int]:

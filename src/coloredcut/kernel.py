@@ -67,12 +67,9 @@ class KernelOutcome(_Record):
         color_renaming: dict[int, int],
         vertex_renaming: dict[int, int],
     ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reduced_graph", reduced_graph)
-        object.__setattr__(self, "removed_colors", removed_colors)
-        object.__setattr__(self, "remaining_k", remaining_k)
-        object.__setattr__(self, "color_renaming", color_renaming)
-        object.__setattr__(self, "vertex_renaming", vertex_renaming)
+        super().__init__(
+            verdict, reduced_graph, removed_colors, remaining_k, color_renaming, vertex_renaming
+        )
 
 
 def claim1_bound(beta: int) -> int:

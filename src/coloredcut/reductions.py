@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import FormatError, InvariantError
@@ -56,10 +56,11 @@ class ReductionKind(Enum):
 class ReductionArtifact:
     """A generated graph plus the bookkeeping tying it back to its formula.
 
-    literal_edge_map sends (variable, occurrence index, is_positive) to the
-    0-based edge indices realizing that literal occurrence.  active_clauses
-    lists the 0-based indices of the source clauses that survived
-    preprocessing (all of them for the not-all-equal construction).
+    literal_edge_map, output data only, sends (variable, occurrence index,
+    is_positive) to the 0-based edge indices realizing that literal
+    occurrence.  active_clauses lists the 0-based indices of the source
+    clauses that survived preprocessing (all for the not-all-equal form).
+    A derived artifact shares with its source the dicts it does not change.
     """
 
     graph: ColoredGraph
@@ -227,7 +228,11 @@ def assignment_to_cut(a: ReductionArtifact, asg: Assignment) -> Cut:
 
 
 def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
-    """Extract a satisfying (or NAE-satisfying) assignment from a colorful cut."""
+    """Extract a satisfying (or NAE-satisfying) assignment from a colorful cut.
+
+    On planar-multi a variable is true when a side its positive literal owns,
+    as in `assignment_to_cut`, does not cross; one that no kept clause holds
+    takes its `strip_single_polarity` value, or False."""
     if a.formula is None:
         raise ValueError("artifact carries no source formula")
     if not is_colorful(a.graph, cut):
@@ -235,17 +240,13 @@ def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
     f = a.formula
     if a.kind is ReductionKind.PLANAR_MULTI:
         _, _, forced = strip_single_polarity(f)
-        asg: Assignment = {v: False for v in range(1, f.var_count + 1)}
-        asg.update(forced)
-        positive_keys = defaultdict(list)
-        for (var, number, positive), edge_indices in a.literal_edge_map.items():
-            if positive:
-                positive_keys[var].append(edge_indices[0])
-        for var, first_edges in positive_keys.items():
-            asg[var] = any(
-                not cut.crosses(a.graph.edges[e][0], a.graph.edges[e][1])
-                for e in first_edges
-            )
+        asg: Assignment = {v: forced.get(v, False) for v in range(1, f.var_count + 1)}
+        # a kept clause holds no forced variable, so its variables start False
+        for j, kept in enumerate(a.active_clauses):
+            for slot, lit in enumerate(f.clauses[kept], start=1):
+                off_a, off_b = _SLOT_CORNERS[slot]
+                if lit > 0 and not cut.crosses(3 * j + off_a, 3 * j + off_b):
+                    asg[lit] = True
         if not satisfies(f, asg):
             raise InvariantError("colorful cut produced a non-satisfying assignment")
         return asg
@@ -273,7 +274,8 @@ def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
 
 def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
     """Replace edge e = {v,w} by v-x-y-w; the middle edge keeps e's color and
-    the end edges get fresh single-edge colors, preserving colorful cuts."""
+    the end edges get fresh single-edge colors, preserving colorful cuts.
+    A literal occurrence moves to the middle edges of its old edges."""
     if a.kind is not ReductionKind.PLANAR_MULTI:
         raise ValueError(f"expected a {ReductionKind.PLANAR_MULTI.value} artifact")
     g = a.graph
@@ -294,15 +296,13 @@ def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
         key: tuple(3 * e + 1 for e in indices)
         for key, indices in a.literal_edge_map.items()
     }
-    graph = ColoredGraph(g.n + 2 * g.m, tuple(edges), g.p + 2 * g.m)
-    return ReductionArtifact(
-        graph,
-        ReductionKind.PLANAR_SIMPLE,
-        a.formula,
-        a.active_clauses,
-        literal_edge_map,
-        color_meaning,
-        vertex_meaning,
+    return replace(
+        a,
+        graph=ColoredGraph(g.n + 2 * g.m, tuple(edges), g.p + 2 * g.m),
+        kind=ReductionKind.PLANAR_SIMPLE,
+        literal_edge_map=literal_edge_map,
+        color_meaning=color_meaning,
+        vertex_meaning=vertex_meaning,
     )
 
 
@@ -330,7 +330,8 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     sides and all attachment points land together, which is what keeps the
     cut correspondence exact.  The disjoint attachment blocks, oriented
     around the triangle, keep every repaired triangle outerplanar, hence
-    free of K4 minors.
+    free of K4 minors.  Middle edges keep their indices and never touch a
+    split vertex, so literal_edge_map is shared with `a`.
     """
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
@@ -394,14 +395,12 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
         tuple((rename[u], rename[v], c) for u, v, c in edges),
         len(color_meaning),
     )
-    return ReductionArtifact(
-        graph,
-        ReductionKind.K4MF,
-        a.formula,
-        a.active_clauses,
-        dict(a.literal_edge_map),  # middle edges never touch a split vertex
-        color_meaning,
-        {rename[v]: meaning for v, meaning in vertex_meaning.items()},
+    return replace(
+        a,
+        graph=graph,
+        kind=ReductionKind.K4MF,
+        color_meaning=color_meaning,
+        vertex_meaning={rename[v]: meaning for v, meaning in vertex_meaning.items()},
     )
 
 
@@ -414,7 +413,8 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
 
     The apex becomes vertex 1; deleting it leaves a bipartite graph.  Edge
     order, colors, and the cut correspondence are unchanged because the merged
-    corners can always be flipped onto a common side triangle by triangle.
+    corners can always be flipped onto a common side triangle by triangle,
+    so only the vertex meanings change; the other dicts are shared with `a`.
     """
     if a.kind is not ReductionKind.PLANAR_MULTI:
         raise ValueError(f"expected a {ReductionKind.PLANAR_MULTI.value} artifact")
@@ -428,15 +428,11 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
     vertex_meaning: dict[int, tuple] = {1: ("apex",)}
     for v in survivors:
         vertex_meaning[rename[v]] = a.vertex_meaning[v]
-    graph = ColoredGraph(2 * m + 1, edges, g.p)
-    return ReductionArtifact(
-        graph,
-        ReductionKind.OCT_ONE,
-        a.formula,
-        a.active_clauses,
-        dict(a.literal_edge_map),
-        dict(a.color_meaning),
-        vertex_meaning,
+    return replace(
+        a,
+        graph=ColoredGraph(2 * m + 1, edges, g.p),
+        kind=ReductionKind.OCT_ONE,
+        vertex_meaning=vertex_meaning,
     )
 
 
@@ -465,22 +461,17 @@ def embed_complete(g: ColoredGraph) -> ColoredGraph:
 
 
 def embed_complete_artifact(a: ReductionArtifact) -> ReductionArtifact:
+    """`embed_complete` on a planar-simple artifact; old edges keep their
+    indices, so literal_edge_map is shared with `a`."""
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
     g = a.graph
-    graph = embed_complete(g)
-    color_meaning = dict(a.color_meaning)
-    color_meaning[g.p + 1] = ("fresh",)
-    vertex_meaning = dict(a.vertex_meaning)
-    vertex_meaning[g.n + 1] = ("apex",)
-    return ReductionArtifact(
-        graph,
-        ReductionKind.COMPLETE,
-        a.formula,
-        a.active_clauses,
-        dict(a.literal_edge_map),
-        color_meaning,
-        vertex_meaning,
+    return replace(
+        a,
+        graph=embed_complete(g),
+        kind=ReductionKind.COMPLETE,
+        color_meaning={**a.color_meaning, g.p + 1: ("fresh",)},
+        vertex_meaning={**a.vertex_meaning, g.n + 1: ("apex",)},
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import index
 
 from .errors import CapExceededError, FormatError, InvariantError
 from .graph import ColoredGraph, _check_int_fields
@@ -26,9 +27,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "clauses", tuple(tuple(int(l) for l in cl) for cl in self.clauses)
-        )
+        object.__setattr__(self, "var_count", index(self.var_count))
+        object.__setattr__(self, "clauses", tuple(tuple(map(index, cl)) for cl in self.clauses))
         if self.var_count < 0:
             raise ValueError(f"variable count must be nonnegative, got {self.var_count}")
         for i, cl in enumerate(self.clauses):

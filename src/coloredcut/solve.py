@@ -46,10 +46,7 @@ class SolveResult(_Record):
     explored: int
 
     def __init__(self, value: int, witness: Cut, method: str, explored: int) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "explored", explored)
+        super().__init__(value, witness, method, explored)
 
 
 def _periodic_tables(width: int) -> list[int]:

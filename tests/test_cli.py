@@ -185,6 +185,13 @@ def test_solve_threshold_exit_codes(graph_file, capsys):
     path = graph_file(TRIANGLE)
     assert run(capsys, ["solve", path, "-k", "2"])[0] == 0
     assert run(capsys, ["solve", path, "-k", "3"])[0] == 1
+    # greedy -k answers from the greedy cut alone: it crosses 2 of the 3
+    # colors an exact cut reaches here, so -k 3 is a no
+    path = graph_file(ColoredGraph(4, ((4, 3, 1), (1, 3, 1), (4, 2, 2), (2, 3, 3)), 3))
+    for extra, code, value in (([], 0, 3), (["--algo", "greedy"], 1, 2)):
+        got, out, _ = run(capsys, ["solve", path, *extra, "-k", "3"])
+        assert (got, out.splitlines()[0]) == (code, f"value {value}")
+    assert run(capsys, ["solve", path, "--algo", "greedy", "-k", "2"])[0] == 0
 
 
 def test_solve_brute_writes_witness(graph_file, capsys, tmp_path):
@@ -668,6 +675,7 @@ def test_malformed_graph_is_exit_2(capsys, tmp_path):
         (["verify", "--kind", "oct1", "--graph", "GRAPH", "--provenance"],
          "vertex 1 apex\nvertex 1 corner 1 1\n", "line 2: vertex 1 already defined on line 1"),
         (["stats"], "p ecg 1_0 1 1\ne 1 2 1\n", "line 1: non-integer field in header"),
+        (["solve"], "p ecg 1 0 0\n", "no nontrivial cut exists on 1 vertices"),
     ],
 )
 def test_malformed_inputs_are_exit_2(argv, text, message, graph_file, capsys, tmp_path):

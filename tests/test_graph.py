@@ -36,6 +36,7 @@ from coloredcut import (
     sat_to_multigraph,
     serialize_cut,
     serialize_graph,
+    solve_via_kernel,
 )
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
@@ -99,8 +100,9 @@ class _Index:
 
 
 def test_counts_and_edge_fields_must_be_integers():
-    # counts, edge fields and cut vertices go through operator.index: a
-    # non-integer raises, an integer-like is stored as a plain int
+    # counts, edge fields, cut vertices and literals go through
+    # operator.index: a non-integer raises, an integer-like is stored as a
+    # plain int
     with pytest.raises(TypeError):
         ColoredGraph(3.5, ((1, 2, 1), (2, 3, 1)), 1)
     with pytest.raises(TypeError):
@@ -113,11 +115,20 @@ def test_counts_and_edge_fields_must_be_integers():
         Cut(3.5, frozenset({1}))
     with pytest.raises(TypeError):
         Cut(3, frozenset({1.5}))
+    with pytest.raises(TypeError):
+        CnfFormula(3, ((1.9, 2, 3),))
+    with pytest.raises(TypeError):
+        CnfFormula(3, (("1", 2, 3),))
+    with pytest.raises(TypeError):
+        CnfFormula(3.5, ((1, 2, 3),))
     g = ColoredGraph(_Index(3), ((_Index(1), 2, True),), _Index(1))
     assert g == ColoredGraph(3, ((1, 2, 1),), 1)
     assert {type(x) for x in (g.n, g.p, *g.edges[0])} == {int}
     cut = Cut(_Index(3), {_Index(1)})
     assert cut == Cut(3, {1}) and {type(x) for x in (cut.n, *cut.s_side)} == {int}
+    f = CnfFormula(_Index(3), ((_Index(1), -2, 3),))
+    assert f == CnfFormula(3, ((1, -2, 3),))
+    assert {type(x) for x in (f.var_count, *f.clauses[0])} == {int}
 
 
 def _records(g):
@@ -349,6 +360,10 @@ _NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, No
             "no cut-to-assignment recipe for kind k4mf",
         ),
         (lambda: CnfFormula(-1, ()), "variable count must be nonnegative, got -1"),
+        (
+            lambda: solve_via_kernel(ColoredGraph(1, (), 0)),
+            "no nontrivial cut exists on 1 vertices",
+        ),
     ],
 )
 def test_bad_arguments_name_the_fault(call, message):
