@@ -19,7 +19,6 @@ from .graph import (
 )
 from .kernel import (
     KernelOutcome,
-    KernelVerdict,
     augment_cut,
     claim1_bound,
     kernelize_colors,
@@ -99,59 +98,31 @@ def __dir__() -> list[str]:
 __all__ = [
     "BRUTE_FORCE_CAP",
     "CapExceededError",
-    "CnfFormula",
     "ColoredGraph",
-    "ColorfulEncoding",
     "Cut",
     "FormatError",
     "InvariantError",
     "KernelOutcome",
-    "KernelVerdict",
-    "ReductionArtifact",
-    "ReductionKind",
     "SolveResult",
-    "StructureReport",
-    "assignment_to_cut",
     "augment_cut",
     "brute_force_max",
-    "brute_force_nae",
-    "brute_force_sat",
     "claim1_bound",
     "color_span",
     "colorful_cut_decide",
     "cut_colors",
     "cut_edges",
-    "cut_to_assignment",
     "decide_max",
     "dedupe_edges",
     "distinct_pairs_of_color",
-    "dpll_solve",
-    "embed_complete",
-    "embed_complete_artifact",
-    "encode_colorful_to_cnf",
     "greedy_half_colors",
     "is_colorful",
     "kernelize_colors",
     "kernelize_value",
-    "make_k4mf_connected",
-    "make_oct_one",
-    "multigraph_to_simple",
-    "nae_to_cliques",
     "parse_cut",
-    "parse_dimacs",
     "parse_graph",
-    "parse_provenance",
     "rule_star_find",
-    "sat_to_multigraph",
-    "satisfies",
-    "nae_satisfies",
-    "serialize_assignment",
     "serialize_cut",
-    "serialize_dimacs",
     "serialize_graph",
-    "serialize_provenance",
     "solve_via_kernel",
-    "strip_single_polarity",
-    "verify_series_parallel",
-    "verify_structural",
+    *_LAZY,
 ]

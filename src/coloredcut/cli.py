@@ -34,7 +34,7 @@ from .graph import (
     serialize_cut,
     serialize_graph,
 )
-from .kernel import KernelVerdict, kernelize_colors, kernelize_value
+from .kernel import kernelize_colors, kernelize_value
 from .solve import BRUTE_FORCE_CAP, colorful_cut_decide, greedy_half_colors, solve_via_kernel
 
 # The `ReductionKind` values, spelled out so that building the parser does not
@@ -109,14 +109,12 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ValueError("--param k requires -k")
     outcome = kernelize_value(g, args.k)
-    if outcome.verdict is KernelVerdict.EARLY_YES:
+    removed = len(outcome.removed_colors)
+    if outcome.reduced_graph is None:
         print("early yes")
-        print(f"removed {len(outcome.removed_colors)} colors, k' {outcome.remaining_k}")
+        print(f"removed {removed} colors, k' {args.k - removed}")
         return 0
-    line = (
-        f"removed {len(outcome.removed_colors)} colors,"
-        f" p' {outcome.reduced_graph.p}, k' {outcome.remaining_k}"
-    )
+    line = f"removed {removed} colors, p' {outcome.reduced_graph.p}, k' {args.k - removed}"
     _answer(line, serialize_graph(outcome.reduced_graph), args.output)
     return 0
 

@@ -5,10 +5,12 @@ endpoint pairs, that color crosses every maximum colored cut, so it can be
 deleted and the color budget decremented.  Applying the rule exhaustively
 shrinks every instance to one whose color classes are all small.  One
 removal order serves both parameters: `kernelize_colors` applies all of it,
-and `kernelize_value` stops early on the first prefix whose remaining target
-k' is at most ceil(p'/2), which a greedy cut always reaches.  Both read one
-color-class table, `graph._color_classes`: its pair counts drive the rule,
-and the first edge of each surviving pair makes up the reduced graph.
+and `kernelize_value` answers an early yes, with no reduced graph, on the
+first prefix whose remaining target k' is at most ceil(p'/2), which a greedy
+cut always reaches.  After i removals k' = k - i and p' = p - i, so that
+prefix has max(0, 2k - p - 1) removals.  Both read one color-class table,
+`graph._color_classes`: its pair counts drive the rule, and the first edge
+of each surviving pair makes up the reduced graph.
 
 The same counting argument is constructive: given any cut, a deleted color
 can be brought into the cut by flipping a single vertex that is not needed
@@ -21,55 +23,34 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from enum import Enum
 
 from .errors import InvariantError
 from .graph import ColoredGraph, Cut, _color_classes, _Record
 
 
-class KernelVerdict(Enum):
-    EARLY_YES = "early_yes"
-    REDUCED = "reduced"
-
-
 class KernelOutcome(_Record):
-    """Result of exhaustive rule application.
+    """Result of rule application: `reduced_graph` is None for an early yes.
 
-    reduced_graph is present exactly when verdict is REDUCED.  removed_colors
-    lists original color ids in removal order.  color_renaming and
-    vertex_renaming map original ids to ids in the reduced graph (empty for
-    EARLY_YES, where no reduced graph is produced).  vertex_renaming lists
-    only the vertices a kept edge touches: vertices no edge of g touches
-    survive in their order among the rest but are not listed, so it is O(m).
+    removed_colors lists original color ids in removal order.  The surviving
+    colors keep their order and are renumbered 1..p'.  vertex_renaming maps
+    original vertex ids to ids in the reduced graph (empty for an early yes).
+    It lists only the vertices a kept edge touches: vertices no edge of g
+    touches survive in their order among the rest but are not listed, so it
+    is O(m).
     """
 
-    __slots__ = (
-        "verdict",
-        "reduced_graph",
-        "removed_colors",
-        "remaining_k",
-        "color_renaming",
-        "vertex_renaming",
-    )
-    verdict: KernelVerdict
+    __slots__ = ("reduced_graph", "removed_colors", "vertex_renaming")
     reduced_graph: ColoredGraph | None
     removed_colors: tuple[int, ...]
-    remaining_k: int | None
-    color_renaming: dict[int, int]
     vertex_renaming: dict[int, int]
 
     def __init__(
         self,
-        verdict: KernelVerdict,
         reduced_graph: ColoredGraph | None,
         removed_colors: tuple[int, ...],
-        remaining_k: int | None,
-        color_renaming: dict[int, int],
         vertex_renaming: dict[int, int],
     ) -> None:
-        super().__init__(
-            verdict, reduced_graph, removed_colors, remaining_k, color_renaming, vertex_renaming
-        )
+        super().__init__(reduced_graph, removed_colors, vertex_renaming)
 
 
 def claim1_bound(beta: int) -> int:
@@ -106,10 +87,7 @@ def _removal_order(classes: list[dict[tuple[int, int], int]]) -> list[int]:
 
 
 def _build_reduced(
-    g: ColoredGraph,
-    classes: list[dict[tuple[int, int], int]],
-    removed: list[int],
-    remaining_k: int | None,
+    g: ColoredGraph, classes: list[dict[tuple[int, int], int]], removed: list[int]
 ) -> KernelOutcome:
     removed_set = set(removed)
     alive_colors = [c for c in range(1, g.p + 1) if c not in removed_set]
@@ -121,52 +99,46 @@ def _build_reduced(
     kept_touched = sorted({x for u, v, _ in kept for x in (u, v)})
     dropped = sorted(touched.difference(kept_touched))
     vertex_renaming = {v: v - bisect_left(dropped, v) for v in kept_touched}
-    color_renaming = {old: new for new, old in enumerate(alive_colors, start=1)}
+    new_color = {old: new for new, old in enumerate(alive_colors, start=1)}
     reduced = ColoredGraph(
         g.n - len(dropped),
         tuple(
-            (vertex_renaming[u], vertex_renaming[v], color_renaming[c])
+            (vertex_renaming[u], vertex_renaming[v], new_color[c])
             for u, v, c in kept
         ),
         len(alive_colors),
     )
-    return KernelOutcome(
-        KernelVerdict.REDUCED,
-        reduced,
-        tuple(removed),
-        remaining_k,
-        color_renaming,
-        vertex_renaming,
-    )
+    return KernelOutcome(reduced, tuple(removed), vertex_renaming)
 
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     """Apply the reduction rule exhaustively with the color count as parameter."""
     classes = _color_classes(g)
-    return _build_reduced(g, classes, _removal_order(classes), None)
+    return _build_reduced(g, classes, _removal_order(classes))
 
 
 def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
     """Apply the rule with target value k, decrementing k per removed color.
 
-    The removals are those of `kernelize_colors`.  Before the i-th removal,
-    with k' = k - i and p' = p - i, the target is already covered when
-    k' <= ceil(p'/2), that is 2k' <= p' + 1: the greedy half-colors cut over
-    the p' surviving colors, repaired to cross the i removed ones, reaches
-    it.  The first such i gives EARLY_YES with the first i removals, so every
-    k <= ceil(p/2) is an early yes with none.  Otherwise the result is the
-    color kernel's reduced graph with k' = k - len(removed).
+    The removals are those of `kernelize_colors`.  After i removals, with
+    k' = k - i and p' = p - i, the target is covered once k' <= ceil(p'/2),
+    that is i >= 2k - p - 1: the greedy half-colors cut over the p' surviving
+    colors, repaired to cross the i removed ones, reaches it.  So the early
+    yes comes with the first max(0, 2k - p - 1) removals when the rule makes
+    that many; every k <= ceil(p/2) gets one with none, before any pair is
+    counted.  Otherwise the result is the color kernel's, with target
+    k - len(removed_colors).
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
+    need = max(0, 2 * k - g.p - 1)
+    if need == 0:
+        return KernelOutcome(None, (), {})
     classes = _color_classes(g)
     removed = _removal_order(classes)
-    for i in range(len(removed) + 1):
-        if 2 * (k - i) <= g.p - i + 1:
-            return KernelOutcome(
-                KernelVerdict.EARLY_YES, None, tuple(removed[:i]), k - i, {}, {}
-            )
-    return _build_reduced(g, classes, removed, k - len(removed))
+    if need <= len(removed):
+        return KernelOutcome(None, tuple(removed[:need]), {})
+    return _build_reduced(g, classes, removed)
 
 
 def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut:

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _Record, cut_colors, is_colorful
-from .kernel import KernelOutcome, KernelVerdict, augment_cut, kernelize_colors, kernelize_value
+from .kernel import KernelOutcome, augment_cut, kernelize_colors, kernelize_value
 
 BRUTE_FORCE_CAP = 24
 
@@ -373,9 +373,9 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
 
 
 def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveResult:
-    """Exact optimum of g from a REDUCED kernel outcome: search the reduced
-    graph with `brute_force_max`, lift the witness (dropped vertices land on
-    T), repair it with `augment_cut` and check that it crosses
+    """Exact optimum of g from a kernel outcome with a reduced graph: search
+    that graph with `brute_force_max`, lift the witness (dropped vertices
+    land on T), repair it with `augment_cut` and check that it crosses
     value + len(removed) colors.
 
     The search's S side holds only reduced vertex 1 and touched vertices,
@@ -405,15 +405,18 @@ def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveRe
 def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Cut | None]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
-    Runs the value-parameterized kernel first.  On EARLY_YES (every k up to
+    No cut crosses more than p colors, so every k > p is a no.  Otherwise the
+    value-parameterized kernel runs first.  On an early yes (every k up to
     ceil(p/2) gets one) the witness is the greedy cut over the surviving
     colors, repaired by `augment_cut`; else the reduced graph is solved as in
     `solve_via_kernel`.  Either way a returned cut crosses >= k colors of g.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
+    if k > g.p:
+        return False, None
     outcome = kernelize_value(g, k)
-    if outcome.verdict is KernelVerdict.EARLY_YES:
+    if outcome.reduced_graph is None:
         base = _greedy_cut(g, outcome.removed_colors)
         if len(cut_colors(g, base)) < k:
             raise InvariantError(f"early-yes witness crosses fewer than {k} colors")

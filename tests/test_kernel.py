@@ -7,7 +7,7 @@ from coloredcut import (
     ColoredGraph,
     Cut,
     InvariantError,
-    KernelVerdict,
+    KernelOutcome,
     augment_cut,
     claim1_bound,
     cut_colors,
@@ -52,7 +52,6 @@ def test_rule_find_ignores_parallel_duplicates():
 
 def test_kernelize_colors_leaves_sparse_graph_alone():
     out = kernelize_colors(RAINBOW_TRIANGLE)
-    assert out.verdict is KernelVerdict.REDUCED
     assert out.removed_colors == ()
     assert out.reduced_graph == RAINBOW_TRIANGLE
 
@@ -92,7 +91,8 @@ def test_kernelize_drops_only_newly_isolated_vertices():
     assert red.n == 5  # 2,3,4,5 renamed densely, plus the always-isolated 7
     # only vertices a kept edge touches are listed; 7 survives as vertex 5
     assert out.vertex_renaming == {2: 1, 3: 2, 4: 3, 5: 4}
-    assert out.color_renaming == {2: 1, 3: 2}
+    # the surviving colors 2 and 3 keep their order as 1 and 2
+    assert [c for c in range(1, g.p + 1) if c not in out.removed_colors] == [2, 3]
     assert red.edges == ((1, 2, 1), (3, 4, 2))
 
 
@@ -140,19 +140,15 @@ def test_kernel_matches_the_per_round_rule_loop():
         inflated_counts.add(inflated)
         verdict, removed, _ = oracle_removal_order(g)
         out = kernelize_colors(g)
-        assert (out.verdict.value, list(out.removed_colors)) == (verdict, removed)
+        assert ("reduced", list(out.removed_colors)) == (verdict, removed)
         assert out.reduced_graph == oracle_reduced_graph(g, removed)
         for k in range(1, g.p + 2):
             verdict, removed, k_left = oracle_removal_order(g, k)
             out = kernelize_value(g, k)
-            assert (out.verdict.value, list(out.removed_colors), out.remaining_k) == (
-                verdict,
-                removed,
-                k_left,
-            )
-            if verdict == "early_yes":
-                assert out.reduced_graph is None
-            else:
+            early = "early_yes" if out.reduced_graph is None else "reduced"
+            removed_now = list(out.removed_colors)
+            assert (early, removed_now, k - len(removed_now)) == (verdict, removed, k_left)
+            if verdict == "reduced":
                 assert out.reduced_graph == oracle_reduced_graph(g, removed)
     assert inflated_counts == {0, 1, 2, 3}
 
@@ -164,30 +160,45 @@ def test_kernelize_value_requires_positive_k():
 
 def test_kernelize_value_early_yes_at_half():
     out = kernelize_value(RAINBOW_TRIANGLE, 2)  # 2k = 4 = p + 1
-    assert out.verdict is KernelVerdict.EARLY_YES
-    assert out.remaining_k == 2
+    assert out == KernelOutcome(None, (), {})  # k' = 2 - 0 = 2
 
 
 def test_kernelize_value_no_early_yes_above_half():
     out = kernelize_value(RAINBOW_TRIANGLE, 3)
-    assert out.verdict is KernelVerdict.REDUCED
-    assert out.remaining_k == 3
+    assert out.removed_colors == ()  # k' = 3 - 0 = 3
     assert out.reduced_graph == RAINBOW_TRIANGLE
+
+
+def test_kernelize_value_answers_up_to_half_without_the_color_table(monkeypatch):
+    # an early yes with no removal needs no pair counts, so every k up to
+    # ceil(p/2) must return before the color-class table is built
+    import coloredcut.kernel as kernel
+
+    def no_table(g):
+        raise AssertionError("color-class table built")
+
+    monkeypatch.setattr(kernel, "_color_classes", no_table)
+    for p in range(1, 8):
+        g = ColoredGraph(p + 1, tuple((v, v + 1, v) for v in range(1, p + 1)), p)
+        half = (p + 1) // 2
+        for k in range(1, half + 1):
+            assert kernelize_value(g, k) == KernelOutcome(None, (), {})
+        with pytest.raises(AssertionError, match="color-class table"):
+            kernelize_value(g, half + 1)
 
 
 def test_kernelize_value_k_reaches_zero_mid_run():
     # two dense colors, k=4: each removal decrements k and p.  The threshold
     # 2k' <= p'+1 fails at (k', p') = (4, 5) and (3, 4) and first holds after
-    # both removals, at (2, 3), so EarlyYes comes with remaining_k 2.
+    # both removals, at (2, 3), so the early yes comes with k' = 2.
     rng = random.Random(9)
     base = ColoredGraph(8, ((1, 2, 1), (3, 4, 2), (5, 6, 3)), 3)
     g = inflate_one_color(rng, base)
     g = inflate_one_color(rng, g)
     assert g is not None and g.p == 5
     out = kernelize_value(g, 4)
-    assert out.verdict is KernelVerdict.EARLY_YES
-    assert out.remaining_k == 2
-    assert len(out.removed_colors) == 2
+    assert out.reduced_graph is None
+    assert len(out.removed_colors) == 2  # k' = 4 - 2 = 2
 
 
 def test_kernel_size_bound_holds_after_reduction():
@@ -212,8 +223,9 @@ def test_renamings_are_dense_and_order_preserving():
         out = kernelize_colors(g)
         if not out.removed_colors:
             continue
-        vr, cr = out.vertex_renaming, out.color_renaming
-        kept = [(u, v) for u, v, c in g.edges if c in cr]
+        vr = out.vertex_renaming
+        alive = [c for c in range(1, g.p + 1) if c not in out.removed_colors]
+        kept = [(u, v) for u, v, c in g.edges if c in alive]
         touched = {x for u, v, _ in g.edges for x in (u, v)}
         dropped = touched - {x for pair in kept for x in pair}
         # listed: exactly the vertices of kept colors, shifted down past the
@@ -222,9 +234,16 @@ def test_renamings_are_dense_and_order_preserving():
         assert all(new == v - sum(d < v for d in dropped) for v, new in vr.items())
         assert out.reduced_graph.n == g.n - len(dropped)
         assert list(vr.values()) == sorted(vr.values())  # old order kept
-        assert sorted(cr.values()) == list(range(1, out.reduced_graph.p + 1))
-        assert list(cr.values()) == sorted(cr.values())
-        assert set(cr) == set(range(1, g.p + 1)) - set(out.removed_colors)
+        # reduced color c is the c-th surviving color: mapped back, the
+        # reduced edges are the first copies of the kept edges, in edge order
+        assert len(alive) == out.reduced_graph.p
+        back = {new: old for old, new in vr.items()}
+        lifted = [(back[u], back[v], alive[c - 1]) for u, v, c in out.reduced_graph.edges]
+        firsts = {}
+        for u, v, c in g.edges:
+            if c in alive:
+                firsts.setdefault((min(u, v), max(u, v), c), (u, v, c))
+        assert lifted == list(firsts.values())
 
 
 def test_augment_cut_restores_removed_colors():
@@ -299,14 +318,13 @@ def test_kernelize_colors_soundness_property(g):
 def test_kernelize_value_consistent_with_colors_route(g, k):
     k = min(k, g.p) if g.p else 1
     out = kernelize_value(g, k)
-    if out.verdict is KernelVerdict.EARLY_YES:
+    if out.reduced_graph is None:
         # the early answer promises a cut with k colors exists
         assert oracle_max_cut_colors(g) >= k
     else:
-        assert out.remaining_k == k - len(out.removed_colors)
         red_opt = (
             oracle_max_cut_colors(out.reduced_graph)
             if out.reduced_graph.n >= 2
             else 0
         )
-        assert (oracle_max_cut_colors(g) >= k) == (red_opt >= out.remaining_k)
+        assert (oracle_max_cut_colors(g) >= k) == (red_opt >= k - len(out.removed_colors))

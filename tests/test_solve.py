@@ -17,7 +17,7 @@ from coloredcut import (
     CnfFormula,
     ColoredGraph,
     Cut,
-    KernelVerdict,
+    KernelOutcome,
     augment_cut,
     brute_force_max,
     brute_force_nae,
@@ -191,7 +191,7 @@ def test_greedy_and_early_yes_put_untouched_vertices_on_t():
     # touched only by a removed color
     g = ColoredGraph(7, ((2, 4, 1), (4, 5, 1), (2, 5, 1), (5, 7, 2)), 2)
     outcome = kernelize_value(g, 2)
-    assert (outcome.verdict, outcome.removed_colors) == (KernelVerdict.EARLY_YES, (1,))
+    assert (outcome.reduced_graph, outcome.removed_colors) == (None, (1,))
     # greedy places 2 | 4 and 5 | 7; the early yes places 2, 4, 5 | 7 over
     # color 2 alone, and augment_cut then flips 2 to make color 1 cross
     for cut, s_side in ((greedy_half_colors(g), {2, 5}), (decide_max(g, 2)[1], {4, 5})):
@@ -621,17 +621,25 @@ def test_decide_max_rainbow_triangle_boundary():
     assert not no and missing is None
 
 
+def test_decide_max_says_no_above_p_without_search():
+    # no cut crosses more than the p colors there are, so k > p is a no even
+    # on a graph far above the search cap
+    path = ColoredGraph(30, tuple((i, i + 1, i) for i in range(1, 30)), 29)
+    for k in (30, 31, 100):
+        assert decide_max(path, k) == (False, None)
+    with pytest.raises(ValueError):
+        decide_max(ColoredGraph(1, (), 0), 1)  # the n < 2 check still comes first
+
+
 def test_value_kernel_answers_every_k_up_to_half_without_search():
     # a 40-vertex rainbow path: p = 39 colors, far above the search cap, and
     # every k <= ceil(39/2) = 20 is covered by the greedy cut
     path = ColoredGraph(40, tuple((v, v + 1, v) for v in range(1, 40)), 39)
     for k in (1, 2, 20):
-        out = kernelize_value(path, k)
-        assert out.verdict is KernelVerdict.EARLY_YES
-        assert (out.removed_colors, out.remaining_k) == ((), k)
+        assert kernelize_value(path, k) == KernelOutcome(None, (), {})
         yes, cut = decide_max(path, k)
         assert yes and len(cut_colors(path, cut)) >= k
-    assert kernelize_value(path, 21).verdict is KernelVerdict.REDUCED
+    assert kernelize_value(path, 21).reduced_graph is not None
 
 
 def test_decide_max_agrees_with_oracle_for_all_k():
@@ -712,7 +720,8 @@ def test_kernel_witness_is_the_lifted_full_search():
             full = brute_force_max(red)
             # a vertex survives if a kept color touches it or no edge does
             touched = {x for u, v, _ in g.edges for x in (u, v)}
-            kept = {x for u, v, c in g.edges if c in out.color_renaming for x in (u, v)}
+            alive = set(range(1, g.p + 1)).difference(out.removed_colors)
+            kept = {x for u, v, c in g.edges if c in alive for x in (u, v)}
             survivors = [v for v in range(1, g.n + 1) if v in kept or v not in touched]
             assert len(survivors) == red.n
             s_side = {survivors[new - 1] for new in full.witness.s_side}
@@ -726,7 +735,7 @@ def test_kernel_witness_is_the_lifted_full_search():
             yes, cut = decide_max(g, k)
             assert yes == (res.value >= k)
             # an early yes answers with the greedy cut instead
-            if yes and kernelize_value(g, k).verdict is KernelVerdict.REDUCED:
+            if yes and kernelize_value(g, k).reduced_graph is not None:
                 assert cut == expected
 
 
