@@ -17,8 +17,6 @@ from coloredcut import (
     CnfFormula,
     assignment_to_cut,
     brute_force_max,
-    brute_force_nae,
-    brute_force_sat,
     colorful_cut_decide,
     cut_to_assignment,
     embed_complete_artifact,
@@ -64,17 +62,16 @@ def main():
     kept, removed, forced = strip_single_polarity(f)
     print(f"preprocessing keeps {len(kept)} clauses, removes {list(removed)},"
           f" forces {forced}")
-    model = brute_force_sat(f)
-    print(f"satisfiable: {model is not None}" + (f"  model {model}" if model else ""))
 
     banner("clause-triangle multigraph")
     multi = sat_to_multigraph(f)
     g = show(multi, "multigraph")
+    # the formula is satisfiable iff this graph has a colorful cut
     cut = colorful_cut_decide(g)
     print(f"colorful cut: {'yes, S=' + str(sorted(cut.s_side)) if cut else 'no'}")
-    if cut is not None:
-        back = cut_to_assignment(multi, cut)
-        print(f"assignment recovered from the cut: {back}")
+    model = None if cut is None else cut_to_assignment(multi, cut)
+    print(f"satisfiable: {model is not None}"
+          + (f"  model from the cut {model}" if model is not None else ""))
     if model is not None:
         forward = assignment_to_cut(multi, model)
         print(f"cut built from the model: S={sorted(forward.s_side)}")
@@ -99,12 +96,11 @@ def main():
     print(f"colorful: {colorful_cut_decide(g) is not None}")
 
     banner("not-all-equal cliques")
-    nae_model = brute_force_nae(NAE_DEMO)
-    print(f"built-in NAE formula {NAE_DEMO.clauses}, NAE-satisfiable:"
-          f" {nae_model is not None}")
     a = nae_to_cliques(NAE_DEMO)
     g = show(a, "nae")
     cut = colorful_cut_decide(g)
+    print(f"built-in NAE formula {NAE_DEMO.clauses}, NAE-satisfiable:"
+          f" {cut is not None}")
     if cut is not None:
         print(f"NAE assignment from the colorful cut: {cut_to_assignment(a, cut)}")
 

@@ -9,7 +9,6 @@ from .graph import (
     color_span,
     cut_colors,
     cut_edges,
-    dedupe_edges,
     distinct_pairs_of_color,
     is_colorful,
     parse_cut,
@@ -23,7 +22,6 @@ from .kernel import (
     claim1_bound,
     kernelize_colors,
     kernelize_value,
-    rule_star_find,
 )
 from .solve import (
     BRUTE_FORCE_CAP,
@@ -68,15 +66,10 @@ _LAZY = {
     **dict.fromkeys(
         (
             "CnfFormula",
-            "ColorfulEncoding",
-            "brute_force_nae",
-            "brute_force_sat",
             "dpll_solve",
-            "encode_colorful_to_cnf",
             "nae_satisfies",
             "parse_dimacs",
             "satisfies",
-            "serialize_assignment",
             "serialize_dimacs",
         ),
         "sat",
@@ -112,7 +105,6 @@ __all__ = [
     "cut_colors",
     "cut_edges",
     "decide_max",
-    "dedupe_edges",
     "distinct_pairs_of_color",
     "greedy_half_colors",
     "is_colorful",
@@ -120,7 +112,6 @@ __all__ = [
     "kernelize_value",
     "parse_cut",
     "parse_graph",
-    "rule_star_find",
     "serialize_cut",
     "serialize_graph",
     "solve_via_kernel",

@@ -242,18 +242,6 @@ def distinct_pairs_of_color(g: ColoredGraph, color: int) -> int:
     return len(_color_class(g, color))
 
 
-def dedupe_edges(g: ColoredGraph) -> ColoredGraph:
-    """Drop exact duplicates: later edges with the same endpoints and color.
-
-    Endpoint order is ignored, so (u,v,c) and (v,u,c) are duplicates.  Edge
-    order of the survivors is preserved.
-    """
-    first = sorted(i for pairs in _color_classes(g) for i in pairs.values())
-    if len(first) == g.m:
-        return g
-    return ColoredGraph(g.n, tuple(g.edges[i] for i in first), g.p)
-
-
 # ---------------------------------------------------------------------------
 # ECG text format
 

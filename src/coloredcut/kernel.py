@@ -61,12 +61,6 @@ def claim1_bound(beta: int) -> int:
     return 2 * math.comb(beta, 2)
 
 
-def rule_star_find(g: ColoredGraph) -> int | None:
-    """Smallest color whose distinct-pair count exceeds 2*C(p,2), or None:
-    the first color the rule removes."""
-    return next(iter(_removal_order(_color_classes(g))), None)
-
-
 def _removal_order(classes: list[dict[tuple[int, int], int]]) -> list[int]:
     """Original colors in the order the rule removes them, from `_color_classes`.
 

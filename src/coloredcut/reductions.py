@@ -765,11 +765,12 @@ def serialize_provenance(a: ReductionArtifact) -> str:
 
 
 class _Tokens(dict):
-    """Token -> value: int(t) for an optionally signed run of ASCII digits,
-    else t itself.  Each distinct token is converted once per parse."""
+    """Token -> value: int(t) for one optional `+` or `-` followed by ASCII
+    digits, else t itself.  Each distinct token is converted once per parse."""
 
     def __missing__(self, t: str) -> int | str:
-        value = self[t] = int(t) if t.isascii() and t.removeprefix("-").isdecimal() else t
+        digits = t[1:] if t[0] in "+-" else t
+        value = self[t] = int(t) if t.isascii() and digits.isdecimal() else t
         return value
 
 

@@ -1,5 +1,5 @@
-"""CNF formulas, the CNF encoding of colorful cut, DIMACS parsing,
-brute-force oracles, and a small DPLL solver.
+"""CNF formulas, their SAT and not-all-equal truth checks, DIMACS text, and
+a small DPLL solver.
 
 Literals use DIMACS conventions: variable i is the positive literal ``i``,
 its negation ``-i``.  Assignments are dicts mapping every variable 1..n to a
@@ -8,17 +8,13 @@ bool.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass
 from operator import index
 
-from .errors import CapExceededError, FormatError, InvariantError
-from .graph import ColoredGraph, _check_int_fields
+from .errors import FormatError, InvariantError
+from .graph import _check_int_fields
 
 Assignment = dict[int, bool]
-
-BRUTE_SAT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -39,15 +35,6 @@ class CnfFormula:
                     raise ValueError(f"clause {i + 1}: literal {lit} outside range")
 
 
-@dataclass(frozen=True)
-class ColorfulEncoding:
-    """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
-
-    formula: CnfFormula
-    vertex_var: dict[int, int]
-    aux_var: dict[int, int]
-
-
 def literal_true(lit: int, asg: Assignment) -> bool:
     return asg[abs(lit)] == (lit > 0)
 
@@ -64,35 +51,6 @@ def nae_satisfies(f: CnfFormula, asg: Assignment) -> bool:
         if all(values) or not any(values):
             return False
     return True
-
-
-def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
-    """CNF satisfiable iff g has a colorful cut: a test oracle for
-    `colorful_cut_decide`, which does not go through CNF.
-
-    Variables: x_v = v for v in 1..n (true means S side), z_e = n+1+e for
-    edge index e.  Clauses: four per edge tying z_e to x_u xor x_v, one per
-    color requiring some z_e of that class, and two blocking clauses that
-    forbid the trivial bipartitions.
-    """
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if g.p < 1:
-        raise ValueError("colorful cut encoding needs at least one color")
-    n = g.n
-    clauses: list[tuple[int, ...]] = []
-    aux_var = {e: n + 1 + e for e in range(g.m)}
-    by_color: dict[int, list[int]] = defaultdict(list)
-    for e, (u, v, c) in enumerate(g.edges):
-        z = aux_var[e]
-        clauses += ((-z, u, v), (-z, -u, -v), (z, u, -v), (z, -u, v))
-        by_color[c].append(z)
-    for c in range(1, g.p + 1):
-        clauses.append(tuple(by_color[c]))
-    clauses.append(tuple(range(1, n + 1)))
-    clauses.append(tuple(-v for v in range(1, n + 1)))
-    formula = CnfFormula(n + g.m, tuple(clauses))
-    return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)
 
 
 # ---------------------------------------------------------------------------
@@ -155,51 +113,6 @@ def serialize_dimacs(f: CnfFormula) -> str:
     out = [f"p cnf {f.var_count} {len(f.clauses)}"]
     out.extend(" ".join(str(l) for l in cl) + " 0" for cl in f.clauses)
     return "\n".join(out) + "\n"
-
-
-def serialize_assignment(asg: Assignment) -> str:
-    """Render an assignment as ``v <±1> <±2> ... 0``."""
-    lits = [(v if asg[v] else -v) for v in sorted(asg)]
-    return "v " + " ".join(str(l) for l in lits) + " 0\n"
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-def _assignment_from_index(index: int, var_count: int) -> Assignment:
-    # Variable 1 is the most significant bit; index 0 is all-false.
-    return {
-        v: bool((index >> (var_count - v)) & 1) for v in range(1, var_count + 1)
-    }
-
-
-def _first_assignment(
-    f: CnfFormula, cap: int, name: str, accepts: Callable[[CnfFormula, Assignment], bool]
-) -> Assignment | None:
-    """First assignment in lexicographic order (false < true) that `accepts`, or None."""
-    if f.var_count > cap:
-        raise CapExceededError(
-            f"refusing brute-force {name} on {f.var_count} variables (cap {cap})"
-        )
-    for index in range(1 << f.var_count):
-        asg = _assignment_from_index(index, f.var_count)
-        if accepts(f, asg):
-            return asg
-    return None
-
-
-def brute_force_sat(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Assignment | None:
-    """First satisfying assignment in lexicographic order (false < true), or None."""
-    return _first_assignment(f, cap, "SAT", satisfies)
-
-
-def brute_force_nae(f: CnfFormula, cap: int = BRUTE_SAT_CAP) -> Assignment | None:
-    """First assignment (same order as brute_force_sat) where every clause is
-    not-all-equal, or None."""
-    # the cap refusal comes first, so short clauses are only checked under it
-    if f.var_count <= cap and any(len(cl) < 2 for cl in f.clauses):
-        raise ValueError("not-all-equal needs at least two literals per clause")
-    return _first_assignment(f, cap, "NAE", nae_satisfies)
 
 
 # ---------------------------------------------------------------------------

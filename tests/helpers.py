@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
+from dataclasses import dataclass
 
 from coloredcut import CnfFormula, ColoredGraph
 
@@ -212,13 +214,11 @@ def unsat_3cnf_draws(clause_count: int, count: int = 3) -> list[CnfFormula]:
     `random_3cnf(random.Random(3), 4, clause_count)`.  At 16 and 18 clauses
     their planar graphs contract to 48-54 classes, where a colorful search
     that propagates only at the root takes seconds per graph."""
-    from coloredcut import brute_force_sat
-
     rng = random.Random(3)
     draws: list[CnfFormula] = []
     while len(draws) < count:
         f = random_3cnf(rng, 4, clause_count)
-        if brute_force_sat(f) is None:
+        if oracle_sat(f) is None:
             draws.append(f)
     return draws
 
@@ -252,3 +252,41 @@ def oracle_nae(f: CnfFormula):
         ):
             return asg
     return None
+
+
+@dataclass(frozen=True)
+class ColorfulEncoding:
+    """CNF encoding of colorful cut: x_v per vertex, z_e per edge."""
+
+    formula: CnfFormula
+    vertex_var: dict[int, int]
+    aux_var: dict[int, int]
+
+
+def encode_colorful_to_cnf(g: ColoredGraph) -> ColorfulEncoding:
+    """CNF satisfiable iff g has a colorful cut: with DPLL, an oracle for
+    `colorful_cut_decide`, which does not go through CNF.
+
+    Variables: x_v = v for v in 1..n (true means S side), z_e = n+1+e for
+    edge index e.  Clauses: four per edge tying z_e to x_u xor x_v, one per
+    color requiring some z_e of that class, and two blocking clauses that
+    forbid the trivial bipartitions.
+    """
+    if g.n < 2:
+        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
+    if g.p < 1:
+        raise ValueError("colorful cut encoding needs at least one color")
+    n = g.n
+    clauses: list[tuple[int, ...]] = []
+    aux_var = {e: n + 1 + e for e in range(g.m)}
+    by_color: dict[int, list[int]] = defaultdict(list)
+    for e, (u, v, c) in enumerate(g.edges):
+        z = aux_var[e]
+        clauses += ((-z, u, v), (-z, -u, -v), (z, u, -v), (z, -u, v))
+        by_color[c].append(z)
+    for c in range(1, g.p + 1):
+        clauses.append(tuple(by_color[c]))
+    clauses.append(tuple(range(1, n + 1)))
+    clauses.append(tuple(-v for v in range(1, n + 1)))
+    formula = CnfFormula(n + g.m, tuple(clauses))
+    return ColorfulEncoding(formula, {v: v for v in range(1, n + 1)}, aux_var)

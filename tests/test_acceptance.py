@@ -17,8 +17,6 @@ from coloredcut import (
     ColoredGraph,
     Cut,
     brute_force_max,
-    brute_force_nae,
-    brute_force_sat,
     claim1_bound,
     colorful_cut_decide,
     cut_colors,
@@ -26,7 +24,6 @@ from coloredcut import (
     distinct_pairs_of_color,
     dpll_solve,
     embed_complete,
-    encode_colorful_to_cnf,
     greedy_half_colors,
     kernelize_colors,
     make_k4mf_connected,
@@ -46,7 +43,10 @@ from coloredcut.cli import main as cli_main
 
 from helpers import (
     all_3var_formulas,
+    encode_colorful_to_cnf,
     inflate_one_color,
+    oracle_nae,
+    oracle_sat,
     random_3cnf,
     random_multigraph,
     random_simple_graph,
@@ -199,7 +199,7 @@ def test_criterion_5_sat_equivalence():
     ] + _surviving_random_formulas(rng, 200)
     violations = 0
     for f in formulas:
-        sat = brute_force_sat(f) is not None
+        sat = oracle_sat(f) is not None
         multi = sat_to_multigraph(f)
         simple = multigraph_to_simple(multi)
         if (colorful_cut_decide(multi.graph) is not None) != sat:
@@ -272,7 +272,7 @@ def test_criterion_8_nae_equivalence():
     ]
     violations = 0
     for f in formulas:
-        nae = brute_force_nae(f) is not None
+        nae = oracle_nae(f) is not None
         a = nae_to_cliques(f)
         if not verify_structural(a).all_passed:
             violations += 1
@@ -316,12 +316,12 @@ def test_criterion_9_witness_integrity(tmp_path, capsys):
 
     for f in _surviving_random_formulas(rng, 20, max_clauses=5):
         multi = sat_to_multigraph(f)
-        model = brute_force_sat(f)
+        model = oracle_sat(f)
         if model is not None:
             cut = assignment_to_cut(multi, model)
             check(_recount_cut_colors(multi.graph, cut.s_side) == multi.graph.p)
             check(_eval_sat(f, cut_to_assignment(multi, cut)))
-        nae_model = brute_force_nae(f)
+        nae_model = oracle_nae(f)
         if nae_model is not None:
             a = nae_to_cliques(f)
             cut = assignment_to_cut(a, nae_model)

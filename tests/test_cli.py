@@ -762,6 +762,38 @@ def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
     assert err == "internal error: KeyError: 'boom'\n"
 
 
+# --------------------------------------------------------------------- README
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    capsys.readouterr()
+    namespace: dict = {}
+    exec(library, namespace)
+    shown = [
+        line.split("#", 1)[1].split(":", 1)[0].strip()
+        for line in library.splitlines()
+        if line.startswith("print(")
+    ]
+    assert capsys.readouterr().out.splitlines() == shown == ["2", "None"]
+
+    monkeypatch.chdir(tmp_path)
+    for name, g in (
+        ("rainbow_triangle.ecg", namespace["g"]),
+        ("rainbow_c4.ecg", C4),
+        ("star_one_color.ecg", STAR),
+    ):
+        Path(name).write_text(serialize_graph(g))
+    Path("demo.cnf").write_text(serialize_dimacs(DEMO_CNF))
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = re.split(r"^\$ coloredcut ", block, flags=re.MULTILINE)[1:]
+    assert len(examples) == 5
+    for example in examples:
+        argv, *lines = example.strip().splitlines()
+        assert run(capsys, argv.split()) == (0, "\n".join(lines) + "\n", ""), argv
+
+
 # -------------------------------------------------------------------- scripts
 
 

@@ -22,9 +22,7 @@ from coloredcut import (
     cut_colors,
     cut_edges,
     cut_to_assignment,
-    dedupe_edges,
     distinct_pairs_of_color,
-    encode_colorful_to_cnf,
     is_colorful,
     kernelize_colors,
     make_k4mf_connected,
@@ -132,7 +130,7 @@ def test_counts_and_edge_fields_must_be_integers():
 
 
 def _records(g):
-    return [g, Cut(g.n, {1}), kernelize_colors(g), brute_force_max(g), encode_colorful_to_cnf(g)]
+    return [g, Cut(g.n, {1}), kernelize_colors(g), brute_force_max(g)]
 
 
 @pytest.mark.parametrize(
@@ -140,9 +138,9 @@ def _records(g):
     zip(
         _records(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2)),
         _records(ColoredGraph(4, ((1, 2, 1), (3, 4, 2), (2, 3, 2)), 2)),
-        (True, True, False, True, False),
+        (True, True, False, True),
     ),
-    ids=["ColoredGraph", "Cut", "KernelOutcome", "SolveResult", "ColorfulEncoding"],
+    ids=["ColoredGraph", "Cut", "KernelOutcome", "SolveResult"],
 )
 def test_value_types_behave_as_frozen_dataclasses(record, other, hashable):
     # a frozen dataclass over the same fields is the reference for repr and hash
@@ -211,14 +209,6 @@ def test_distinct_pairs_counts_pairs_not_edges():
     g = ColoredGraph(3, ((1, 2, 1), (2, 1, 1), (2, 3, 1)), 1)
     assert distinct_pairs_of_color(g, 1) == 2
     assert distinct_pairs_of_color(ColoredGraph(2, ((1, 2, 1),), 1), 1) == 1
-
-
-def test_dedupe_edges():
-    g = ColoredGraph(3, ((1, 2, 1), (2, 1, 1), (2, 3, 1), (1, 2, 1)), 1)
-    d = dedupe_edges(g)
-    assert d.edges == ((1, 2, 1), (2, 3, 1))
-    clean = ColoredGraph(3, ((1, 2, 1), (2, 3, 1)), 1)
-    assert dedupe_edges(clean) is clean  # untouched when nothing to do
 
 
 def test_parse_graph_roundtrip():
@@ -438,11 +428,3 @@ def test_cut_colors_complement_invariant(g, data):
     )
     cut = Cut(g.n, frozenset(members))
     assert cut_colors(g, cut) == cut_colors(g, cut.complement())
-
-
-@given(graphs())
-def test_dedupe_preserves_cut_colors(g):
-    d = dedupe_edges(g)
-    cut = Cut(g.n, frozenset({1}))
-    assert cut_colors(g, cut) == cut_colors(d, cut)
-    assert d.p == g.p and d.n == g.n

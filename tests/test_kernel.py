@@ -14,7 +14,6 @@ from coloredcut import (
     distinct_pairs_of_color,
     kernelize_colors,
     kernelize_value,
-    rule_star_find,
 )
 from helpers import (
     inflate_one_color,
@@ -35,19 +34,19 @@ def test_removal_threshold(beta, bound):
 
 
 def test_rule_find_none_when_all_small():
-    assert rule_star_find(RAINBOW_TRIANGLE) is None
+    assert kernelize_colors(RAINBOW_TRIANGLE).removed_colors[:1] == ()
 
 
 def test_rule_find_smallest_dense_color():
     # p=2, threshold 2: color 2 sits on three distinct pairs
     g = ColoredGraph(4, ((1, 2, 1), (1, 3, 2), (1, 4, 2), (2, 3, 2)), 2)
-    assert rule_star_find(g) == 2
+    assert kernelize_colors(g).removed_colors[:1] == (2,)
 
 
 def test_rule_find_ignores_parallel_duplicates():
     # three edges but only one distinct pair: not dense
     g = ColoredGraph(4, ((1, 2, 1), (1, 2, 1), (2, 1, 1), (3, 4, 2)), 2)
-    assert rule_star_find(g) is None
+    assert kernelize_colors(g).removed_colors[:1] == ()
 
 
 def test_kernelize_colors_leaves_sparse_graph_alone():

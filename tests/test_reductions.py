@@ -14,8 +14,6 @@ from coloredcut import (
     ReductionKind,
     assignment_to_cut,
     brute_force_max,
-    brute_force_nae,
-    brute_force_sat,
     colorful_cut_decide,
     cut_to_assignment,
     embed_complete,
@@ -606,7 +604,7 @@ def test_nae_rejects_bad_inputs():
 
 
 def test_nae_unsat_quadruple():
-    assert brute_force_nae(NAE_UNSAT4) is None
+    assert oracle_nae(NAE_UNSAT4) is None
     a = nae_to_cliques(NAE_UNSAT4)
     assert verify_structural(a).all_passed
     assert colorful_cut_decide(a.graph) is None
@@ -639,7 +637,7 @@ def test_equivalence_sweep_exhaustive_3var():
         comp = embed_complete_artifact(simple)
         assert (colorful_cut_decide(comp.graph) is not None) == sat
         if sat:
-            model = brute_force_sat(f)
+            model = oracle_sat(f)
             cut = assignment_to_cut(multi, model)
             assert satisfies(f, cut_to_assignment(multi, cut))
         checked += 1
@@ -654,7 +652,7 @@ def test_nae_equivalence_sweep_exhaustive_3var():
         assert verify_structural(a).all_passed
         assert (colorful_cut_decide(a.graph) is not None) == nae
         if nae:
-            model = brute_force_nae(f)
+            model = oracle_nae(f)
             cut = assignment_to_cut(a, model)
             assert nae_satisfies(f, cut_to_assignment(a, cut))
         checked += 1
@@ -892,6 +890,13 @@ def test_provenance_keeps_near_integers_as_strings():
     )
     assert colors == {1: ("pair", "--5", "²", -7, 12, "1_2", "-\u0663")}
     assert vertices == {2: ("tree", 0, "\u0663")}
+
+
+def test_provenance_meaning_tokens_follow_the_integer_rule():
+    # one leading sign, `+` as well as `-`, then ASCII digits, as for ids
+    colors, vertices = parse_provenance("color 1 pair +4 + - +-1\nvertex +3 corner +1 2\n")
+    assert colors == {1: ("pair", 4, "+", "-", "+-1")}
+    assert vertices == {3: ("corner", 1, 2)}
 
 
 def test_provenance_skips_blank_lines():

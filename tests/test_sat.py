@@ -4,16 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coloredcut import (
-    CapExceededError,
     CnfFormula,
     FormatError,
-    brute_force_nae,
-    brute_force_sat,
     dpll_solve,
     nae_satisfies,
     parse_dimacs,
     satisfies,
-    serialize_assignment,
     serialize_dimacs,
 )
 from helpers import oracle_nae, oracle_sat, random_3cnf
@@ -70,44 +66,6 @@ def test_dimacs_roundtrip():
     assert parse_dimacs(serialize_dimacs(f)) == f
 
 
-def test_serialize_assignment():
-    assert serialize_assignment({1: True, 2: False, 3: True}) == "v 1 -2 3 0\n"
-
-
-def test_brute_force_sat_simple():
-    assert brute_force_sat(CnfFormula(1, ((1,),))) == {1: True}
-    assert brute_force_sat(CnfFormula(1, ((1,), (-1,)))) is None
-
-
-def test_brute_force_sat_is_lexicographically_first():
-    # variable 1 is the most significant bit and False sorts before True,
-    # so (x1 or x2) yields x1=False, x2=True
-    f = CnfFormula(2, ((1, 2),))
-    assert brute_force_sat(f) == {1: False, 2: True}
-
-
-def test_brute_force_sat_cap():
-    f = CnfFormula(21, ((21,),))
-    with pytest.raises(CapExceededError):
-        brute_force_sat(f)
-    assert brute_force_sat(f, cap=21) is not None
-
-
-def test_brute_force_nae():
-    assert brute_force_nae(CnfFormula(1, ((1, 1, 1),))) is None
-    f = CnfFormula(2, ((1, 2),))
-    assert brute_force_nae(f) == {1: False, 2: True}
-    with pytest.raises(ValueError):
-        brute_force_nae(CnfFormula(1, ((1,),)))
-    # over the cap the refusal comes before the short-clause check
-    f = CnfFormula(21, ((21,),))
-    with pytest.raises(CapExceededError, match="brute-force NAE on 21 variables"):
-        brute_force_nae(f)
-    with pytest.raises(ValueError, match="two literals"):
-        brute_force_nae(f, cap=21)
-    assert brute_force_nae(CnfFormula(21, ((1, 21),)), cap=21) is not None
-
-
 def test_dpll_unit_propagation_chain():
     f = CnfFormula(2, ((1,), (-1, 2)))
     assert dpll_solve(f) == {1: True, 2: True}
@@ -123,7 +81,7 @@ def test_dpll_agrees_with_brute_on_random_formulas():
     rng = random.Random(31)
     for _ in range(300):
         f = random_3cnf(rng, rng.randint(3, 6), rng.randint(1, 10))
-        brute = brute_force_sat(f)
+        brute = oracle_sat(f)
         model = dpll_solve(f)
         assert (model is None) == (brute is None), f
         if model is not None:
@@ -134,7 +92,7 @@ def test_dpll_on_wider_formulas():
     rng = random.Random(32)
     for _ in range(20):
         f = random_3cnf(rng, 15, rng.randint(10, 40))
-        brute = brute_force_sat(f)
+        brute = oracle_sat(f)
         model = dpll_solve(f)
         assert (model is None) == (brute is None)
 
@@ -156,18 +114,9 @@ def formulas(draw):
 
 
 @given(formulas())
-def test_brute_force_sat_matches_independent_oracle(f):
-    got = brute_force_sat(f)
-    want = oracle_sat(f)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert satisfies(f, got)
-
-
-@given(formulas())
 def test_dpll_model_always_satisfies(f):
     model = dpll_solve(f)
-    assert (model is None) == (brute_force_sat(f) is None)
+    assert (model is None) == (oracle_sat(f) is None)
     if model is not None:
         assert satisfies(f, model)
         assert set(model) == set(range(1, f.var_count + 1))
@@ -189,17 +138,8 @@ def nae_formulas(draw):
     return CnfFormula(var_count, tuple(clauses))
 
 
-@given(nae_formulas())
-def test_brute_force_nae_matches_independent_oracle(f):
-    got = brute_force_nae(f)
-    want = oracle_nae(f)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert nae_satisfies(f, got)
-
-
 @settings(max_examples=60)
 @given(nae_formulas())
 def test_nae_closed_under_literal_complement(f):
     flipped = CnfFormula(f.var_count, tuple(tuple(-l for l in cl) for cl in f.clauses))
-    assert (brute_force_nae(f) is None) == (brute_force_nae(flipped) is None)
+    assert (oracle_nae(f) is None) == (oracle_nae(flipped) is None)

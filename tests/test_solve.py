@@ -20,14 +20,11 @@ from coloredcut import (
     KernelOutcome,
     augment_cut,
     brute_force_max,
-    brute_force_nae,
-    brute_force_sat,
     colorful_cut_decide,
     cut_colors,
     decide_max,
     dpll_solve,
     embed_complete_artifact,
-    encode_colorful_to_cnf,
     greedy_half_colors,
     is_colorful,
     kernelize_colors,
@@ -42,10 +39,13 @@ from coloredcut import (
 )
 
 from helpers import (
+    encode_colorful_to_cnf,
     inflate_one_color,
     oracle_colorful_cut,
     oracle_first_max_mask,
     oracle_max_cut_colors,
+    oracle_nae,
+    oracle_sat,
     random_3cnf,
     random_multigraph,
     root_contraction,
@@ -391,7 +391,7 @@ def test_colorful_matches_formula_truth_on_every_construction(kind):
     # nae); DPLL on the encoding cross-checks the graphs small enough for it
     truths = set()
     for f in _construction_formulas():
-        truth = (brute_force_nae(f) if kind == "nae" else brute_force_sat(f)) is not None
+        truth = (oracle_nae(f) if kind == "nae" else oracle_sat(f)) is not None
         g = _GENERATORS[kind](f).graph
         _check_colorful_answer(g, truth)
         if g.m <= 60:
