@@ -6,10 +6,7 @@ from .errors import CapExceededError, FormatError, InvariantError
 from .graph import (
     ColoredGraph,
     Cut,
-    color_span,
     cut_colors,
-    cut_edges,
-    distinct_pairs_of_color,
     is_colorful,
     parse_cut,
     parse_graph,
@@ -100,12 +97,9 @@ __all__ = [
     "augment_cut",
     "brute_force_max",
     "claim1_bound",
-    "color_span",
     "colorful_cut_decide",
     "cut_colors",
-    "cut_edges",
     "decide_max",
-    "distinct_pairs_of_color",
     "greedy_half_colors",
     "is_colorful",
     "kernelize_colors",

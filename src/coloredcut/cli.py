@@ -10,8 +10,8 @@ Subcommands::
     stats      per-color edge counts, distinct endpoint pairs, span
 
 Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output,
-3 solve refused its search (more than ``--cap`` vertices to enumerate),
-4 internal error.
+3 solve refused its search (more than ``BRUTE_FORCE_CAP``, 24, vertices to
+enumerate), 4 internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .errors import CapExceededError, FormatError
 from .graph import (
-    ColoredGraph,
     _check_int_fields,
     _color_classes,
     _span,
@@ -35,7 +34,7 @@ from .graph import (
     serialize_graph,
 )
 from .kernel import kernelize_colors, kernelize_value
-from .solve import BRUTE_FORCE_CAP, colorful_cut_decide, greedy_half_colors, solve_via_kernel
+from .solve import colorful_cut_decide, greedy_half_colors, solve_via_kernel
 
 # The `ReductionKind` values, spelled out so that building the parser does not
 # load reductions.py: only `generate` and `verify --kind <construction>` use it.
@@ -46,6 +45,8 @@ def _int_arg(text: str) -> int:
     """Read an integer flag by the rule of the files' integer fields."""
     try:
         _check_int_fields([text])
+        if text != text.strip():  # `int` would strip it; a file field has none
+            raise ValueError
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
@@ -78,7 +79,7 @@ def _answer(line: str, body: str, output: str | None) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     if args.algo == "kernel":
-        witness = solve_via_kernel(g, cap=args.cap).witness
+        witness = solve_via_kernel(g).witness
     else:
         witness = greedy_half_colors(g)
     value = len(cut_colors(g, witness))
@@ -200,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("graph", help="edge-colored graph file")
     p_solve.add_argument("-k", type=_int_arg, default=None, help="exit 0 iff value >= k")
     p_solve.add_argument("--algo", choices=("kernel", "greedy"), default="kernel")
-    p_solve.add_argument("--cap", type=_int_arg, default=BRUTE_FORCE_CAP, help="most vertices searched")
     p_solve.add_argument("--output", default=None, help="write the cut here")
     p_solve.set_defaults(func=_cmd_solve)
 

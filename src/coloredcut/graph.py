@@ -111,12 +111,6 @@ class ColoredGraph(_Record):
     def m(self) -> int:
         return len(self.edges)
 
-    def edges_of_color(self, color: int) -> list[int]:
-        """Indices (0-based, file order) of the edges carrying `color`."""
-        if not (1 <= color <= self.p):
-            raise ValueError(f"color {color} outside 1..{self.p}")
-        return [i for i, (_, _, c) in enumerate(self.edges) if c == color]
-
 
 class Cut(_Record):
     """A nontrivial bipartition of 1..n, stored as the S side.
@@ -140,27 +134,12 @@ class Cut(_Record):
             raise ValueError("cut is trivial: T side is empty")
         super().__init__(n, s_side)
 
-    @property
-    def t_side(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.s_side
-
     def crosses(self, u: int, v: int) -> bool:
         return (u in self.s_side) != (v in self.s_side)
-
-    def complement(self) -> "Cut":
-        return Cut(self.n, self.t_side)
 
 
 # ---------------------------------------------------------------------------
 # cut evaluation
-
-
-def cut_edges(g: ColoredGraph, cut: Cut) -> list[int]:
-    """Indices (0-based, file order) of the edges crossing the cut."""
-    if cut.n != g.n:
-        raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
-    s = cut.s_side
-    return [i for i, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)]
 
 
 def cut_colors(g: ColoredGraph, cut: Cut) -> frozenset[int]:
@@ -220,26 +199,6 @@ def _color_classes(g: ColoredGraph) -> list[dict[tuple[int, int], int]]:
     for i, (u, v, c) in enumerate(g.edges):
         classes[c - 1].setdefault((u, v) if u < v else (v, u), i)
     return classes
-
-
-def _color_class(g: ColoredGraph, color: int) -> dict[tuple[int, int], int]:
-    if not (1 <= color <= g.p):
-        raise ValueError(f"color {color} outside 1..{g.p}")
-    return _color_classes(g)[color - 1]
-
-
-def color_span(g: ColoredGraph, color: int) -> int:
-    """Number of connected components of the subgraph formed by one color class.
-
-    Only vertices touched by edges of that color count; isolated vertices of
-    the host graph are ignored.
-    """
-    return _span(_color_class(g, color))
-
-
-def distinct_pairs_of_color(g: ColoredGraph, color: int) -> int:
-    """Number of distinct endpoint pairs {u,v} carrying an edge of `color`."""
-    return len(_color_class(g, color))
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,16 @@ def _periodic_tables(width: int) -> list[int]:
     return tables
 
 
-def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
+def brute_force_max(g: ColoredGraph) -> SolveResult:
     """Exact maximum colored cut by enumerating bipartitions.
 
     Only vertex 1 and the t vertices some edge touches are enumerated, and
-    `cap` bounds t.  Vertex 1 is pinned to S (complement symmetry), so
-    2^(t-1) - 1 bipartitions are scanned, in increasing order of the mask
-    whose bit j is the (j+2)-th of those vertices; the first optimum wins
-    ties.  Every other vertex sits on T, as in the first optimum of a scan
-    over all n vertices, so value and witness are those of that scan.
+    BRUTE_FORCE_CAP bounds t.  Vertex 1 is pinned to S (swapping the sides
+    crosses the same colors), so 2^(t-1) - 1 bipartitions are scanned, in
+    increasing order of the mask whose bit j is the (j+2)-th of those
+    vertices; the first optimum wins ties.  Every other vertex sits on T, as
+    in the first optimum of a scan over all n vertices, so value and witness
+    are those of that scan.
 
     The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
     one block each vertex's side is a big-int truth table (bit i set when
@@ -89,8 +90,8 @@ def brute_force_max(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     vertices = sorted({1}.union(*(e[:2] for e in g.edges)))
     t = len(vertices)
-    if t > cap:
-        raise CapExceededError(f"refusing exhaustive search on {t} vertices (cap {cap})")
+    if t > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"refusing exhaustive search on {t} vertices (cap {BRUTE_FORCE_CAP})")
     index = {v: i for i, v in enumerate(vertices, start=1)}
     classes = [[(index[u], index[v]) for u, v in pairs] for pairs in _color_classes(g)]
     width = min(_BLOCK_BITS, t - 1)
@@ -372,7 +373,7 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     return cut
 
 
-def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveResult:
+def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome) -> SolveResult:
     """Exact optimum of g from a kernel outcome with a reduced graph: search
     that graph with `brute_force_max`, lift the witness (dropped vertices
     land on T), repair it with `augment_cut` and check that it crosses
@@ -388,7 +389,7 @@ def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveRe
     if reduced.n < 2:
         value, explored, s_side = 0, 0, {1}  # nothing is left to lift from
     else:
-        result = brute_force_max(reduced, cap=cap)
+        result = brute_force_max(reduced)
         value, explored = result.value, result.explored
         back = {new: old for old, new in outcome.vertex_renaming.items()}
         if 1 not in back:
@@ -402,7 +403,7 @@ def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome, cap: int) -> SolveRe
     return SolveResult(total, witness, "kernel+brute-force", explored)
 
 
-def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[bool, Cut | None]:
+def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
     No cut crosses more than p colors, so every k > p is a no.  Otherwise the
@@ -421,17 +422,18 @@ def decide_max(g: ColoredGraph, k: int, cap: int = BRUTE_FORCE_CAP) -> tuple[boo
         if len(cut_colors(g, base)) < k:
             raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
         return True, base
-    result = _solve_reduced(g, outcome, cap)
+    result = _solve_reduced(g, outcome)
     return (True, result.witness) if result.value >= k else (False, None)
 
 
-def solve_via_kernel(g: ColoredGraph, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
+def solve_via_kernel(g: ColoredGraph) -> SolveResult:
     """Exact maximum colored cut through the color-parameterized kernel.
 
     The optimum of g equals the optimum of the reduced graph plus the number
     of removed colors; the witness is lifted back and repaired to achieve it.
-    `cap` bounds the vertices searched: reduced vertex 1 and the touched ones.
+    BRUTE_FORCE_CAP bounds the vertices searched: reduced vertex 1 and the
+    touched ones.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    return _solve_reduced(g, kernelize_colors(g), cap)
+    return _solve_reduced(g, kernelize_colors(g))

@@ -118,6 +118,27 @@ def oracle_colorful_cut(g: ColoredGraph):
     return None
 
 
+def distinct_pairs(g: ColoredGraph, color: int) -> set[frozenset[int]]:
+    """The unordered endpoint pairs carrying an edge of `color`."""
+    return {frozenset((u, v)) for u, v, c in g.edges if c == color}
+
+
+def span(g: ColoredGraph, color: int) -> int:
+    """Components among the vertices that edges of `color` touch, by a
+    union-find over those edges (no BFS, unlike the library)."""
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for u, v, c in g.edges:
+        if c == color:
+            parent[root(u)] = root(v)
+    return sum(1 for v in parent if parent[v] == v)
+
+
 def oracle_has_k4_minor(n: int, pairs: list[tuple[int, int]]) -> bool:
     """Brute-force K4 minor search: try every assignment of vertices to four
     branch sets (or none); feasible up to n ~ 7."""

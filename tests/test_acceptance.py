@@ -2,26 +2,24 @@
 
 Each test checks one promised guarantee over a fresh seeded corpus and prints
 a single ``acceptance <label>: PASS|FAIL`` line (visible with ``pytest -s``).
-All corpora are self-contained; nothing here depends on other test modules.
+The corpora are seeded here; their generators and the oracles come from
+``helpers``, the only other test module imported.
 """
 
 import math
 import random
 import time
-from itertools import combinations
 
 import pytest
 
 from coloredcut import (
     CnfFormula,
     ColoredGraph,
-    Cut,
     brute_force_max,
     claim1_bound,
     colorful_cut_decide,
     cut_colors,
     decide_max,
-    distinct_pairs_of_color,
     dpll_solve,
     embed_complete,
     greedy_half_colors,
@@ -33,7 +31,6 @@ from coloredcut import (
     parse_cut,
     parse_graph,
     sat_to_multigraph,
-    serialize_dimacs,
     serialize_graph,
     solve_via_kernel,
     strip_single_polarity,
@@ -43,6 +40,7 @@ from coloredcut.cli import main as cli_main
 
 from helpers import (
     all_3var_formulas,
+    distinct_pairs,
     encode_colorful_to_cnf,
     inflate_one_color,
     oracle_nae,
@@ -154,7 +152,7 @@ def test_criterion_2_kernel_size_bound():
     for g in corpus:
         red = kernelize_colors(g).reduced_graph
         bound = claim1_bound(red.p)
-        per_color = [distinct_pairs_of_color(red, c) for c in range(1, red.p + 1)]
+        per_color = [len(distinct_pairs(red, c)) for c in range(1, red.p + 1)]
         if any(q > bound for q in per_color) or sum(per_color) > red.p * bound:
             violations += 1
     _report("kernel-size-bound", violations, len(corpus))

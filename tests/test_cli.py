@@ -13,9 +13,7 @@ from coloredcut import (
     CnfFormula,
     ReductionKind,
     brute_force_max,
-    color_span,
     cut_colors,
-    distinct_pairs_of_color,
     is_colorful,
     multigraph_to_simple,
     parse_cut,
@@ -27,7 +25,7 @@ from coloredcut import (
 )
 from coloredcut.cli import main
 
-from helpers import unsat_3cnf_draws
+from helpers import distinct_pairs, span, unsat_3cnf_draws
 
 TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
@@ -222,9 +220,6 @@ def test_solve_brute_cap_exit_code(graph_file, capsys):
     code, _, err = run(capsys, ["solve", graph_file(big)])
     assert code == 3
     assert err.startswith("error:")
-    # a raised cap lets the same file through
-    code, out, _ = run(capsys, ["solve", graph_file(big), "--cap", "25"])
-    assert code == 0 and out.splitlines()[0] == "value 24"
 
 
 def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
@@ -241,6 +236,7 @@ def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
         ["solve", "--algo", "brute"],
         ["colorful", "--algo", "sat"],
         ["colorful", "--cap", "5"],
+        ["solve", "--cap", "25"],
     ],
 )
 def test_removed_brute_force_flags_are_usage_errors(argv, graph_file, capsys):
@@ -254,10 +250,13 @@ def test_removed_brute_force_flags_are_usage_errors(argv, graph_file, capsys):
     "argv",
     [
         ["solve", "GRAPH", "-k", "1_0"],
-        ["solve", "GRAPH", "--cap", "\uff12\uff10"],
+        ["solve", "GRAPH", "-k", "\uff12\uff10"],
         ["kernelize", "GRAPH", "--param", "k", "-k", "\u0663"],
         ["verify", "--kind", "graph", "--graph", "GRAPH", "--expect-colors", "1_0"],
         ["solve", "GRAPH", "-k", "two"],
+        ["solve", "GRAPH", "-k", " 1"],
+        ["kernelize", "GRAPH", "--param", "k", "-k", "2\t"],
+        ["verify", "--kind", "graph", "--graph", "GRAPH", "--expect-colors", "3\n"],
     ],
 )
 def test_integer_flags_take_only_a_sign_and_ascii_digits(argv, graph_file, capsys):
@@ -629,6 +628,19 @@ def test_stats_counts_parallels_and_span(graph_file, capsys):
     assert out.splitlines()[1] == "color 1 edges 3 pairs 2 span 2"
 
 
+@pytest.mark.parametrize(
+    "n,edges,line",
+    [
+        (4, ((1, 2, 1), (3, 4, 1)), "color 1 edges 2 pairs 2 span 2"),  # two components
+        (3, ((1, 2, 1), (2, 3, 1)), "color 1 edges 2 pairs 2 span 1"),  # a path
+        (3, ((1, 2, 1), (2, 1, 1), (2, 3, 1)), "color 1 edges 3 pairs 2 span 1"),  # (2,1) = (1,2)
+    ],
+)
+def test_stats_pairs_and_span_of_one_color(n, edges, line, graph_file, capsys):
+    _, out, _ = run(capsys, ["stats", graph_file(ColoredGraph(n, edges, 1))])
+    assert out.splitlines()[1] == line
+
+
 def test_stats_matches_per_color_functions_on_many_colors(graph_file, capsys):
     rng = random.Random(11)
     n, p = 30, 80
@@ -643,8 +655,8 @@ def test_stats_matches_per_color_functions_on_many_colors(graph_file, capsys):
     code, out, _ = run(capsys, ["stats", graph_file(g)])
     assert code == 0
     expected = [f"n {n} m {g.m} p {p}"] + [
-        f"color {c} edges {len(g.edges_of_color(c))}"
-        f" pairs {distinct_pairs_of_color(g, c)} span {color_span(g, c)}"
+        f"color {c} edges {sum(d == c for _, _, d in g.edges)}"
+        f" pairs {len(distinct_pairs(g, c))} span {span(g, c)}"
         for c in range(1, p + 1)
     ]
     assert out.splitlines() == expected

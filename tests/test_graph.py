@@ -17,12 +17,9 @@ from coloredcut import (
     augment_cut,
     brute_force_max,
     claim1_bound,
-    color_span,
     colorful_cut_decide,
     cut_colors,
-    cut_edges,
     cut_to_assignment,
-    distinct_pairs_of_color,
     is_colorful,
     kernelize_colors,
     make_k4mf_connected,
@@ -43,9 +40,6 @@ RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 def test_graph_basic_accessors():
     g = RAINBOW_TRIANGLE
     assert g.m == 3
-    assert g.edges_of_color(2) == [1]
-    with pytest.raises(ValueError):
-        g.edges_of_color(4)
 
 
 def test_graph_rejects_self_loop():
@@ -82,9 +76,7 @@ def test_cut_validation():
     with pytest.raises(ValueError):
         Cut(3, frozenset({4}))
     c = Cut(3, frozenset({1}))
-    assert c.t_side == frozenset({2, 3})
     assert c.crosses(1, 2) and not c.crosses(2, 3)
-    assert c.complement().s_side == frozenset({2, 3})
 
 
 class _Index:
@@ -167,25 +159,10 @@ def test_value_types_behave_as_frozen_dataclasses(record, other, hashable):
         assert type(clone) is cls and clone == record and repr(clone) == repr(record)
 
 
-def test_cut_edges_on_path():
-    g = ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2)
-    assert cut_edges(g, Cut(3, frozenset({1}))) == [0]
-    assert cut_edges(g, Cut(3, frozenset({2}))) == [0, 1]
-
-
-def test_cut_edges_on_triangle():
-    assert cut_edges(RAINBOW_TRIANGLE, Cut(3, frozenset({1}))) == [0, 2]
-
-
 def test_cut_colors_and_parallel_edges():
     assert cut_colors(RAINBOW_TRIANGLE, Cut(3, frozenset({1}))) == frozenset({1, 3})
     g = ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2)
     assert cut_colors(g, Cut(2, frozenset({1}))) == frozenset({1, 2})
-
-
-def test_cut_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        cut_edges(RAINBOW_TRIANGLE, Cut(4, frozenset({1})))
 
 
 def test_is_colorful():
@@ -194,21 +171,6 @@ def test_is_colorful():
     assert not is_colorful(RAINBOW_TRIANGLE, Cut(3, frozenset({1})))
     single = ColoredGraph(2, ((1, 2, 1),), 1)
     assert is_colorful(single, Cut(2, frozenset({1})))
-
-
-def test_color_span():
-    g = ColoredGraph(4, ((1, 2, 1), (3, 4, 1)), 1)
-    assert color_span(g, 1) == 2
-    g2 = ColoredGraph(3, ((1, 2, 1), (2, 3, 1)), 1)
-    assert color_span(g2, 1) == 1
-    g3 = ColoredGraph(2, ((1, 2, 1),), 1)
-    assert color_span(g3, 1) == 1
-
-
-def test_distinct_pairs_counts_pairs_not_edges():
-    g = ColoredGraph(3, ((1, 2, 1), (2, 1, 1), (2, 3, 1)), 1)
-    assert distinct_pairs_of_color(g, 1) == 2
-    assert distinct_pairs_of_color(ColoredGraph(2, ((1, 2, 1),), 1), 1) == 1
 
 
 def test_parse_graph_roundtrip():
@@ -328,8 +290,6 @@ _NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, No
             lambda: cut_colors(RAINBOW_TRIANGLE, Cut(4, {1})),
             "cut is over 1..4 but graph has 3 vertices",
         ),
-        (lambda: color_span(RAINBOW_TRIANGLE, 4), "color 4 outside 1..3"),
-        (lambda: distinct_pairs_of_color(RAINBOW_TRIANGLE, 0), "color 0 outside 1..3"),
         (lambda: claim1_bound(-1), "bound argument must be nonnegative, got -1"),
         (
             lambda: augment_cut(RAINBOW_TRIANGLE, [], Cut(4, {1})),
@@ -427,4 +387,4 @@ def test_cut_colors_complement_invariant(g, data):
         )
     )
     cut = Cut(g.n, frozenset(members))
-    assert cut_colors(g, cut) == cut_colors(g, cut.complement())
+    assert cut_colors(g, cut) == cut_colors(g, Cut(g.n, set(range(1, g.n + 1)) - members))

@@ -11,11 +11,11 @@ from coloredcut import (
     augment_cut,
     claim1_bound,
     cut_colors,
-    distinct_pairs_of_color,
     kernelize_colors,
     kernelize_value,
 )
 from helpers import (
+    distinct_pairs,
     inflate_one_color,
     oracle_max_cut_colors,
     oracle_reduced_graph,
@@ -83,7 +83,7 @@ def test_kernelize_drops_only_newly_isolated_vertices():
         ),
         3,
     )
-    assert distinct_pairs_of_color(g, 1) == 7 > claim1_bound(3)
+    assert len(distinct_pairs(g, 1)) == 7 > claim1_bound(3)
     out = kernelize_colors(g)
     assert out.removed_colors == (1,)
     red = out.reduced_graph
@@ -210,7 +210,7 @@ def test_kernel_size_bound_holds_after_reduction():
         red = kernelize_colors(g).reduced_graph
         bound = claim1_bound(red.p)
         for c in range(1, red.p + 1):
-            assert distinct_pairs_of_color(red, c) <= bound
+            assert len(distinct_pairs(red, c)) <= bound
 
 
 def test_renamings_are_dense_and_order_preserving():
