@@ -10,9 +10,9 @@ Three routes:
   which must cross; one trailed parity union-find, seeded with those labels
   as depth-one stars, contracts the other colors' forced crossings, is
   settled onto the quotient, and is then searched in place depth-first
-  without recursion, branching on the first edge of the color with the
-  fewest edges and contracting again at every node, down to the node where
-  no color is left to cross.
+  without recursion, branching on the busiest edge of a color with the
+  fewest edges (the MOMS rule of DPLL solvers) and contracting again at
+  every node, down to the node where no color is left to cross.
 
 `solve_via_kernel` and `decide_max` share one route after the kernel: the
 exhaustive search of the reduced graph, then lift, `augment_cut` repair and
@@ -336,11 +336,14 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     the colors with a single endpoint pair, and one `_Contraction` seeded
     with those labels contracts the other colors to a fixpoint, so that
     branch unions move only quotient incidences.  A depth-first search
-    without recursion then branches on the first edge of the live color with
-    the fewest edges, which crosses in the first branch and not in the
-    second, and propagates forced crossings after every branch.  A branch
-    whose propagation leaves some color with no live edge backtracks; once
-    no color is live every color crosses, whatever side each class takes.
+    without recursion then branches by MOMS, maximum occurrences in clauses
+    of minimum size (Marques-Silva, EPIA 1999): over every edge of every live
+    color with the fewest edges, the edge whose two classes carry the most
+    color incidences, the first such in `live` order and then edge order.
+    That edge crosses in the first branch and not in the second, and forced
+    crossings are propagated after every branch.  A branch whose propagation
+    leaves some color with no live edge backtracks; once no color is live
+    every color crosses, whatever side each class takes.
     Every root sits on S, so a touched vertex is on S iff its parity to its
     root is 0, and vertices no edge touches sit on T.  With p >= 1 a
     colorful cut crosses an edge, so it is nontrivial.  The cut is recounted
@@ -353,12 +356,22 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     state = _root_contraction(g)
     if state is None:
         return None
-    live = state.live
+    live, touching = state.live, state.touching
     stack: list[tuple[int, int, int, int]] = []  # (trail mark, a, b, flip) of untried branches
     ok = True
     while live or not ok:
-        if ok:  # branch: the edge crosses first
-            a, b, flip = min(live.values(), key=len)[0]
+        if ok:  # branch on the busiest edge of a shortest color; it crosses first
+            # After `propagate` both ends of a live edge are current roots
+            # carrying that color, so `touching[x]` adds no defaultdict entry.
+            shortest = min(map(len, live.values()))
+            busiest = -1
+            for edges in live.values():
+                if len(edges) == shortest:
+                    for edge in edges:
+                        weight = len(touching[edge[0]]) + len(touching[edge[1]])
+                        if weight > busiest:
+                            busiest = weight
+                            a, b, flip = edge
             stack.append((len(state.trail), a, b, flip ^ 1))  # then: it does not cross
         elif stack:  # backtrack into the latest untried branch
             mark, a, b, flip = stack.pop()

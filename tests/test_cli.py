@@ -99,7 +99,7 @@ def test_colorful_no_on_an_18_clause_planar_tail_graph(graph_file, capsys):
     assert out.strip() == "colorful no"
 
 
-def test_colorful_algos_agree(graph_file, capsys):
+def test_colorful_exit_code_matches_brute_force_max(graph_file, capsys):
     for g in (TRIANGLE, C4, STAR):
         code, _, _ = run(capsys, ["colorful", graph_file(g)])
         assert code == (0 if brute_force_max(g).value == g.p else 1)

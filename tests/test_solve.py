@@ -37,6 +37,7 @@ from coloredcut import (
     solve_via_kernel,
     strip_single_polarity,
 )
+from coloredcut.solve import _Contraction
 
 from helpers import (
     encode_colorful_to_cnf,
@@ -398,10 +399,24 @@ def test_colorful_matches_formula_truth_on_every_construction(kind):
     assert truths == {True, False}
 
 
-def test_colorful_branching_backtracks_into_the_second_branch():
-    # found by a seeded scan: the first branch (the first edge of the
+def _record_calls(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of every `_Contraction.<name>` call from now on."""
+    calls: list[tuple] = []
+    original = getattr(_Contraction, name)
+
+    def recording(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_Contraction, name, recording)
+    return calls
+
+
+def test_colorful_branching_backtracks_into_the_second_branch(monkeypatch):
+    # found by a seeded scan: the first branch (the busiest edge of a
     # shortest color crosses) fails, and every colorful cut lies under its
     # sibling, where that edge does not cross
+    undos = _record_calls(monkeypatch, "undo")
     g = ColoredGraph(
         9,
         ((8, 3, 1), (6, 3, 2), (4, 5, 3), (8, 4, 4), (2, 3, 5))
@@ -411,6 +426,72 @@ def test_colorful_branching_backtracks_into_the_second_branch():
     assert brute_force_max(g).value == g.p
     cut = colorful_cut_decide(g)
     assert cut is not None and is_colorful(g, cut)
+    assert undos
+
+
+@pytest.mark.parametrize(
+    "edges, first_branch",
+    [
+        # color 1 is the only shortest color: its edge 3-4 carries 4 color
+        # incidences and 1-2 carries 2; 5-6 carries 8 but lies in longer colors
+        (
+            ((1, 2, 1), (3, 4, 1), (3, 5, 2), (4, 6, 2), (5, 6, 2))
+            + ((5, 6, 3), (5, 7, 3), (6, 7, 3)),
+            (3, 4, 0),
+        ),
+        # colors 1 and 2 are the shortest, and their edges 3-4 and 7-8 tie at
+        # 4 incidences: the first of them, in color order, wins
+        (
+            ((1, 2, 1), (3, 4, 1), (5, 6, 2), (7, 8, 2))
+            + ((3, 7, 3), (4, 8, 3), (9, 10, 3)),
+            (3, 4, 0),
+        ),
+    ],
+    ids=["busiest", "tie"],
+)
+def test_colorful_branches_on_the_busiest_edge_of_a_shortest_color(
+    monkeypatch, edges, first_branch
+):
+    unions = _record_calls(monkeypatch, "unite")
+    g = ColoredGraph(max(max(u, v) for u, v, _ in edges), edges, max(c for *_, c in edges))
+    cut = colorful_cut_decide(g)
+    assert cut is not None and is_colorful(g, cut)
+    assert unions[0] == first_branch
+
+
+def test_colorful_refutes_a_20_variable_formula_in_few_branches(monkeypatch):
+    # the third draw is unsatisfiable.  Branching on the first edge of a
+    # shortest color took 25,200 branches (5 s) to refute its planar graph;
+    # the busiest edge of a shortest color takes 46.  The bound is a count of
+    # branches (only the search calls `unite`), so it holds on any machine.
+    rng = random.Random(1020)
+    f = [random_3cnf(rng, 20, 86) for _ in range(3)][2]
+    assert dpll_solve(f) is None
+    unions = _record_calls(monkeypatch, "unite")
+    assert colorful_cut_decide(sat_to_multigraph(f).graph) is None
+    assert len(unions) <= 300
+
+
+def _threshold_formulas() -> list[CnfFormula]:
+    """Three random 3-CNF on each of 10, 11 and 12 variables at about 4.3
+    clauses per variable, near the satisfiability threshold."""
+    formulas = []
+    for v in (10, 11, 12):
+        rng = random.Random(1000 + v)
+        formulas += [random_3cnf(rng, v, round(4.3 * v)) for _ in range(3)]
+    return formulas
+
+
+# complete is left out: its graph grows with the square of the simple one's
+@pytest.mark.parametrize("kind", sorted(set(_GENERATORS) - {"complete"}))
+def test_colorful_matches_formula_truth_near_the_threshold(kind):
+    truths = []
+    for f in _threshold_formulas():
+        truth = (oracle_nae(f) if kind == "nae" else oracle_sat(f)) is not None
+        _check_colorful_answer(_GENERATORS[kind](f).graph, truth)
+        truths.append(truth)
+    # two of the nine are unsatisfiable, and none is NAE-satisfiable
+    assert truths.count(True) == (0 if kind == "nae" else 7)
 
 
 def test_colorful_tail_formulas_stay_fast():
