@@ -111,7 +111,7 @@ def main():
           f" reduced to n={out.reduced_graph.n} p={out.reduced_graph.p}")
     exact = solve_via_kernel(g)
     greedy = greedy_half_colors(g)
-    print(f"exact maximum {exact.value} via {exact.method};"
+    print(f"exact maximum {exact.value};"
           f" greedy crosses {len(cut_colors(g, greedy))} (guarantee {(g.p + 1) // 2})")
 
 

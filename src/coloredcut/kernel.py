@@ -10,12 +10,14 @@ first prefix whose remaining target k' is at most ceil(p'/2), which a greedy
 cut always reaches.  After i removals k' = k - i and p' = p - i, so that
 prefix has max(0, 2k - p - 1) removals.  Both read one color-class table,
 `graph._color_classes`: its pair counts drive the rule, and the first edge
-of each surviving pair makes up the reduced graph.
+of each surviving pair makes up the reduced graph.  The exact solvers in
+`solve.py` take the table and the removals themselves and search the
+surviving colors in place, so only the kernelize routes build that graph.
 
 The same counting argument is constructive: given any cut, a deleted color
 can be brought into the cut by flipping a single vertex that is not needed
 as a witness for the colors already crossing.  `augment_cut` implements
-that repair and is what makes lifted witnesses honest.
+that repair and is what makes the solvers' witnesses honest.
 """
 
 from __future__ import annotations
@@ -32,25 +34,19 @@ class KernelOutcome(_Record):
     """Result of rule application: `reduced_graph` is None for an early yes.
 
     removed_colors lists original color ids in removal order.  The surviving
-    colors keep their order and are renumbered 1..p'.  vertex_renaming maps
-    original vertex ids to ids in the reduced graph (empty for an early yes).
-    It lists only the vertices a kept edge touches: vertices no edge of g
-    touches survive in their order among the rest but are not listed, so it
-    is O(m).
+    colors keep their order and are renumbered 1..p'.  The reduced graph
+    drops only the vertices the removals isolate; every other vertex keeps
+    its order, so vertex v becomes v minus the number dropped below it.
     """
 
-    __slots__ = ("reduced_graph", "removed_colors", "vertex_renaming")
+    __slots__ = ("reduced_graph", "removed_colors")
     reduced_graph: ColoredGraph | None
     removed_colors: tuple[int, ...]
-    vertex_renaming: dict[int, int]
 
     def __init__(
-        self,
-        reduced_graph: ColoredGraph | None,
-        removed_colors: tuple[int, ...],
-        vertex_renaming: dict[int, int],
+        self, reduced_graph: ColoredGraph | None, removed_colors: tuple[int, ...]
     ) -> None:
-        super().__init__(reduced_graph, removed_colors, vertex_renaming)
+        super().__init__(reduced_graph, removed_colors)
 
 
 def claim1_bound(beta: int) -> int:
@@ -92,17 +88,14 @@ def _build_reduced(
     touched = {x for u, v, _ in g.edges for x in (u, v)}
     kept_touched = sorted({x for u, v, _ in kept for x in (u, v)})
     dropped = sorted(touched.difference(kept_touched))
-    vertex_renaming = {v: v - bisect_left(dropped, v) for v in kept_touched}
+    renaming = {v: v - bisect_left(dropped, v) for v in kept_touched}
     new_color = {old: new for new, old in enumerate(alive_colors, start=1)}
     reduced = ColoredGraph(
         g.n - len(dropped),
-        tuple(
-            (vertex_renaming[u], vertex_renaming[v], new_color[c])
-            for u, v, c in kept
-        ),
+        tuple((renaming[u], renaming[v], new_color[c]) for u, v, c in kept),
         len(alive_colors),
     )
-    return KernelOutcome(reduced, tuple(removed), vertex_renaming)
+    return KernelOutcome(reduced, tuple(removed))
 
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
@@ -111,27 +104,35 @@ def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     return _build_reduced(g, classes, _removal_order(classes))
 
 
-def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
-    """Apply the rule with target value k, decrementing k per removed color.
+def _value_kernel(
+    g: ColoredGraph, k: int
+) -> tuple[list[dict[tuple[int, int], int]] | None, list[int], bool]:
+    """(color-class table, removals, early yes) of the rule with target k.
 
-    The removals are those of `kernelize_colors`.  After i removals, with
-    k' = k - i and p' = p - i, the target is covered once k' <= ceil(p'/2),
-    that is i >= 2k - p - 1: the greedy half-colors cut over the p' surviving
-    colors, repaired to cross the i removed ones, reaches it.  So the early
-    yes comes with the first max(0, 2k - p - 1) removals when the rule makes
-    that many; every k <= ceil(p/2) gets one with none, before any pair is
-    counted.  Otherwise the result is the color kernel's, with target
-    k - len(removed_colors).
+    An early yes carries the first max(0, 2k - p - 1) removals; with none
+    the table is not built and is None.  Otherwise every removal is listed.
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
     need = max(0, 2 * k - g.p - 1)
     if need == 0:
-        return KernelOutcome(None, (), {})
+        return None, [], True
     classes = _color_classes(g)
     removed = _removal_order(classes)
     if need <= len(removed):
-        return KernelOutcome(None, tuple(removed[:need]), {})
+        return classes, removed[:need], True
+    return classes, removed, False
+
+
+def kernelize_value(g: ColoredGraph, k: int) -> KernelOutcome:
+    """Apply the rule with target value k, decrementing k per removed color.
+
+    An early yes (see the module docstring) has no reduced graph; otherwise
+    the result is the color kernel's, with target k - len(removed_colors).
+    """
+    classes, removed, early = _value_kernel(g, k)
+    if early:
+        return KernelOutcome(None, tuple(removed))
     return _build_reduced(g, classes, removed)
 
 

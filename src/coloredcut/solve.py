@@ -2,9 +2,9 @@
 
 Three routes:
 
-* exhaustive bipartition search over vertex 1 (pinned to S) and the
-  vertices an edge touches (exact, capped), bit-parallel over big-int truth
-  tables of the masks, first optimum in increasing mask order,
+* exhaustive bipartition search over the first vertex left (pinned to S)
+  and the vertices a kept color touches (exact, capped), bit-parallel over
+  big-int truth tables of the masks, first optimum in increasing mask order,
 * a greedy placement that always crosses at least half the colors,
 * colorful cut: one BFS labels the colors with a single endpoint pair,
   which must cross; one trailed parity union-find, seeded with those labels
@@ -14,9 +14,10 @@ Three routes:
   fewest edges (the MOMS rule of DPLL solvers) and contracting again at
   every node, down to the node where no color is left to cross.
 
-`solve_via_kernel` and `decide_max` share one route after the kernel: the
-exhaustive search of the reduced graph, then lift, `augment_cut` repair and
-a recount on the original graph.
+`brute_force_max`, `solve_via_kernel` and `decide_max` share one
+exhaustive search.  It takes the color-class table and the colors the
+kernel removed, scans the surviving colors in place on g (no reduced graph
+is built), repairs the witness with `augment_cut` and recounts it on g.
 `decide_max` adds the value kernel's early yes, answered by the greedy cut.
 Witness checks raise `InvariantError`, so they also run under ``python -O``.
 """
@@ -28,7 +29,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _Record, cut_colors, is_colorful
-from .kernel import KernelOutcome, augment_cut, kernelize_colors, kernelize_value
+from .kernel import _removal_order, _value_kernel, augment_cut
 
 BRUTE_FORCE_CAP = 24
 
@@ -39,14 +40,13 @@ _BLOCK_BITS = 16
 
 
 class SolveResult(_Record):
-    __slots__ = ("value", "witness", "method", "explored")
+    __slots__ = ("value", "witness", "explored")
     value: int
     witness: Cut
-    method: str
     explored: int
 
-    def __init__(self, value: int, witness: Cut, method: str, explored: int) -> None:
-        super().__init__(value, witness, method, explored)
+    def __init__(self, value: int, witness: Cut, explored: int) -> None:
+        super().__init__(value, witness, explored)
 
 
 def _periodic_tables(width: int) -> list[int]:
@@ -65,16 +65,21 @@ def _periodic_tables(width: int) -> list[int]:
     return tables
 
 
-def brute_force_max(g: ColoredGraph) -> SolveResult:
-    """Exact maximum colored cut by enumerating bipartitions.
+def _search(
+    g: ColoredGraph, classes: list[dict[tuple[int, int], int]], removed: Sequence[int]
+) -> SolveResult:
+    """Exact optimum of g from its `_color_classes` table and the colors the
+    rule `removed`, in removal order: each crosses some maximum cut, so the
+    optimum is that over the other colors plus len(removed).
 
-    Only vertex 1 and the t vertices some edge touches are enumerated, and
-    BRUTE_FORCE_CAP bounds t.  Vertex 1 is pinned to S (swapping the sides
-    crosses the same colors), so 2^(t-1) - 1 bipartitions are scanned, in
-    increasing order of the mask whose bit j is the (j+2)-th of those
-    vertices; the first optimum wins ties.  Every other vertex sits on T, as
-    in the first optimum of a scan over all n vertices, so value and witness
-    are those of that scan.
+    The removed colors' pairs are dropped, and so are the vertices only they
+    touch.  The first vertex left (vertex 1 when nothing is dropped) is
+    pinned to S, since swapping the sides crosses the same colors.  It and
+    the t - 1 other vertices a kept pair touches are enumerated, with
+    BRUTE_FORCE_CAP bounding t; every other vertex sits on T.  The
+    2^(t-1) - 1 bipartitions are scanned in increasing order of the mask
+    whose bit j is the (j+2)-th of those vertices, and the first optimum
+    wins ties.
 
     The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
     one block each vertex's side is a big-int truth table (bit i set when
@@ -85,18 +90,25 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
     the lowest of them is the block's first optimum.  Blocks run in
     increasing order and only a strictly larger count replaces the best, so
     the tie-break is that of a plain scan in increasing mask order.
+    `augment_cut` then makes the witness cross the removed colors, and the
+    result is recounted on g.
     """
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    vertices = sorted({1}.union(*(e[:2] for e in g.edges)))
+    skip = set(removed)
+    kept = [pairs for c, pairs in enumerate(classes, start=1) if c not in skip]
+    touched = {x for pairs in kept for pair in pairs for x in pair}
+    dropped = {x for c in skip for pair in classes[c - 1] for x in pair} - touched
+    # the first vertex left; with fewer than two left, none is touched and
+    # the scan of vertex 1 alone gives 0 and S = {1}
+    pinned = min({*range(1, len(dropped) + 2)} - dropped) if g.n - len(dropped) > 1 else 1
+    vertices = sorted(touched | {pinned})  # pinned comes first
     t = len(vertices)
     if t > BRUTE_FORCE_CAP:
         raise CapExceededError(f"refusing exhaustive search on {t} vertices (cap {BRUTE_FORCE_CAP})")
     index = {v: i for i, v in enumerate(vertices, start=1)}
-    classes = [[(index[u], index[v]) for u, v in pairs] for pairs in _color_classes(g)]
+    tables = [[(index[u], index[v]) for u, v in pairs] for pairs in kept]
     width = min(_BLOCK_BITS, t - 1)
     full = (1 << (1 << width)) - 1
-    # vertex 1 is on S under every mask; the next `width` vary inside a block
+    # the pinned vertex is on S under every mask; the next `width` vary inside a block
     low_sides = [0, full] + _periodic_tables(width)
     blocks = 1 << (t - 1 - width)
     best_count = -1
@@ -105,7 +117,7 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
         # vertices above the block's bits keep one side over the whole block
         side = low_sides + [full if (block >> j) & 1 else 0 for j in range(t - 1 - width)]
         counter: list[int] = []  # counter[i]: masks whose count has bit i set
-        for pairs in classes:
+        for pairs in tables:
             carry = 0
             for u, v in pairs:
                 carry |= side[u] ^ side[v]
@@ -129,12 +141,23 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
             first = (candidates & -candidates).bit_length() - 1
             best_mask = (block << width) | first
     # bit j of best_mask set  <=>  vertices[j + 1] on the S side
-    witness = Cut(g.n, {1} | {v for j, v in enumerate(vertices[1:]) if (best_mask >> j) & 1})
-    if len(cut_colors(g, witness)) != best_count:
-        raise InvariantError(
-            f"brute-force witness does not cross the {best_count} colors it scored"
-        )
-    return SolveResult(best_count, witness, "brute-force", (1 << (t - 1)) - 1)
+    s_side = {pinned} | {v for j, v in enumerate(vertices[1:]) if (best_mask >> j) & 1}
+    witness = augment_cut(g, removed, Cut(g.n, frozenset(s_side)))
+    total = best_count + len(removed)
+    if len(cut_colors(g, witness)) != total:
+        raise InvariantError(f"exhaustive-search witness does not cross the {total} colors it scored")
+    return SolveResult(total, witness, (1 << (t - 1)) - 1)
+
+
+def brute_force_max(g: ColoredGraph) -> SolveResult:
+    """Exact maximum colored cut by enumerating bipartitions (`_search`, no
+    kernel): vertex 1 and the vertices some edge touches, with vertex 1 on S.
+    Every other vertex sits on T, as in the first optimum of a scan over all
+    n vertices, so value and witness are those of that scan.
+    """
+    if g.n < 2:
+        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
+    return _search(g, _color_classes(g), ())
 
 
 def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
@@ -386,67 +409,37 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     return cut
 
 
-def _solve_reduced(g: ColoredGraph, outcome: KernelOutcome) -> SolveResult:
-    """Exact optimum of g from a kernel outcome with a reduced graph: search
-    that graph with `brute_force_max`, lift the witness (dropped vertices
-    land on T), repair it with `augment_cut` and check that it crosses
-    value + len(removed) colors.
-
-    The search's S side holds only reduced vertex 1 and touched vertices,
-    which lift through `vertex_renaming`; reduced vertex 1, when no edge
-    touches it, is the first vertex of g that no edge touches.
-    """
-    reduced = outcome.reduced_graph
-    if reduced is None:
-        raise InvariantError("the kernel gave no reduced graph")
-    if reduced.n < 2:
-        value, explored, s_side = 0, 0, {1}  # nothing is left to lift from
-    else:
-        result = brute_force_max(reduced)
-        value, explored = result.value, result.explored
-        back = {new: old for old, new in outcome.vertex_renaming.items()}
-        if 1 not in back:
-            touched = {x for u, v, _ in g.edges for x in (u, v)}
-            back[1] = next(v for v in range(1, g.n + 1) if v not in touched)
-        s_side = {back[v] for v in result.witness.s_side}
-    witness = augment_cut(g, outcome.removed_colors, Cut(g.n, frozenset(s_side)))
-    total = value + len(outcome.removed_colors)
-    if len(cut_colors(g, witness)) != total:
-        raise InvariantError(f"lifted witness does not cross the {total} colors it claims")
-    return SolveResult(total, witness, "kernel+brute-force", explored)
-
-
 def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
     """Decide whether some cut crosses at least k colors; witness on yes.
 
     No cut crosses more than p colors, so every k > p is a no.  Otherwise the
     value-parameterized kernel runs first.  On an early yes (every k up to
     ceil(p/2) gets one) the witness is the greedy cut over the surviving
-    colors, repaired by `augment_cut`; else the reduced graph is solved as in
-    `solve_via_kernel`.  Either way a returned cut crosses >= k colors of g.
+    colors, repaired by `augment_cut`; else the search of `solve_via_kernel`
+    runs on the same table and removals.  Either way a returned cut crosses
+    >= k colors of g.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     if k > g.p:
         return False, None
-    outcome = kernelize_value(g, k)
-    if outcome.reduced_graph is None:
-        base = _greedy_cut(g, outcome.removed_colors)
+    classes, removed, early = _value_kernel(g, k)
+    if early:
+        base = _greedy_cut(g, removed)
         if len(cut_colors(g, base)) < k:
             raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
         return True, base
-    result = _solve_reduced(g, outcome)
+    result = _search(g, classes, removed)
     return (True, result.witness) if result.value >= k else (False, None)
 
 
 def solve_via_kernel(g: ColoredGraph) -> SolveResult:
-    """Exact maximum colored cut through the color-parameterized kernel.
-
-    The optimum of g equals the optimum of the reduced graph plus the number
-    of removed colors; the witness is lifted back and repaired to achieve it.
-    BRUTE_FORCE_CAP bounds the vertices searched: reduced vertex 1 and the
-    touched ones.
+    """Exact maximum colored cut through the color-parameterized kernel:
+    `_search` over the colors the rule keeps, with no reduced graph built.
+    Value and witness are those of `brute_force_max` on the reduced graph of
+    `kernelize_colors`, lifted back and repaired by `augment_cut`.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    return _solve_reduced(g, kernelize_colors(g))
+    classes = _color_classes(g)
+    return _search(g, classes, _removal_order(classes))

@@ -821,5 +821,5 @@ def test_demo_pipeline_runs():
     )
     assert result.returncode == 0, result.stderr
     assert re.search(
-        r"^exact maximum \d+ via kernel\+brute-force;", result.stdout, re.MULTILINE
+        r"^exact maximum \d+; greedy crosses \d+", result.stdout, re.MULTILINE
     )

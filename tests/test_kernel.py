@@ -87,11 +87,9 @@ def test_kernelize_drops_only_newly_isolated_vertices():
     out = kernelize_colors(g)
     assert out.removed_colors == (1,)
     red = out.reduced_graph
-    assert red.n == 5  # 2,3,4,5 renamed densely, plus the always-isolated 7
-    # only vertices a kept edge touches are listed; 7 survives as vertex 5
-    assert out.vertex_renaming == {2: 1, 3: 2, 4: 3, 5: 4}
+    # 2, 3, 4, 5 are renamed 1..4 and the always-isolated 7 survives as 5;
     # the surviving colors 2 and 3 keep their order as 1 and 2
-    assert [c for c in range(1, g.p + 1) if c not in out.removed_colors] == [2, 3]
+    assert red.n == 5
     assert red.edges == ((1, 2, 1), (3, 4, 2))
 
 
@@ -104,11 +102,8 @@ def test_kernelize_two_color_graph_cascades_to_empty():
     out = kernelize_colors(g)
     assert out.removed_colors == (1, 2)
     assert out.reduced_graph.p == 0
-    # vertex 5 never touched an edge, so it is the lone survivor; no kept
-    # edge touches it, so the renaming lists nothing
-    assert out.vertex_renaming == {}
-    assert out.reduced_graph.n == 1
-    assert out.reduced_graph.edges == ()
+    # vertex 5 never touched an edge, so it is the lone survivor
+    assert out.reduced_graph == ColoredGraph(1, (), 0)
 
 
 def test_kernelize_colors_cascade():
@@ -159,7 +154,7 @@ def test_kernelize_value_requires_positive_k():
 
 def test_kernelize_value_early_yes_at_half():
     out = kernelize_value(RAINBOW_TRIANGLE, 2)  # 2k = 4 = p + 1
-    assert out == KernelOutcome(None, (), {})  # k' = 2 - 0 = 2
+    assert out == KernelOutcome(None, ())  # k' = 2 - 0 = 2
 
 
 def test_kernelize_value_no_early_yes_above_half():
@@ -181,7 +176,7 @@ def test_kernelize_value_answers_up_to_half_without_the_color_table(monkeypatch)
         g = ColoredGraph(p + 1, tuple((v, v + 1, v) for v in range(1, p + 1)), p)
         half = (p + 1) // 2
         for k in range(1, half + 1):
-            assert kernelize_value(g, k) == KernelOutcome(None, (), {})
+            assert kernelize_value(g, k) == KernelOutcome(None, ())
         with pytest.raises(AssertionError, match="color-class table"):
             kernelize_value(g, half + 1)
 
@@ -222,22 +217,20 @@ def test_renamings_are_dense_and_order_preserving():
         out = kernelize_colors(g)
         if not out.removed_colors:
             continue
-        vr = out.vertex_renaming
         alive = [c for c in range(1, g.p + 1) if c not in out.removed_colors]
-        kept = [(u, v) for u, v, c in g.edges if c in alive]
+        kept = {x for u, v, c in g.edges if c in alive for x in (u, v)}
         touched = {x for u, v, _ in g.edges for x in (u, v)}
-        dropped = touched - {x for pair in kept for x in pair}
-        # listed: exactly the vertices of kept colors, shifted down past the
-        # dropped ones (so dense and in old order among the survivors)
-        assert set(vr) == {x for pair in kept for x in pair}
-        assert all(new == v - sum(d < v for d in dropped) for v, new in vr.items())
-        assert out.reduced_graph.n == g.n - len(dropped)
-        assert list(vr.values()) == sorted(vr.values())  # old order kept
+        # a vertex survives if a kept color touches it or no edge does, and
+        # the survivors keep their order: the i-th becomes vertex i
+        survivors = [v for v in range(1, g.n + 1) if v in kept or v not in touched]
+        assert out.reduced_graph.n == len(survivors)
         # reduced color c is the c-th surviving color: mapped back, the
         # reduced edges are the first copies of the kept edges, in edge order
         assert len(alive) == out.reduced_graph.p
-        back = {new: old for old, new in vr.items()}
-        lifted = [(back[u], back[v], alive[c - 1]) for u, v, c in out.reduced_graph.edges]
+        lifted = [
+            (survivors[u - 1], survivors[v - 1], alive[c - 1])
+            for u, v, c in out.reduced_graph.edges
+        ]
         firsts = {}
         for u, v, c in g.edges:
             if c in alive:

@@ -66,7 +66,6 @@ RAINBOW_C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
 def test_brute_rainbow_triangle():
     res = brute_force_max(RAINBOW_TRIANGLE)
     assert res.value == 2
-    assert res.method == "brute-force"
     assert len(cut_colors(RAINBOW_TRIANGLE, res.witness)) == 2
 
 
@@ -630,7 +629,7 @@ WITNESS_CHECKS = {
     "brute": (
         NO_COLORS,
         "s.brute_force_max(G)",
-        "brute-force witness does not cross the 2 colors it scored",
+        "exhaustive-search witness does not cross the 2 colors it scored",
     ),
     "colorful": (
         "s.is_colorful = lambda g, cut: False",
@@ -645,7 +644,7 @@ WITNESS_CHECKS = {
     "kernel-lift": (
         "s.augment_cut = lambda g, removed, cut: s.Cut(g.n, frozenset({1, 2}))",
         "s.solve_via_kernel(G)",
-        "lifted witness does not cross the 2 colors it claims",
+        "exhaustive-search witness does not cross the 2 colors it scored",
     ),
     "early-yes": (
         NO_COLORS,
@@ -715,7 +714,7 @@ def test_value_kernel_answers_every_k_up_to_half_without_search():
     # every k <= ceil(39/2) = 20 is covered by the greedy cut
     path = ColoredGraph(40, tuple((v, v + 1, v) for v in range(1, 40)), 39)
     for k in (1, 2, 20):
-        assert kernelize_value(path, k) == KernelOutcome(None, (), {})
+        assert kernelize_value(path, k) == KernelOutcome(None, ())
         yes, cut = decide_max(path, k)
         assert yes and len(cut_colors(path, cut)) >= k
     assert kernelize_value(path, 21).reduced_graph is not None
@@ -742,9 +741,33 @@ def test_decide_max_agrees_with_oracle_for_all_k():
 def test_solve_via_kernel_hand_cases():
     res = solve_via_kernel(RAINBOW_TRIANGLE)
     assert res.value == 2
-    assert res.method == "kernel+brute-force"
     res = solve_via_kernel(RAINBOW_C5)
     assert res.value == 4
+
+
+def test_solve_path_builds_no_reduced_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reduced graph built")
+
+    monkeypatch.setattr("coloredcut.kernel._build_reduced", refuse)
+    # color 1 spans 7 pairs > 2*C(3,2) and is removed; 1 and 6 go with it
+    g = ColoredGraph(
+        7,
+        ((1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1), (2, 3, 1), (2, 4, 1))
+        + ((2, 3, 2), (4, 5, 3)),
+        3,
+    )
+    res = solve_via_kernel(g)
+    # searched: 2, 3, 4 and 5, with 2, the first vertex left, pinned to S
+    assert (res.value, res.explored) == (3, 2 ** 3 - 1)
+    assert len(cut_colors(g, res.witness)) == 3
+    path = ColoredGraph(25, tuple((v, v + 1, v) for v in range(1, 25)), 24)
+    with pytest.raises(CapExceededError):
+        solve_via_kernel(path)
+    # k = 4 > ceil(5/2) with no removal: no early yes, so the search answers
+    yes, cut = decide_max(RAINBOW_C5, 4)
+    assert yes and len(cut_colors(RAINBOW_C5, cut)) == 4
+    assert decide_max(RAINBOW_C5, 5) == (False, None)
 
 
 def test_solve_via_kernel_star_collapses_to_no_search():
