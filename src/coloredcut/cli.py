@@ -9,7 +9,8 @@ Subcommands::
     verify     structural checks for generated graphs (and cut checks)
     stats      per-color edge counts, distinct endpoint pairs, span
 
-Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output,
+Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output
+(an ``--output`` path, or a stdout that is closed or a closed pipe),
 3 solve refused its search (more than ``BRUTE_FORCE_CAP``, 24, vertices to
 enumerate), 4 internal error.
 """
@@ -17,6 +18,7 @@ enumerate), 4 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -100,23 +102,17 @@ def _cmd_colorful(args: argparse.Namespace) -> int:
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    if args.param == "colors":
-        if args.k is not None:
-            raise ValueError("-k requires --param k")
-        outcome = kernelize_colors(g)
-        line = f"removed {len(outcome.removed_colors)} colors, p' {outcome.reduced_graph.p}"
-        _answer(line, serialize_graph(outcome.reduced_graph), args.output)
-        return 0
-    if args.k is None:
-        raise ValueError("--param k requires -k")
-    outcome = kernelize_value(g, args.k)
-    removed = len(outcome.removed_colors)
-    if outcome.reduced_graph is None:
-        print("early yes")
-        print(f"removed {removed} colors, k' {args.k - removed}")
-        return 0
-    line = f"removed {removed} colors, p' {outcome.reduced_graph.p}, k' {args.k - removed}"
-    _answer(line, serialize_graph(outcome.reduced_graph), args.output)
+    if (args.param == "k") != (args.k is not None):
+        raise ValueError("--param k requires -k" if args.k is None else "-k requires --param k")
+    outcome = kernelize_colors(g) if args.k is None else kernelize_value(g, args.k)
+    removed, reduced = len(outcome.removed_colors), outcome.reduced_graph
+    p_part = "" if reduced is None else f", p' {reduced.p}"
+    k_part = "" if args.k is None else f", k' {args.k - removed}"
+    line = f"removed {removed} colors{p_part}{k_part}"
+    if reduced is None:
+        print(f"early yes\n{line}")
+    else:
+        _answer(line, serialize_graph(reduced), args.output)
     return 0
 
 
@@ -250,7 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise FormatError("cannot write stdout: it is closed")
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # point fd 1 at devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -101,8 +101,10 @@ class ColoredGraph(_Record):
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...], p: int) -> ColoredGraph:
-        """Build without checks, from ints that already pass every check of
-        the constructor (as `parse_graph` makes sure, line by line)."""
+        """Build without checks, from ints that pass every check of the
+        constructor: `parse_graph` makes each one line by line, and
+        `kernel._build_reduced` renames a valid graph's kept edges in order
+        onto 1..n' and onto colors 1..p', each of which keeps an edge."""
         g = object.__new__(cls)
         _Record.__init__(g, n, edges, p)
         return g

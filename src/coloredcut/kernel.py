@@ -9,10 +9,10 @@ and `kernelize_value` answers an early yes, with no reduced graph, on the
 first prefix whose remaining target k' is at most ceil(p'/2), which a greedy
 cut always reaches.  After i removals k' = k - i and p' = p - i, so that
 prefix has max(0, 2k - p - 1) removals.  Both read one color-class table,
-`graph._color_classes`: its pair counts drive the rule, and the first edge
-of each surviving pair makes up the reduced graph.  The exact solvers in
-`solve.py` take the table and the removals themselves and search the
-surviving colors in place, so only the kernelize routes build that graph.
+`graph._color_classes`: its pair counts drive the rule, and `_survivors`
+reads off it what the rule keeps.  The exact solvers in `solve.py` search
+those colors in place on g; only the kernelize routes build the reduced
+graph, from the first edge of each kept pair.
 
 The same counting argument is constructive: given any cut, a deleted color
 can be brought into the cut by flipping a single vertex that is not needed
@@ -33,10 +33,10 @@ from .graph import ColoredGraph, Cut, _color_classes, _Record
 class KernelOutcome(_Record):
     """Result of rule application: `reduced_graph` is None for an early yes.
 
-    removed_colors lists original color ids in removal order.  The surviving
-    colors keep their order and are renumbered 1..p'.  The reduced graph
-    drops only the vertices the removals isolate; every other vertex keeps
-    its order, so vertex v becomes v minus the number dropped below it.
+    removed_colors lists original color ids in removal order.  The reduced
+    graph keeps what `_survivors` keeps: its colors, renumbered 1..p' in
+    order, and its vertices, vertex v becoming v minus the number of
+    dropped vertices below it.
     """
 
     __slots__ = ("reduced_graph", "removed_colors")
@@ -76,26 +76,32 @@ def _removal_order(classes: list[dict[tuple[int, int], int]]) -> list[int]:
         removed.append(target)
 
 
+def _survivors(
+    classes: list[dict[tuple[int, int], int]], removed: Sequence[int]
+) -> tuple[list[int], set[int], set[int]]:
+    """(kept colors, vertices they touch, dropped vertices) from the
+    `_color_classes` table and the colors the rule `removed`: every other
+    color is kept, in increasing order, and a vertex is dropped when only
+    removed colors touch it.  A vertex that no edge touches stays."""
+    skip = set(removed)
+    kept = [c for c in range(1, len(classes) + 1) if c not in skip]
+    touched = {x for c in kept for pair in classes[c - 1] for x in pair}
+    dropped = {x for c in removed for pair in classes[c - 1] for x in pair} - touched
+    return kept, touched, dropped
+
+
 def _build_reduced(
     g: ColoredGraph, classes: list[dict[tuple[int, int], int]], removed: list[int]
 ) -> KernelOutcome:
-    removed_set = set(removed)
-    alive_colors = [c for c in range(1, g.p + 1) if c not in removed_set]
-    # the first edge of each pair of a surviving color, in edge order
-    first = sorted(i for c in alive_colors for i in classes[c - 1].values())
-    kept = [g.edges[i] for i in first]
-    # Drop only vertices isolated by the deletions; keep ones isolated all along.
-    touched = {x for u, v, _ in g.edges for x in (u, v)}
-    kept_touched = sorted({x for u, v, _ in kept for x in (u, v)})
-    dropped = sorted(touched.difference(kept_touched))
-    renaming = {v: v - bisect_left(dropped, v) for v in kept_touched}
-    new_color = {old: new for new, old in enumerate(alive_colors, start=1)}
-    reduced = ColoredGraph(
-        g.n - len(dropped),
-        tuple((renaming[u], renaming[v], new_color[c]) for u, v, c in kept),
-        len(alive_colors),
-    )
-    return KernelOutcome(reduced, tuple(removed))
+    """The `KernelOutcome` of what `_survivors` keeps, over the first edge of each kept pair."""
+    kept, touched, dropped = _survivors(classes, removed)
+    first = sorted(i for c in kept for i in classes[c - 1].values())
+    below = sorted(dropped)
+    renaming = {v: v - bisect_left(below, v) for v in touched}
+    new_color = {old: new for new, old in enumerate(kept, start=1)}
+    kept_edges = (g.edges[i] for i in first)
+    edges = tuple((renaming[u], renaming[v], new_color[c]) for u, v, c in kept_edges)
+    return KernelOutcome(ColoredGraph._trusted(g.n - len(dropped), edges, len(kept)), tuple(removed))
 
 
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _Record, cut_colors, is_colorful
-from .kernel import _removal_order, _value_kernel, augment_cut
+from .kernel import _removal_order, _survivors, _value_kernel, augment_cut
 
 BRUTE_FORCE_CAP = 24
 
@@ -72,14 +72,13 @@ def _search(
     rule `removed`, in removal order: each crosses some maximum cut, so the
     optimum is that over the other colors plus len(removed).
 
-    The removed colors' pairs are dropped, and so are the vertices only they
-    touch.  The first vertex left (vertex 1 when nothing is dropped) is
-    pinned to S, since swapping the sides crosses the same colors.  It and
-    the t - 1 other vertices a kept pair touches are enumerated, with
-    BRUTE_FORCE_CAP bounding t; every other vertex sits on T.  The
-    2^(t-1) - 1 bipartitions are scanned in increasing order of the mask
-    whose bit j is the (j+2)-th of those vertices, and the first optimum
-    wins ties.
+    The search keeps what `kernel._survivors` keeps.  The first vertex left
+    (vertex 1 when nothing is dropped) is pinned to S, since swapping the
+    sides crosses the same colors.  It and the t - 1 other vertices a kept
+    color touches are enumerated, with BRUTE_FORCE_CAP bounding t; every
+    other vertex sits on T.  The 2^(t-1) - 1 bipartitions are scanned in
+    increasing order of the mask whose bit j is the (j+2)-th of those
+    vertices, and the first optimum wins ties.
 
     The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
     one block each vertex's side is a big-int truth table (bit i set when
@@ -93,10 +92,7 @@ def _search(
     `augment_cut` then makes the witness cross the removed colors, and the
     result is recounted on g.
     """
-    skip = set(removed)
-    kept = [pairs for c, pairs in enumerate(classes, start=1) if c not in skip]
-    touched = {x for pairs in kept for pair in pairs for x in pair}
-    dropped = {x for c in skip for pair in classes[c - 1] for x in pair} - touched
+    kept, touched, dropped = _survivors(classes, removed)
     # the first vertex left; with fewer than two left, none is touched and
     # the scan of vertex 1 alone gives 0 and S = {1}
     pinned = min({*range(1, len(dropped) + 2)} - dropped) if g.n - len(dropped) > 1 else 1
@@ -105,7 +101,7 @@ def _search(
     if t > BRUTE_FORCE_CAP:
         raise CapExceededError(f"refusing exhaustive search on {t} vertices (cap {BRUTE_FORCE_CAP})")
     index = {v: i for i, v in enumerate(vertices, start=1)}
-    tables = [[(index[u], index[v]) for u, v in pairs] for pairs in kept]
+    tables = [[(index[u], index[v]) for u, v in classes[c - 1]] for c in kept]
     width = min(_BLOCK_BITS, t - 1)
     full = (1 << (1 << width)) - 1
     # the pinned vertex is on S under every mask; the next `width` vary inside a block

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -25,7 +26,7 @@ from coloredcut import (
 )
 from coloredcut.cli import main
 
-from helpers import distinct_pairs, span, unsat_3cnf_draws
+from helpers import distinct_pairs, inflate_one_color, random_multigraph, span, unsat_3cnf_draws
 
 TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
@@ -662,6 +663,37 @@ def test_stats_matches_per_color_functions_on_many_colors(graph_file, capsys):
     assert out.splitlines() == expected
 
 
+def test_kernelize_and_stats_stdout_is_pinned(graph_file, capsys):
+    # sha256 prefixes of the stdout of kernelize, kernelize --param k -k K
+    # (K = 1..p+1) and stats on seeded files with removed colors and
+    # untouched vertices, each declaring 10^9 vertices
+    rng = random.Random(30)
+    outputs: dict[str, list[str]] = {"kernelize": [], "kernelize_k": [], "stats": []}
+    removals = 0
+    for i in range(40):
+        g = random_multigraph(rng, n_max=9, p_max=5)
+        g = inflate_one_color(rng, g) or g
+        shift = rng.randint(0, 3)
+        edges = tuple((u + shift, v + shift, c) for u, v, c in g.edges)
+        path = graph_file(ColoredGraph(10**9, edges, g.p), f"g{i}.ecg")
+        outputs["kernelize"].append(run(capsys, ["kernelize", path])[1])
+        removals += not outputs["kernelize"][-1].startswith("removed 0 ")
+        for k in range(1, g.p + 2):
+            argv = ["kernelize", path, "--param", "k", "-k", str(k)]
+            outputs["kernelize_k"].append(run(capsys, argv)[1])
+        outputs["stats"].append(run(capsys, ["stats", path])[1])
+    assert removals == 23
+    digests = {
+        name: hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+        for name, texts in outputs.items()
+    }
+    assert digests == {
+        "kernelize": "0a12b14dbeab1d89",
+        "kernelize_k": "d94b0da1316c5001",
+        "stats": "fa9d5776ef357c6f",
+    }
+
+
 # ------------------------------------------------------------------- failures
 
 
@@ -742,6 +774,40 @@ def test_unwritable_output_is_exit_2(graph_file, cnf_file, capsys, tmp_path):
         assert code == 2
         assert out == ""  # no answer line for a run that failed
         assert err.startswith(f"error: cannot write {missing}")
+
+
+STDOUT_CASES = {
+    "stats": (["stats"], ColoredGraph(401, tuple((v, v + 1, v) for v in range(1, 401)), 400)),
+    "solve": (["solve"], TRIANGLE),
+    "colorful-yes": (["colorful"], C4),
+    "colorful-no": (["colorful"], TRIANGLE),
+    "kernelize": (["kernelize"], STAR),
+}
+
+
+@pytest.mark.parametrize("closed", ["fd", "pipe"])
+@pytest.mark.parametrize("argv,g", list(STDOUT_CASES.values()), ids=list(STDOUT_CASES))
+def test_unwritable_stdout_is_exit_2(argv, g, closed, graph_file):
+    # stdout closed (`>&-`), or a pipe whose reader is gone before the child
+    # starts; the stats output (about 13 KB) fills the buffer mid-command
+    src = Path(__file__).resolve().parents[1] / "src"
+    command = [sys.executable, "-m", "coloredcut.cli", *argv, graph_file(g)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    if closed == "fd":
+        command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
+        result = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                command, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60
+            )
+        finally:
+            os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("error: cannot write stdout: ")
 
 
 def test_generate_leaves_no_graph_when_the_provenance_write_fails(cnf_file, capsys, tmp_path):

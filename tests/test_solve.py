@@ -234,6 +234,29 @@ def test_greedy_decide_and_encoding_outputs_are_pinned():
     assert _digest(repr(encode_colorful_to_cnf(g)) for g in corpus) == "7f86c0aa0239b5d9"
 
 
+def test_kernel_outputs_are_pinned():
+    # sha256 prefixes of every kernel outcome (the color kernel's, and the
+    # value kernel's at k = 1..p+1) and every solve over the seeded corpus
+    corpus = _pinned_corpus()
+    outcomes = [kernelize_colors(g) for g in corpus]
+    outcomes += [kernelize_value(g, k) for g in corpus for k in range(1, g.p + 2)]
+
+    def solved(g: ColoredGraph) -> str:
+        try:
+            return repr(solve_via_kernel(g))
+        except CapExceededError as exc:
+            return str(exc)
+
+    assert _digest(repr(o) for o in outcomes[: len(corpus)]) == "e605f8ba9ae36411"
+    assert _digest(repr(o) for o in outcomes[len(corpus) :]) == "799506255cff77a3"
+    assert _digest(solved(g) for g in corpus) == "481905748ffb4f2d"
+    # the reduced graphs are built unchecked; the constructor accepts each
+    reduced = [o.reduced_graph for o in outcomes if o.reduced_graph is not None]
+    assert len(reduced) == 1022
+    for r in reduced:
+        assert ColoredGraph(r.n, r.edges, r.p) == r
+
+
 def test_greedy_half_and_below_optimum():
     rng = random.Random(101)
     for _ in range(200):
