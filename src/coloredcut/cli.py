@@ -9,10 +9,12 @@ Subcommands::
     verify     structural checks for generated graphs (and cut checks)
     stats      per-color edge counts, distinct endpoint pairs, span
 
+Each command returns its exit code and stdout text; ``main`` alone writes it.
+
 Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output
-(an ``--output`` path, or a stdout that is closed or a closed pipe),
-3 solve refused its search (more than ``BRUTE_FORCE_CAP``, 24, vertices to
-enumerate), 4 internal error.
+(an ``--output`` path, or a stdout that is closed, a closed pipe or a full
+device such as ``> /dev/full``), 3 solve refused its search (more than
+``BRUTE_FORCE_CAP``, 24, vertices to enumerate), 4 internal error.
 """
 
 from __future__ import annotations
@@ -68,39 +70,34 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _answer(line: str, body: str, output: str | None) -> None:
-    """Print the answer line and then body, or write body to output first so
-    that a failed write prints no answer."""
+def _answer(line: str, body: str, output: str | None) -> str:
+    """Return the stdout text of an answer: the line and then body, or only the
+    line once body is written to output, so that a failed write prints none."""
     if output is None:
-        sys.stdout.write(line + "\n" + body)
-    else:
-        _write(output, body)
-        print(line)
+        return line + "\n" + body
+    _write(output, body)
+    return line + "\n"
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
     if args.algo == "kernel":
         witness = solve_via_kernel(g).witness
     else:
         witness = greedy_half_colors(g)
     value = len(cut_colors(g, witness))
-    _answer(f"value {value}", serialize_cut(witness), args.output)
-    if args.k is not None:
-        return 0 if value >= args.k else 1
-    return 0
+    text = _answer(f"value {value}", serialize_cut(witness), args.output)
+    return (0 if args.k is None or value >= args.k else 1), text
 
 
-def _cmd_colorful(args: argparse.Namespace) -> int:
+def _cmd_colorful(args: argparse.Namespace) -> tuple[int, str]:
     cut = colorful_cut_decide(parse_graph(_read(args.graph)))
     if cut is None:
-        print("colorful no")
-        return 1
-    _answer("colorful yes", serialize_cut(cut), args.output)
-    return 0
+        return 1, "colorful no\n"
+    return 0, _answer("colorful yes", serialize_cut(cut), args.output)
 
 
-def _cmd_kernelize(args: argparse.Namespace) -> int:
+def _cmd_kernelize(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
     if (args.param == "k") != (args.k is not None):
         raise ValueError("--param k requires -k" if args.k is None else "-k requires --param k")
@@ -110,13 +107,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     k_part = "" if args.k is None else f", k' {args.k - removed}"
     line = f"removed {removed} colors{p_part}{k_part}"
     if reduced is None:
-        print(f"early yes\n{line}")
-    else:
-        _answer(line, serialize_graph(reduced), args.output)
-    return 0
+        return 0, f"early yes\n{line}\n"
+    return 0, _answer(line, serialize_graph(reduced), args.output)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> tuple[int, str]:
     from .reductions import _GENERATORS, ReductionKind, serialize_provenance
     from .sat import parse_dimacs
 
@@ -130,12 +125,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except FormatError:
         Path(args.output + ".ecg").unlink()  # write both files or neither
         raise
-    print(f"generated {kind.value}: n {g.n} m {g.m} p {g.p}")
-    print(f"wrote {args.output}.ecg and {args.output}.prov")
-    return 0
+    return 0, (
+        f"generated {kind.value}: n {g.n} m {g.m} p {g.p}\n"
+        f"wrote {args.output}.ecg and {args.output}.prov\n"
+    )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
     results: list[tuple[str, bool, str]] = [("graph-valid", True, "")]
     if args.kind != "graph":
@@ -171,19 +167,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results.append(
             ("cut-colorful", ok, "" if ok else f"only {crossed} of {g.p} colors cross")
         )
+    lines = []
     for name, passed, detail in results:
         suffix = f" ({detail})" if detail else ""
-        print(f"check {name}: {'pass' if passed else 'fail'}{suffix}")
-    return 0 if all(passed for _, passed, _ in results) else 1
+        lines.append(f"check {name}: {'pass' if passed else 'fail'}{suffix}\n")
+    return (0 if all(passed for _, passed, _ in results) else 1), "".join(lines)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
-    print(f"n {g.n} m {g.m} p {g.p}")
     sizes = Counter(c for _, _, c in g.edges)
+    lines = [f"n {g.n} m {g.m} p {g.p}\n"]
     for c, pairs in enumerate(_color_classes(g), start=1):
-        print(f"color {c} edges {sizes[c]} pairs {len(pairs)} span {_span(pairs)}")
-    return 0
+        lines.append(f"color {c} edges {sizes[c]} pairs {len(pairs)} span {_span(pairs)}\n")
+    return 0, "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,16 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise FormatError("cannot write stdout: it is closed")
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
-    except BrokenPipeError as exc:
-        # point fd 1 at devnull, so that the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return 2
+        code, text = args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -267,6 +255,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe or a full device fails here, not at exit
+    except (OSError, UnicodeEncodeError) as exc:  # or a path stdout cannot encode
+        # point fd 1 at devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,14 @@ from coloredcut import (
 )
 from coloredcut.cli import main
 
-from helpers import distinct_pairs, inflate_one_color, random_multigraph, span, unsat_3cnf_draws
+from helpers import (
+    distinct_pairs,
+    inflate_one_color,
+    random_3cnf,
+    random_multigraph,
+    span,
+    unsat_3cnf_draws,
+)
 
 TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
@@ -694,6 +701,68 @@ def test_kernelize_and_stats_stdout_is_pinned(graph_file, capsys):
     }
 
 
+def test_solve_colorful_verify_and_generate_stdout_is_pinned(graph_file, capsys, tmp_path):
+    # sha256 prefixes of exit code plus stdout, with the tmp path replaced by
+    # TMP, of solve, solve -k K (K = value, value + 1), solve --algo greedy,
+    # colorful and verify --kind graph --cut on seeded files, and of generate
+    # and verify --kind <construction> --provenance on seeded formulas
+    rng = random.Random(32)
+    names = ("solve", "solve_k", "solve_greedy", "colorful", "verify_cut", "generate", "verify")
+    outputs: dict[str, list[str]] = {name: [] for name in names}
+    codes: dict[str, set[int]] = {name: set() for name in names}
+
+    def record(name, argv):
+        code, out, _ = run(capsys, argv)
+        outputs[name].append(f"{code}\n" + out.replace(str(tmp_path), "TMP"))
+        codes[name].add(code)
+        return code, out
+
+    for i in range(30):
+        g = random_multigraph(rng, n_max=9, p_max=5)
+        path = graph_file(g, f"g{i}.ecg")
+        value = int(record("solve", ["solve", path])[1].split()[1])
+        for k in (value, value + 1):
+            record("solve_k", ["solve", path, "-k", str(k)])
+        record("solve_greedy", ["solve", path, "--algo", "greedy"])
+        record("colorful", ["colorful", path])
+        cut = tmp_path / f"c{i}.cut"
+        side = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, g.n - 1)))
+        cut.write_text("s " + " ".join(map(str, side)) + "\n")
+        record("verify_cut", ["verify", "--kind", "graph", "--graph", path, "--cut", str(cut)])
+    for i in range(4):
+        cnf = tmp_path / f"f{i}.cnf"
+        cnf.write_text(serialize_dimacs(random_3cnf(rng, rng.randint(3, 4), rng.randint(2, 5))))
+        for kind in ALL_REDUCTIONS:
+            base = str(tmp_path / f"f{i}-{kind}")
+            argv = ["generate", "--reduction", kind, "--cnf", str(cnf), "--output", base]
+            if record("generate", argv)[0] == 0:
+                argv = ["--graph", base + ".ecg", "--provenance", base + ".prov"]
+                record("verify", ["verify", "--kind", kind, *argv])
+    assert codes == {
+        "solve": {0},
+        "solve_k": {0, 1},
+        "solve_greedy": {0},
+        "colorful": {0, 1},
+        "verify_cut": {0, 1},
+        "generate": {0, 2},
+        "verify": {0},
+    }
+    assert len(outputs["verify"]) == 19  # of 24 generate runs
+    digests = {
+        name: hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+        for name, texts in outputs.items()
+    }
+    assert digests == {
+        "solve": "91fd060dbe128f50",
+        "solve_k": "a6a9a4a7b8809c16",
+        "solve_greedy": "d1db6ecfa09dc480",
+        "colorful": "e66665b226b088cd",
+        "verify_cut": "0fdf7adfc385ae12",
+        "generate": "2fa08c302ea6d4a8",
+        "verify": "c3c7f2236dad761a",
+    }
+
+
 # ------------------------------------------------------------------- failures
 
 
@@ -782,32 +851,72 @@ STDOUT_CASES = {
     "colorful-yes": (["colorful"], C4),
     "colorful-no": (["colorful"], TRIANGLE),
     "kernelize": (["kernelize"], STAR),
+    "verify": (["verify", "--kind", "graph", "--graph"], TRIANGLE),
+    "generate": (["generate", "--reduction", "nae", "--output", "BASE", "--cnf"], None),
 }
 
 
-@pytest.mark.parametrize("closed", ["fd", "pipe"])
-@pytest.mark.parametrize("argv,g", list(STDOUT_CASES.values()), ids=list(STDOUT_CASES))
-def test_unwritable_stdout_is_exit_2(argv, g, closed, graph_file):
-    # stdout closed (`>&-`), or a pipe whose reader is gone before the child
-    # starts; the stats output (about 13 KB) fills the buffer mid-command
+def run_child(argv, env=None, stdout=None, closed=False):
+    """Run the CLI in a child with stdout as given, or closed (`>&-`)."""
     src = Path(__file__).resolve().parents[1] / "src"
-    command = [sys.executable, "-m", "coloredcut.cli", *argv, graph_file(g)]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    if closed == "fd":
+    command = [sys.executable, "-m", "coloredcut.cli", *argv]
+    if closed:
         command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
-        result = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
-    else:
+    env = dict(os.environ, PYTHONPATH=str(src), **(env or {}))
+    return subprocess.run(
+        command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "closed",
+    [
+        "fd",
+        "pipe",
+        pytest.param(
+            "full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("argv,g", list(STDOUT_CASES.values()), ids=list(STDOUT_CASES))
+def test_unwritable_stdout_is_exit_2(argv, g, closed, graph_file, cnf_file, tmp_path):
+    # stdout closed (`>&-`), a pipe whose reader is gone before the child
+    # starts, or a full device; the stats output (about 13 KB) fills the
+    # buffer mid-command
+    base = tmp_path / "out"
+    argv = [str(base) if a == "BASE" else a for a in argv]
+    argv.append(cnf_file if g is None else graph_file(g))
+    if closed == "fd":
+        result = run_child(argv, closed=True)
+    elif closed == "pipe":
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            result = subprocess.run(
-                command, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60
-            )
+            result = run_child(argv, stdout=write_end)
         finally:
             os.close(write_end)
+    else:
+        with open("/dev/full", "w") as full:
+            result = run_child(argv, stdout=full)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith("error: cannot write stdout: ")
+    if g is None:  # a closed fd 1 is refused before any work; else both files stay
+        written = [(tmp_path / f"out{suffix}").exists() for suffix in (".ecg", ".prov")]
+        assert written == [closed != "fd"] * 2
+
+
+def test_unencodable_stdout_is_exit_2(cnf_file, tmp_path):
+    # the answer names a path that stdout's encoding cannot write
+    base = str(tmp_path / "é")
+    argv = ["generate", "--reduction", "nae", "--cnf", cnf_file, "--output", base]
+    result = run_child(argv, env={"PYTHONIOENCODING": "ascii"}, stdout=subprocess.PIPE)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot write stdout: 'ascii' codec can't encode")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert Path(base + ".ecg").exists() and Path(base + ".prov").exists()
 
 
 def test_generate_leaves_no_graph_when_the_provenance_write_fails(cnf_file, capsys, tmp_path):
@@ -838,6 +947,17 @@ def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
     code, _, err = run(capsys, ["stats", graph_file(TRIANGLE)])
     assert code == 4
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+def test_oserror_inside_a_command_is_exit_4(graph_file, capsys, monkeypatch):
+    # only the write of stdout maps an OSError to exit 2
+    def broken(pairs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("coloredcut.cli._span", broken)
+    code, out, err = run(capsys, ["stats", graph_file(TRIANGLE)])
+    assert (code, out) == (4, "")
+    assert err == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
 # --------------------------------------------------------------------- README
