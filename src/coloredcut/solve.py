@@ -4,7 +4,9 @@ Three routes:
 
 * exhaustive bipartition search over the first vertex left (pinned to S)
   and the vertices a kept color touches (exact, capped), bit-parallel over
-  big-int truth tables of the masks, first optimum in increasing mask order,
+  big-int truth tables of the masks (built once per block width):
+  carry-save adders sum the crossing colors of every mask into a
+  bit-sliced counter, and the first optimum in increasing mask order wins,
 * a greedy placement that always crosses at least half the colors,
 * colorful cut: one BFS labels the colors with a single endpoint pair,
   which must cross; one trailed parity union-find, seeded with those labels
@@ -49,20 +51,70 @@ class SolveResult(_Record):
         super().__init__(value, witness, explored)
 
 
+# Truth tables of `_periodic_tables`, by block width, built on first use.
+_TABLES: dict[int, list[int]] = {}
+
+
 def _periodic_tables(width: int) -> list[int]:
     """Truth tables over the 2^width masks of one block: bit i of table j is
-    bit j of i, so table j says on which masks vertex j+2 is on the S side."""
-    size = 1 << width
-    tables = []
-    for j in range(width):
-        half = 1 << j
-        table = ((1 << half) - 1) << half  # one period: 2^j zeros, 2^j ones
-        length = half << 1
-        while length < size:
-            table |= table << length
-            length <<= 1
-        tables.append(table)
+    bit j of i, so table j says on which masks vertex j+2 is on the S side.
+    Each width is built once and kept in `_TABLES`."""
+    tables = _TABLES.get(width)
+    if tables is None:
+        size = 1 << width
+        tables = _TABLES[width] = []
+        for j in range(width):
+            half = 1 << j
+            table = ((1 << half) - 1) << half  # one period: 2^j zeros, 2^j ones
+            length = half << 1
+            while length < size:
+                table |= table << length
+                length <<= 1
+            tables.append(table)
     return tables
+
+
+def _crossing(tables: list[list[tuple[int, int]]], side: list[int]) -> list[int]:
+    """Each color's crossing table: the OR of side[u] ^ side[v] over its pairs."""
+    out = []
+    for pairs in tables:
+        bits = 0
+        for u, v in pairs:
+            bits |= side[u] ^ side[v]
+        out.append(bits)
+    return out
+
+
+def _add_bits(bits: list[int], counter: Sequence[int] = ()) -> list[int]:
+    """The bit-sliced sum of `counter` and `bits`: entry i of a bit-sliced
+    counter holds the masks whose count has bit i set, and each of `bits` adds
+    1 on the masks it holds.
+
+    Carry-save (Wallace) reduction: column i holds the bits of weight 2^i,
+    starting with counter[i].  A full adder takes three of them, a, b and c,
+    puts their sum a^b^c back and passes the carry (a&b)|((a^b)&c) to column
+    i+1; a half adder on the last two leaves one bit, entry i of the sum.
+    """
+    out: list[int] = []
+    column = list(bits)
+    i = 0
+    while column or i < len(counter):
+        if i < len(counter):
+            column.append(counter[i])
+        carries = []
+        while len(column) > 2:
+            a, b, c = column.pop(), column.pop(), column.pop()
+            ab = a ^ b
+            column.append(ab ^ c)
+            carries.append((a & b) | (ab & c))
+        if len(column) == 2:
+            a, b = column
+            column = [a ^ b]
+            carries.append(a & b)
+        out.append(column[0])
+        column = carries
+        i += 1
+    return out
 
 
 def _search(
@@ -83,12 +135,15 @@ def _search(
     The scan is bit-parallel.  Masks run in blocks of 2^_BLOCK_BITS, and over
     one block each vertex's side is a big-int truth table (bit i set when
     vertex is on S under the block's i-th mask).  An edge crosses on
-    T_u ^ T_v, a color on the OR over its edges, and a bit-sliced ripple
-    counter adds the crossing colors of every mask at once.  A top-down AND
-    over the counter bits leaves the masks reaching the block maximum, and
-    the lowest of them is the block's first optimum.  Blocks run in
-    increasing order and only a strictly larger count replaces the best, so
-    the tie-break is that of a plain scan in increasing mask order.
+    T_u ^ T_v and a color on the OR over its edges; `_add_bits` sums the
+    crossing colors of every mask at once into a bit-sliced counter with
+    carry-save adders.  With more than one block, the colors whose vertices
+    all vary inside a block cross the same masks in every block: they are
+    counted once, and each block adds only the other colors to that count.
+    A top-down AND over the counter bits leaves the masks reaching the block
+    maximum, and the lowest of them is the block's first optimum.  Blocks
+    run in increasing order and only a strictly larger count replaces the
+    best, so the tie-break is that of a plain scan in increasing mask order.
     `augment_cut` then makes the witness cross the removed colors, and the
     result is recounted on g.
     """
@@ -107,22 +162,19 @@ def _search(
     # the pinned vertex is on S under every mask; the next `width` vary inside a block
     low_sides = [0, full] + _periodic_tables(width)
     blocks = 1 << (t - 1 - width)
+    base: list[int] = []  # the bit-sliced count of the colors every block shares
+    if blocks > 1:
+        # a pair's larger index is v: it says whether the pair leaves the block's vertices
+        shared = [pairs for pairs in tables if all(v <= width + 1 for _, v in pairs)]
+        tables = [pairs for pairs in tables if any(v > width + 1 for _, v in pairs)]
+        base = _add_bits(_crossing(shared, low_sides))
     best_count = -1
     best_mask = 0
     for block in range(blocks):
         # vertices above the block's bits keep one side over the whole block
         side = low_sides + [full if (block >> j) & 1 else 0 for j in range(t - 1 - width)]
-        counter: list[int] = []  # counter[i]: masks whose count has bit i set
-        for pairs in tables:
-            carry = 0
-            for u, v in pairs:
-                carry |= side[u] ^ side[v]
-            i = 0
-            while carry and i < len(counter):
-                counter[i], carry = counter[i] ^ carry, counter[i] & carry
-                i += 1
-            if carry:
-                counter.append(carry)
+        # counter[i]: masks whose count has bit i set
+        counter = _add_bits(_crossing(tables, side), base)
         # The all-ones mask (every vertex on S) crosses nothing, so mask 0
         # ties or beats it and comes first: it is never the witness.
         candidates = full

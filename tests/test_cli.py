@@ -562,6 +562,19 @@ def test_import_leaves_networkx_unloaded(graph_file):
     assert _run_isolated(probe) == ["True", "[0, 1, 0, 0, 0, 0, 1, 0]", "[]"]
 
 
+def test_import_builds_no_truth_table():
+    # the search's truth tables are built on first use, so `import coloredcut`
+    # and the CLI's import pay nothing for them; a search then fills the cache
+    probe = (
+        "import coloredcut, coloredcut.cli\n"
+        "from coloredcut import solve\n"
+        "print(solve._TABLES)\n"
+        "coloredcut.brute_force_max(coloredcut.ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))\n"
+        "print(sorted(solve._TABLES))\n"
+    )
+    assert _run_isolated(probe) == ["{}", "[2]"]
+
+
 def test_generate_and_verify_leave_typing_unloaded(cnf_file, tmp_path):
     # the generators and the SAT tools load, but their annotations need no
     # `typing` either

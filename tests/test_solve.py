@@ -37,7 +37,7 @@ from coloredcut import (
     solve_via_kernel,
     strip_single_polarity,
 )
-from coloredcut.solve import _Contraction
+from coloredcut.solve import _add_bits, _Contraction
 
 from helpers import (
     encode_colorful_to_cnf,
@@ -136,6 +136,40 @@ def test_brute_matches_first_max_oracle(block_bits, monkeypatch):
         t = len({1} | {x for u, v, _ in g.edges for x in (u, v)})
         assert res.explored == 2 ** (t - 1) - 1
         assert 1 in res.witness.s_side
+
+
+@pytest.mark.parametrize("block_bits", [None, 2, 3])
+def test_brute_matches_first_max_oracle_with_many_colors(block_bits, monkeypatch):
+    # up to 40 colors make the counter 6 bits tall, and 2- or 3-bit blocks
+    # make the colors every block shares a count of its own
+    if block_bits is not None:
+        monkeypatch.setattr("coloredcut.solve._BLOCK_BITS", block_bits)
+    rng = random.Random(405)
+    for _ in range(150):
+        g = random_multigraph(rng, n_max=9, p_max=40)
+        res = brute_force_max(g)
+        value, mask, total = oracle_first_max_mask(g)
+        assert (res.value, _mask_of(res.witness)) == (value, mask)
+        # the oracle scans all n vertices, the search only the t touched ones
+        t = len({1} | {x for u, v, _ in g.edges for x in (u, v)})
+        assert res.explored == total >> (g.n - t) == 2 ** (t - 1) - 1
+
+
+@pytest.mark.parametrize("start", [False, True])
+def test_add_bits_counts_every_mask(start):
+    # every column length the search can meet at p <= 40, summed into an
+    # empty counter or into a 6-bit one that already holds up to 63 per mask
+    def count(counter, mask):
+        return sum((c >> mask & 1) << i for i, c in enumerate(counter))
+
+    rng = random.Random(406)
+    for k in range(41):
+        width = rng.randint(0, 6)  # ints over the 2^width masks of a block
+        bits = [rng.getrandbits(1 << width) for _ in range(k)]
+        base = [rng.getrandbits(1 << width) for _ in range(6)] if start else []
+        counter = _add_bits(bits, base)
+        for mask in range(1 << width):
+            assert count(counter, mask) == sum(b >> mask & 1 for b in bits) + count(base, mask)
 
 
 @pytest.mark.parametrize("n,seed", [(19, 1), (20, 2), (21, 3)])
