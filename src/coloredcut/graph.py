@@ -26,10 +26,11 @@ Edge = tuple[int, int, int]  # (u, v, color)
 
 
 class _Record:
-    """Immutable value type over the fields named in `__slots__`, in order.
+    """Immutable value type over the fields named in `__slots__`, in order;
+    all eight value types of the package are `_Record`s.
 
     Equality, hash and repr are those of a frozen dataclass with the same
-    fields, without importing `dataclasses` (and `inspect`) at start-up.
+    fields, without importing `dataclasses` (and `inspect`).
     Each subclass checks its arguments in `__init__` and hands the values to
     `_Record.__init__`, the one place that sets fields.  Copy, deepcopy and
     pickle rebuild through the public constructor, since slots assigned one

@@ -35,11 +35,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import FormatError, InvariantError
-from .graph import ColoredGraph, Cut, _bfs_labels, _check_int_fields, _color_classes, is_colorful
+from .graph import (
+    ColoredGraph,
+    Cut,
+    _Record,
+    _bfs_labels,
+    _check_int_fields,
+    _color_classes,
+    is_colorful,
+)
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
 
 
@@ -52,26 +59,46 @@ class ReductionKind(Enum):
     NAE_CLIQUES = "nae"
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(_Record):
     """A generated graph plus the bookkeeping tying it back to its formula.
 
     literal_edge_map, output data only, sends (variable, occurrence index,
     is_positive) to the 0-based edge indices realizing that literal
     occurrence.  active_clauses lists the 0-based indices of the source
     clauses that survived preprocessing (all for the not-all-equal form).
-    A derived artifact shares with its source the dicts it does not change.
+    Each dict left out starts as a fresh empty one.  A derived artifact
+    shares with its source the dicts it does not change.
     """
 
+    __slots__ = (
+        "graph",
+        "kind",
+        "formula",
+        "active_clauses",
+        "literal_edge_map",
+        "color_meaning",
+        "vertex_meaning",
+    )
     graph: ColoredGraph
     kind: ReductionKind
     formula: CnfFormula | None
-    active_clauses: tuple[int, ...] = ()
-    literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]] = field(
-        default_factory=dict
-    )
-    color_meaning: dict[int, tuple] = field(default_factory=dict)
-    vertex_meaning: dict[int, tuple] = field(default_factory=dict)
+    active_clauses: tuple[int, ...]
+    literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]]
+    color_meaning: dict[int, tuple]
+    vertex_meaning: dict[int, tuple]
+
+    def __init__(
+        self,
+        graph: ColoredGraph,
+        kind: ReductionKind,
+        formula: CnfFormula | None,
+        active_clauses: tuple[int, ...] = (),
+        literal_edge_map: dict[tuple[int, int, bool], tuple[int, ...]] | None = None,
+        color_meaning: dict[int, tuple] | None = None,
+        vertex_meaning: dict[int, tuple] | None = None,
+    ) -> None:
+        maps = [{} if d is None else d for d in (literal_edge_map, color_meaning, vertex_meaning)]
+        super().__init__(graph, kind, formula, active_clauses, *maps)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +209,19 @@ def sat_to_multigraph(f: CnfFormula) -> ReductionArtifact:
         color_meaning,
         vertex_meaning,
     )
+
+
+def _clause_triangles(a: ReductionArtifact) -> int:
+    """The number m of clause triangles, after checking that vertices 1..3m
+    carry the corner meanings `sat_to_multigraph` writes for them."""
+    m = len(a.active_clauses)
+    if m == 0:
+        raise ValueError("artifact has no active clause")
+    for v in range(1, 3 * m + 1):
+        meaning = a.vertex_meaning.get(v, ())
+        if len(meaning) != 3 or meaning[0] != "corner":
+            raise ValueError(f"vertex {v} is not a clause corner")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +336,14 @@ def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
         key: tuple(3 * e + 1 for e in indices)
         for key, indices in a.literal_edge_map.items()
     }
-    return replace(
-        a,
-        graph=ColoredGraph(g.n + 2 * g.m, tuple(edges), g.p + 2 * g.m),
-        kind=ReductionKind.PLANAR_SIMPLE,
-        literal_edge_map=literal_edge_map,
-        color_meaning=color_meaning,
-        vertex_meaning=vertex_meaning,
+    return ReductionArtifact(
+        ColoredGraph(g.n + 2 * g.m, tuple(edges), g.p + 2 * g.m),
+        ReductionKind.PLANAR_SIMPLE,
+        a.formula,
+        a.active_clauses,
+        literal_edge_map,
+        color_meaning,
+        vertex_meaning,
     )
 
 
@@ -335,8 +376,8 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     """
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
+    m = _clause_triangles(a)
     h = a.graph
-    m = len(a.active_clauses)
     n1 = h.n + 2 * m - 1
     edges = [[u, v, c] for u, v, c in h.edges]
     color_meaning = dict(a.color_meaning)
@@ -395,12 +436,14 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
         tuple((rename[u], rename[v], c) for u, v, c in edges),
         len(color_meaning),
     )
-    return replace(
-        a,
-        graph=graph,
-        kind=ReductionKind.K4MF,
-        color_meaning=color_meaning,
-        vertex_meaning={rename[v]: meaning for v, meaning in vertex_meaning.items()},
+    return ReductionArtifact(
+        graph,
+        ReductionKind.K4MF,
+        a.formula,
+        a.active_clauses,
+        a.literal_edge_map,
+        color_meaning,
+        {rename[v]: meaning for v, meaning in vertex_meaning.items()},
     )
 
 
@@ -418,8 +461,10 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
     """
     if a.kind is not ReductionKind.PLANAR_MULTI:
         raise ValueError(f"expected a {ReductionKind.PLANAR_MULTI.value} artifact")
+    m = _clause_triangles(a)
     g = a.graph
-    m = g.n // 3
+    if g.n != 3 * m:
+        raise ValueError(f"graph has {g.n} vertices, expected 3 per active clause ({3 * m})")
     designated = {3 * j + 1 for j in range(m)}
     survivors = [v for v in range(1, g.n + 1) if v not in designated]
     rename = {old: new for new, old in enumerate(survivors, start=2)}
@@ -428,11 +473,14 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
     vertex_meaning: dict[int, tuple] = {1: ("apex",)}
     for v in survivors:
         vertex_meaning[rename[v]] = a.vertex_meaning[v]
-    return replace(
-        a,
-        graph=ColoredGraph(2 * m + 1, edges, g.p),
-        kind=ReductionKind.OCT_ONE,
-        vertex_meaning=vertex_meaning,
+    return ReductionArtifact(
+        ColoredGraph(2 * m + 1, edges, g.p),
+        ReductionKind.OCT_ONE,
+        a.formula,
+        a.active_clauses,
+        a.literal_edge_map,
+        a.color_meaning,
+        vertex_meaning,
     )
 
 
@@ -466,12 +514,14 @@ def embed_complete_artifact(a: ReductionArtifact) -> ReductionArtifact:
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
     g = a.graph
-    return replace(
-        a,
-        graph=embed_complete(g),
-        kind=ReductionKind.COMPLETE,
-        color_meaning={**a.color_meaning, g.p + 1: ("fresh",)},
-        vertex_meaning={**a.vertex_meaning, g.n + 1: ("apex",)},
+    return ReductionArtifact(
+        embed_complete(g),
+        ReductionKind.COMPLETE,
+        a.formula,
+        a.active_clauses,
+        a.literal_edge_map,
+        {**a.color_meaning, g.p + 1: ("fresh",)},
+        {**a.vertex_meaning, g.n + 1: ("apex",)},
     )
 
 
@@ -603,17 +653,23 @@ def _reduces_away(adj: dict[int, set[int]]) -> bool:
     return not adj
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(_Record):
+    __slots__ = ("name", "passed", "detail")
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Record):
+    __slots__ = ("kind", "items")
     kind: ReductionKind
     items: tuple[CheckItem, ...]
+
+    def __init__(self, kind: ReductionKind, items: tuple[CheckItem, ...]) -> None:
+        super().__init__(kind, items)
 
     @property
     def all_passed(self) -> bool:

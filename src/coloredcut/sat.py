@@ -8,31 +8,31 @@ bool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .errors import FormatError, InvariantError
-from .graph import _check_int_fields
+from .graph import _Record, _check_int_fields
 
 Assignment = dict[int, bool]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
+    __slots__ = ("var_count", "clauses")
     var_count: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "var_count", index(self.var_count))
-        object.__setattr__(self, "clauses", tuple(tuple(map(index, cl)) for cl in self.clauses))
-        if self.var_count < 0:
-            raise ValueError(f"variable count must be nonnegative, got {self.var_count}")
-        for i, cl in enumerate(self.clauses):
+    def __init__(self, var_count: int, clauses: tuple[tuple[int, ...], ...]) -> None:
+        var_count = index(var_count)
+        clauses = tuple(tuple(map(index, cl)) for cl in clauses)
+        if var_count < 0:
+            raise ValueError(f"variable count must be nonnegative, got {var_count}")
+        for i, cl in enumerate(clauses):
             if not cl:
                 raise ValueError(f"clause {i + 1} is empty")
             for lit in cl:
-                if lit == 0 or abs(lit) > self.var_count:
+                if lit == 0 or abs(lit) > var_count:
                     raise ValueError(f"clause {i + 1}: literal {lit} outside range")
+        super().__init__(var_count, clauses)
 
 
 def literal_true(lit: int, asg: Assignment) -> bool:

@@ -543,9 +543,9 @@ LEAN_COMMANDS = (
 
 def test_import_leaves_networkx_unloaded(graph_file):
     # solving subcommands never load the generators, the SAT tools,
-    # `dataclasses` (whose `inspect` import outweighs the package's own) or
-    # `typing`, while `import coloredcut` loads the solving modules up front,
-    # so a library caller's first timed call pays no import.  The child runs
+    # `dataclasses` (no module of the package imports it) or `typing`, while
+    # `import coloredcut` loads the solving modules up front, so a library
+    # caller's first timed call pays no import.  The child runs
     # with -S, since a `.pth` file in site-packages may load `typing` itself.
     argvs = [[*argv, graph_file(TRIANGLE)] for argv in LEAN_COMMANDS]
     probe = (
@@ -577,20 +577,24 @@ def test_import_builds_no_truth_table():
 
 def test_generate_and_verify_leave_typing_unloaded(cnf_file, tmp_path):
     # the generators and the SAT tools load, but their annotations need no
-    # `typing` either
-    base = str(tmp_path / "k4mf")
-    argvs = [
-        ["generate", "--reduction", "k4mf", "--cnf", cnf_file, "--output", base],
-        ["verify", "--kind", "k4mf", "--graph", base + ".ecg", "--provenance", base + ".prov"],
-    ]
+    # `typing`, and their records no `dataclasses` (whose `inspect` import
+    # outweighs the package's own)
+    argvs = []
+    for kind in ("k4mf", "oct1"):
+        base = str(tmp_path / kind)
+        argvs += [
+            ["generate", "--reduction", kind, "--cnf", cnf_file, "--output", base],
+            ["verify", "--kind", kind, "--graph", base + ".ecg", "--provenance", base + ".prov"],
+        ]
     probe = (
         "import contextlib, io, sys\n"
         "from coloredcut.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {argvs!r}]\n"
-        "print(codes, 'coloredcut.reductions' in sys.modules, 'typing' in sys.modules)\n"
+        "print(codes, 'coloredcut.reductions' in sys.modules)\n"
+        "print([m for m in ('typing', 'dataclasses', 'inspect') if m in sys.modules])\n"
     )
-    assert _run_isolated(probe) == ["[0, 0] True False"]
+    assert _run_isolated(probe) == ["[0, 0, 0, 0] True", "[]"]
 
 
 def _run_isolated(probe):

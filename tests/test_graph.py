@@ -23,6 +23,7 @@ from coloredcut import (
     is_colorful,
     kernelize_colors,
     make_k4mf_connected,
+    make_oct_one,
     multigraph_to_simple,
     parse_cut,
     parse_dimacs,
@@ -32,6 +33,7 @@ from coloredcut import (
     serialize_cut,
     serialize_graph,
     solve_via_kernel,
+    verify_structural,
 )
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
@@ -125,13 +127,31 @@ def _records(g):
     return [g, Cut(g.n, {1}), kernelize_colors(g), brute_force_max(g)]
 
 
+def _construction_records(a):
+    report = verify_structural(a)
+    return [a.formula, a, report.items[-1], report]
+
+
 @pytest.mark.parametrize(
     "record,other",
     zip(
-        _records(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2)),
-        _records(ColoredGraph(4, ((1, 2, 1), (3, 4, 2), (2, 3, 2)), 2)),
+        _records(ColoredGraph(3, ((1, 2, 1), (2, 3, 2)), 2))
+        + _construction_records(sat_to_multigraph(CnfFormula(1, ((1, -1, 1),)))),
+        _records(ColoredGraph(4, ((1, 2, 1), (3, 4, 2), (2, 3, 2)), 2))
+        + _construction_records(
+            make_oct_one(sat_to_multigraph(CnfFormula(2, ((1, -2, 2), (-1, 2, 1)))))
+        ),
     ),
-    ids=["ColoredGraph", "Cut", "KernelOutcome", "SolveResult"],
+    ids=[
+        "ColoredGraph",
+        "Cut",
+        "KernelOutcome",
+        "SolveResult",
+        "CnfFormula",
+        "ReductionArtifact",
+        "CheckItem",
+        "StructureReport",
+    ],
 )
 def test_value_types_behave_as_frozen_dataclasses(record, other):
     # a frozen dataclass over the same fields is the reference for repr and hash
@@ -143,7 +163,13 @@ def test_value_types_behave_as_frozen_dataclasses(record, other):
     twin = cls(*values)
     assert twin == record and not twin != record
     assert record != other and record != reference and record != values
-    assert hash(record) == hash(twin) == hash(reference)
+    if isinstance(record, ReductionArtifact):
+        # its dicts make it unhashable, as they make the reference
+        for value in (record, reference):
+            with pytest.raises(TypeError):
+                hash(value)
+    else:
+        assert hash(record) == hash(twin) == hash(reference)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -303,6 +329,29 @@ _NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, No
         (
             lambda: cut_to_assignment(*_k4mf_with_a_colorful_cut()),
             "no cut-to-assignment recipe for kind k4mf",
+        ),
+        (lambda: make_oct_one(_NO_FORMULA), "artifact has no active clause"),
+        (
+            lambda: make_k4mf_connected(multigraph_to_simple(_NO_FORMULA)),
+            "artifact has no active clause",
+        ),
+        (
+            lambda: make_oct_one(
+                ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, None, (0,))
+            ),
+            "vertex 1 is not a clause corner",
+        ),
+        (
+            lambda: make_oct_one(
+                ReductionArtifact(
+                    ColoredGraph(4, RAINBOW_TRIANGLE.edges, 3),
+                    ReductionKind.PLANAR_MULTI,
+                    None,
+                    (0,),
+                    vertex_meaning={v: ("corner", 1, v) for v in (1, 2, 3)},
+                )
+            ),
+            "graph has 4 vertices, expected 3 per active clause (3)",
         ),
         (lambda: CnfFormula(-1, ()), "variable count must be nonnegative, got -1"),
         (
