@@ -55,7 +55,6 @@ _LAZY = {
             "sat_to_multigraph",
             "serialize_provenance",
             "strip_single_polarity",
-            "verify_series_parallel",
             "verify_structural",
         ),
         "reductions",

@@ -154,11 +154,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         )
         report = verify_structural(artifact)
         results.extend((item.name, item.passed, item.detail) for item in report.items)
-    if args.expect_colors is not None:
-        ok = g.p == args.expect_colors
-        results.append(
-            ("color-count", ok, "" if ok else f"graph has {g.p} colors")
-        )
     if args.cut is not None:
         cut = parse_cut(_read(args.cut), g.n)
         crossed = len(cut_colors(g, cut))
@@ -230,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--cut", default=None)
     p_ver.add_argument("--provenance", default=None)
-    p_ver.add_argument("--expect-colors", type=_int_arg, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_stat = sub.add_parser("stats", help="per-color summary")

@@ -66,6 +66,8 @@ class ReductionArtifact(_Record):
     is_positive) to the 0-based edge indices realizing that literal
     occurrence.  active_clauses lists the 0-based indices of the source
     clauses that survived preprocessing (all for the not-all-equal form).
+    kind must be a `ReductionKind` member (else TypeError), so
+    `verify_structural` meets only the six kinds it checks.
     Each dict left out starts as a fresh empty one.  A derived artifact
     shares with its source the dicts it does not change.
     """
@@ -97,6 +99,8 @@ class ReductionArtifact(_Record):
         color_meaning: dict[int, tuple] | None = None,
         vertex_meaning: dict[int, tuple] | None = None,
     ) -> None:
+        if not isinstance(kind, ReductionKind):
+            raise TypeError(f"kind must be a ReductionKind, got {kind!r}")
         maps = [{} if d is None else d for d in (literal_edge_map, color_meaning, vertex_meaning)]
         super().__init__(graph, kind, formula, active_clauses, *maps)
 
@@ -212,11 +216,14 @@ def sat_to_multigraph(f: CnfFormula) -> ReductionArtifact:
 
 
 def _clause_triangles(a: ReductionArtifact) -> int:
-    """The number m of clause triangles, after checking that vertices 1..3m
-    carry the corner meanings `sat_to_multigraph` writes for them."""
+    """The number m of clause triangles, after checking that the graph has
+    vertices 1..3m and that they carry the corner meanings `sat_to_multigraph`
+    writes for them."""
     m = len(a.active_clauses)
     if m == 0:
         raise ValueError("artifact has no active clause")
+    if a.graph.n < 3 * m:
+        raise ValueError(f"graph has {a.graph.n} vertices, fewer than 3 per active clause ({3 * m})")
     for v in range(1, 3 * m + 1):
         meaning = a.vertex_meaning.get(v, ())
         if len(meaning) != 3 or meaning[0] != "corner":
@@ -358,7 +365,7 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     The tree has one leaf per gadget (heap-ordered complete binary tree on m
     leaves; a single node when m = 1) attached to the gadget's lowest-index
     maximum-degree vertex; every added edge gets a fresh color.  Only clause
-    corners reach degree four.  Their edges split into bundles by position:
+    corners may reach degree four.  Their edges split into bundles by position:
     `multigraph_to_simple` writes triangle side e as edges 3e = (a, x) and
     3e+2 = (y, b), with b the corner after a around the triangle, so the L
     edges that end at a corner come from the previous corner and the R edges
@@ -391,6 +398,9 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     # vertices have degree 2 and higher numbers, so the gadget's lowest-index
     # maximum-degree vertex is its first corner of maximum degree.
     degree = [len(ends) for ends in incident]
+    for v in range(3 * m + 1, h.n + 1):
+        if degree[v] >= 4:
+            raise ValueError(f"vertex {v} has degree {degree[v]} but is not a clause corner")
     attach = [max(range(3 * j + 1, 3 * j + 4), key=degree.__getitem__) for j in range(m)]
 
     # binary tree on m leaves, heap order: nodes 1..2m-1, leaves m..2m-1
@@ -619,18 +629,6 @@ def _adjacency(g: ColoredGraph) -> tuple[dict[int, set[int]], tuple[int, int] | 
     return adj, repeat
 
 
-def verify_series_parallel(g: ColoredGraph) -> bool:
-    """True iff g has no K4 minor; raises ValueError on parallel edges.
-
-    Builds g's adjacency with `_adjacency`, the same one the K4-minor-free
-    checks of `verify_structural` read, and reduces it with `_reduces_away`.
-    """
-    adj, repeat = _adjacency(g)
-    if repeat is not None:
-        raise ValueError("input has parallel edges")
-    return _reduces_away(adj)
-
-
 def _reduces_away(adj: dict[int, set[int]]) -> bool:
     """True iff the simple graph `adj` has no K4 minor (Duffin), by exhaustive
     reduction: delete vertices of degree at most one, smooth degree-two
@@ -664,12 +662,11 @@ class CheckItem(_Record):
 
 
 class StructureReport(_Record):
-    __slots__ = ("kind", "items")
-    kind: ReductionKind
+    __slots__ = ("items",)
     items: tuple[CheckItem, ...]
 
-    def __init__(self, kind: ReductionKind, items: tuple[CheckItem, ...]) -> None:
-        super().__init__(kind, items)
+    def __init__(self, items: tuple[CheckItem, ...]) -> None:
+        super().__init__(items)
 
     @property
     def all_passed(self) -> bool:
@@ -799,11 +796,9 @@ def verify_structural(a: ReductionArtifact) -> StructureReport:
         items = [_check_class_sizes(g, 2, exact=True), _check_apex_bipartite(a)]
     elif a.kind is ReductionKind.COMPLETE:
         items = [_check_complete(g)]
-    elif a.kind is ReductionKind.NAE_CLIQUES:
+    else:  # ReductionKind.NAE_CLIQUES, the sixth kind
         items = [_check_clique_classes(g)]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {a.kind}")
-    return StructureReport(a.kind, tuple(items))
+    return StructureReport(tuple(items))
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,11 @@ def test_removed_brute_force_flags_are_usage_errors(argv, graph_file, capsys):
         ["solve", "GRAPH", "-k", "1_0"],
         ["solve", "GRAPH", "-k", "\uff12\uff10"],
         ["kernelize", "GRAPH", "--param", "k", "-k", "\u0663"],
-        ["verify", "--kind", "graph", "--graph", "GRAPH", "--expect-colors", "1_0"],
+        ["kernelize", "GRAPH", "--param", "k", "-k", "1_0"],
         ["solve", "GRAPH", "-k", "two"],
         ["solve", "GRAPH", "-k", " 1"],
         ["kernelize", "GRAPH", "--param", "k", "-k", "2\t"],
-        ["verify", "--kind", "graph", "--graph", "GRAPH", "--expect-colors", "3\n"],
+        ["solve", "GRAPH", "-k", "3\n"],
     ],
 )
 def test_integer_flags_take_only_a_sign_and_ascii_digits(argv, graph_file, capsys):
@@ -436,17 +436,14 @@ def test_verify_plain_graph(graph_file, capsys):
     assert out.strip() == "check graph-valid: pass"
 
 
-def test_verify_expect_colors(graph_file, capsys):
-    path = graph_file(TRIANGLE)
-    code, out, _ = run(
-        capsys, ["verify", "--kind", "graph", "--graph", path, "--expect-colors", "3"]
-    )
-    assert code == 0
-    code, out, _ = run(
-        capsys, ["verify", "--kind", "graph", "--graph", path, "--expect-colors", "4"]
-    )
-    assert code == 1
-    assert "check color-count: fail (graph has 3 colors)" in out
+def test_verify_expect_colors_is_a_usage_error(graph_file, capsys):
+    # verify has no color-count check: `stats` prints p on its first line
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["verify", "--kind", "graph", "--graph", graph_file(TRIANGLE), "--expect-colors", "3"]
+        )
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_cut_reports_crossing_count(graph_file, capsys, tmp_path):

@@ -353,6 +353,30 @@ _NO_FORMULA = ReductionArtifact(RAINBOW_TRIANGLE, ReductionKind.PLANAR_MULTI, No
             ),
             "graph has 4 vertices, expected 3 per active clause (3)",
         ),
+        (
+            lambda: make_k4mf_connected(
+                ReductionArtifact(
+                    ColoredGraph(5, ((1, 4, 1), (2, 4, 2), (3, 4, 3), (4, 5, 4), (1, 2, 5)), 5),
+                    ReductionKind.PLANAR_SIMPLE,
+                    None,
+                    (0,),
+                    vertex_meaning={v: ("corner", 1, v) for v in (1, 2, 3)},
+                )
+            ),
+            "vertex 4 has degree 4 but is not a clause corner",
+        ),
+        (
+            lambda: make_k4mf_connected(
+                ReductionArtifact(
+                    ColoredGraph(2, ((1, 2, 1),), 1),
+                    ReductionKind.PLANAR_SIMPLE,
+                    None,
+                    (0,),
+                    vertex_meaning={v: ("corner", 1, v) for v in (1, 2, 3)},
+                )
+            ),
+            "graph has 2 vertices, fewer than 3 per active clause (3)",
+        ),
         (lambda: CnfFormula(-1, ()), "variable count must be nonnegative, got -1"),
         (
             lambda: solve_via_kernel(ColoredGraph(1, (), 0)),

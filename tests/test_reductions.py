@@ -30,7 +30,6 @@ from coloredcut import (
     serialize_graph,
     serialize_provenance,
     strip_single_polarity,
-    verify_series_parallel,
     verify_structural,
 )
 from coloredcut.reductions import _GENERATORS
@@ -678,9 +677,15 @@ def test_equivalence_sweep_random_4var():
 # ------------------------------------------------------------ series-parallel
 
 
+def _series_parallel(g):
+    """The series-parallel item of the K4-minor-free checklist for g."""
+    report = verify_structural(ReductionArtifact(g, ReductionKind.K4MF, None))
+    return next(item for item in report.items if item.name == "series-parallel")
+
+
 def test_series_parallel_hand_cases():
     k4 = ColoredGraph(4, tuple((u, v, 1) for u, v in combinations(range(1, 5), 2)), 1)
-    assert not verify_series_parallel(k4)
+    assert not _series_parallel(k4).passed
     # subdividing K4 does not remove the minor
     sub = ColoredGraph(
         10,
@@ -691,20 +696,20 @@ def test_series_parallel_hand_cases():
         ),
         1,
     )
-    assert not verify_series_parallel(sub)
+    assert not _series_parallel(sub).passed
     path = ColoredGraph(5, tuple((i, i + 1, 1) for i in range(1, 5)), 1)
-    assert verify_series_parallel(path)
+    assert _series_parallel(path).passed
     star = ColoredGraph(5, tuple((1, i, 1) for i in range(2, 6)), 1)
-    assert verify_series_parallel(star)
+    assert _series_parallel(star).passed
     c4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)), 1)
-    assert verify_series_parallel(c4)
+    assert _series_parallel(c4).passed
     theta = ColoredGraph(4, ((1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 4, 1), (4, 3, 1)), 1)
-    assert verify_series_parallel(theta)
+    assert _series_parallel(theta).passed
 
 
 def test_series_parallel_rejects_parallel_edges():
-    with pytest.raises(ValueError):
-        verify_series_parallel(ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2))
+    item = _series_parallel(ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2))
+    assert (item.passed, item.detail) == (False, "input has parallel edges")
 
 
 def test_series_parallel_matches_minor_oracle():
@@ -715,7 +720,7 @@ def test_series_parallel_matches_minor_oracle():
             (u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < 0.5
         ]
         g = ColoredGraph(n, tuple((u, v, 1) for u, v in pairs), 1 if pairs else 0)
-        assert verify_series_parallel(g) == (not oracle_has_k4_minor(n, pairs))
+        assert _series_parallel(g).passed == (not oracle_has_k4_minor(n, pairs))
 
 
 # ------------------------------------------------------------------ verifiers
@@ -823,6 +828,12 @@ def test_verify_structural_reports_counterexamples():
         report = verify_structural(ReductionArtifact(g, kind, None))
         got = [(item.name, item.passed, item.detail) for item in report.items]
         assert got == expected, (kind, g)
+
+
+def test_artifact_kind_must_be_a_reduction_kind():
+    # a kind's value is not the kind: verify_structural would not know it
+    with pytest.raises(TypeError, match="kind must be a ReductionKind, got 'k4mf'"):
+        ReductionArtifact(ColoredGraph(2, ((1, 2, 1),), 1), "k4mf", None)
 
 
 def test_connected_check_counts_untouched_vertices():
