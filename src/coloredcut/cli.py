@@ -10,6 +10,7 @@ Subcommands::
     stats      per-color edge counts, distinct endpoint pairs, span
 
 Each command returns its exit code and stdout text; ``main`` alone writes it.
+The cyclic garbage collector is off while a command runs.
 
 Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output
 (an ``--output`` path, or a stdout that is closed, a closed pipe or a full
@@ -20,6 +21,7 @@ device such as ``> /dev/full``), 3 solve refused its search (more than
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -235,31 +237,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A command builds its objects once and exits, so the cyclic GC would only
+    # rescan them: it is off while the command runs, and its prior state comes
+    # back afterwards for callers that run `main` in-process.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise FormatError("cannot write stdout: it is closed")
-        code, text = args.func(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # FormatError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe or a full device fails here, not at exit
-    except (OSError, UnicodeEncodeError) as exc:  # or a path stdout cannot encode
-        # point fd 1 at devnull, so that the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return 2
-    return code
+        args = build_parser().parse_args(argv)
+        try:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise FormatError("cannot write stdout: it is closed")
+            code, text = args.func(args)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:  # FormatError included
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 4
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed pipe or a full device fails here, not at exit
+        except (OSError, UnicodeEncodeError) as exc:  # or a path stdout cannot encode
+            # point fd 1 at devnull, so that the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return 2
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

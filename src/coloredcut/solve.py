@@ -20,8 +20,14 @@ Three routes:
 exhaustive search.  It takes the color-class table and the colors the
 kernel removed, scans the surviving colors in place on g (no reduced graph
 is built), repairs the witness with `augment_cut` and recounts it on g.
-`decide_max` adds the value kernel's early yes, answered by the greedy cut.
-Witness checks raise `InvariantError`, so they also run under ``python -O``.
+`decide_max` adds the value kernel's early yes, answered by the greedy cut,
+and a "no" with no search when k exceeds the upper bound.  That bound is
+the color count minus a packing of color-disjoint odd cycles of colors with
+a single endpoint pair (`_odd_cycles`): every cut leaves a color of each
+uncrossed.  These are the odd-cycle inequalities of the cut polytope
+(Barahona and Mahjoub, Math. Programming 1986).
+Witness checks, and the packing's check before it is trusted, raise
+`InvariantError`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -115,6 +121,92 @@ def _add_bits(bits: list[int], counter: Sequence[int] = ()) -> list[int]:
         column = carries
         i += 1
     return out
+
+
+def _odd_cycles(
+    n: int, classes: list[dict[tuple[int, int], int]], single: Sequence[int]
+) -> list[list[int]]:
+    """Pairwise color-disjoint odd cycles, each as the list of its colors,
+    over the colors `single` of an n-vertex graph, whose `_color_classes`
+    entries each hold a single endpoint pair.  Every cut crosses an even
+    number of a cycle's edges, so it leaves some color of each cycle
+    uncrossed: no cut crosses more than p minus the number of cycles.
+
+    A BFS with parents spans the graph of those pairs, roots taken in
+    increasing order.  A non-tree pair joins two depths that differ by at
+    most one; when they are equal, it closes a fundamental odd cycle, and
+    both ends climb in step to the vertex where they meet.  Pairs are
+    tried in the order of `single`, and a cycle is taken when none of its
+    colors is taken yet.  A climb stops at the first taken color, and all
+    climbs together make at most one step per pair, so the cost stays
+    linear in n and the pairs.
+    """
+    pairs = [(*classes[c - 1], c) for c in single]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (u, v), c in pairs:
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    depth = [-1] * (n + 1)
+    up: list[tuple[int, int]] = [(0, 0)] * (n + 1)  # (parent, color of the tree pair)
+    for root in range(1, n + 1):
+        if depth[root] >= 0 or not adj[root]:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            below = depth[v] + 1
+            for w, c in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = below
+                    up[w] = (v, c)
+                    queue.append(w)
+    taken: set[int] = set()
+    cycles = []
+    steps = len(pairs)
+    for (u, v), c in pairs:
+        if not steps:
+            break
+        if depth[u] != depth[v]:  # a tree pair, or an even cycle
+            continue
+        cycle = [c]
+        while u != v and steps:
+            steps -= 1
+            (u, a), (v, b) = up[u], up[v]
+            cycle += (a, b)
+            if a in taken or b in taken:
+                break
+        if u == v and taken.isdisjoint(cycle):
+            taken.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def _check_odd_cycles(g: ColoredGraph, cycles: Sequence[Sequence[int]]) -> None:
+    """Raise `InvariantError` unless every cut leaves a color of each of
+    `cycles` uncrossed, one color per cycle: each color has exactly one
+    endpoint pair in g, no color appears twice, and each cycle has an odd
+    number of edges and an even degree at every vertex, so that every cut
+    crosses an even number of them."""
+    colors = [c for cycle in cycles for c in cycle]
+    pair_of: dict[int, tuple[int, int] | None] = dict.fromkeys(colors)
+    if len(pair_of) != len(colors):
+        raise InvariantError("odd-cycle packing uses a color twice")
+    for u, v, c in g.edges:
+        if c in pair_of:
+            pair = (u, v) if u < v else (v, u)
+            if pair_of[c] is None:
+                pair_of[c] = pair
+            elif pair_of[c] != pair:
+                raise InvariantError(f"odd-cycle color {c} has more than one endpoint pair")
+    for cycle in cycles:
+        odd: set[int] = set()  # the vertices of odd degree so far
+        for c in cycle:
+            pair = pair_of[c]
+            if pair is None:
+                raise InvariantError(f"odd-cycle color {c} has no edge")
+            odd.symmetric_difference_update(pair)
+        if len(cycle) % 2 == 0 or odd:
+            raise InvariantError(f"colors {list(cycle)} do not form an odd cycle")
 
 
 def _search(
@@ -463,9 +555,13 @@ def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
     No cut crosses more than p colors, so every k > p is a no.  Otherwise the
     value-parameterized kernel runs first.  On an early yes (every k up to
     ceil(p/2) gets one) the witness is the greedy cut over the surviving
-    colors, repaired by `augment_cut`; else the search of `solve_via_kernel`
-    runs on the same table and removals.  Either way a returned cut crosses
-    >= k colors of g.
+    colors, repaired by `augment_cut`.  Else, when p minus an `_odd_cycles`
+    packing of the single-pair colors is below k, the packing is checked and
+    the answer is no, with no search, above the search cap too.  The packing
+    is skipped when a third of those colors is at most p - k, since it could
+    not bring the bound below k then.  Otherwise the search of
+    `solve_via_kernel` runs on the same table and removals.  A returned cut
+    crosses >= k colors of g.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
@@ -477,6 +573,14 @@ def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
         if len(cut_colors(g, base)) < k:
             raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
         return True, base
+    # each odd cycle takes three single-pair colors or more, so the packing
+    # can only answer when a third of them is more than p - k
+    single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
+    if g.p - len(single) // 3 < k:
+        cycles = _odd_cycles(g.n, classes, single)
+        if g.p - len(cycles) < k:
+            _check_odd_cycles(g, cycles)
+            return False, None
     result = _search(g, classes, removed)
     return (True, result.witness) if result.value >= k else (False, None)
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -24,7 +25,7 @@ from coloredcut import (
     sat_to_multigraph,
     serialize_graph,
 )
-from coloredcut.cli import main
+from coloredcut.cli import _cmd_solve, main
 
 from helpers import (
     distinct_pairs,
@@ -961,6 +962,29 @@ def test_internal_errors_are_exit_4(graph_file, capsys, monkeypatch):
     code, _, err = run(capsys, ["stats", graph_file(TRIANGLE)])
     assert code == 4
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_main_restores_the_gc_state(was_enabled, graph_file, capsys, monkeypatch):
+    # the GC is off while a command runs, and main gives back the state it
+    # found after a yes, a no, a bad input and a usage error
+    seen = []
+    monkeypatch.setattr(
+        "coloredcut.cli._cmd_solve", lambda args: seen.append(gc.isenabled()) or _cmd_solve(args)
+    )
+    path = graph_file(TRIANGLE)
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        for argv, code in (([path], 0), ([path, "-k", "3"], 1), ([path + ".missing"], 2)):
+            assert main(["solve", *argv]) == code
+            assert gc.isenabled() is was_enabled
+        with pytest.raises(SystemExit):
+            main(["solve", path, "-k", "x"])
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == [False, False, False]
 
 
 def test_oserror_inside_a_command_is_exit_4(graph_file, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from coloredcut import (
     CnfFormula,
     ColoredGraph,
     Cut,
+    InvariantError,
     KernelOutcome,
     augment_cut,
     brute_force_max,
@@ -37,7 +38,8 @@ from coloredcut import (
     solve_via_kernel,
     strip_single_polarity,
 )
-from coloredcut.solve import _add_bits, _Contraction
+from coloredcut.graph import _color_classes
+from coloredcut.solve import _add_bits, _check_odd_cycles, _Contraction, _odd_cycles
 
 from helpers import (
     encode_colorful_to_cnf,
@@ -58,6 +60,9 @@ RAINBOW_C5 = ColoredGraph(
     5, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4), (5, 1, 5)), 5
 )
 RAINBOW_C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
+TWO_TRIANGLES = ColoredGraph(
+    6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (4, 5, 4), (5, 6, 5), (4, 6, 6)), 6
+)
 
 
 # ---------------------------------------------------------------- brute force
@@ -251,6 +256,43 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _answer(g: ColoredGraph, k: int) -> str:
+    yes, cut = decide_max(g, k)
+    return f"{yes} {None if cut is None else sorted(cut.s_side)}"
+
+
+def _multi_block_corpus() -> list[ColoredGraph]:
+    """Seeded graphs on t = 18..21 vertices, all touched, so that the search
+    spans 2 to 16 blocks: planted rainbow triangles plus free colors (one
+    per vertex, whose first edge crosses the planted sides), a rainbow
+    Hamiltonian cycle with one chord and one two-pair color, and a rainbow
+    K_{a,b} with a = 2 or 3.  Vertex ids are shuffled."""
+    rng = random.Random(38)
+    corpus = []
+    for t in range(18, 22):
+        vertices = list(range(1, t + 1))
+        rng.shuffle(vertices)
+        s_side = set(vertices[: t // 2])
+        classes = []
+        for i in range(0, 3 * (t // 5), 3):
+            a, b, c = vertices[i : i + 3]
+            classes += [[(a, b)], [(b, c)], [(a, c)]]
+        for i, v in enumerate(rng.sample(vertices, t)):
+            other = rng.choice([w for w in vertices if (w in s_side) != (v in s_side)])
+            classes.append([(v, other)] + [tuple(rng.sample(vertices, 2)) for _ in range(i % 3)])
+        rng.shuffle(vertices)
+        cycle = [[(vertices[i - 1], vertices[i])] for i in range(t)]
+        chord = [[(vertices[0], vertices[rng.randrange(2, t - 1)])]]
+        two_pairs = [[tuple(rng.sample(vertices, 2)), tuple(rng.sample(vertices, 2))]]
+        rng.shuffle(vertices)
+        a = 2 + t % 2
+        biclique = [[(u, v)] for u in vertices[:a] for v in vertices[a:]]
+        for graph_classes in (classes, cycle + chord + two_pairs, biclique):
+            edges = [(u, v, c) for c, pairs in enumerate(graph_classes, 1) for u, v in pairs]
+            corpus.append(ColoredGraph(t, edges, len(graph_classes)))
+    return corpus
+
+
 def test_greedy_decide_and_encoding_outputs_are_pinned():
     # sha256 prefixes of every greedy witness, every decide_max answer at
     # k = 1..p+1 and every CNF encoding over one seeded corpus, so that a
@@ -258,13 +300,8 @@ def test_greedy_decide_and_encoding_outputs_are_pinned():
     corpus = _pinned_corpus()
     assert sum(bool(kernelize_colors(g).removed_colors) for g in corpus) == 120
     assert sum(1 not in {x for u, v, _ in g.edges for x in (u, v)} for g in corpus) == 151
-
-    def answer(g: ColoredGraph, k: int) -> str:
-        yes, cut = decide_max(g, k)
-        return f"{yes} {None if cut is None else sorted(cut.s_side)}"
-
     assert _digest(repr(sorted(greedy_half_colors(g).s_side)) for g in corpus) == "0c1857323d6e7744"
-    assert _digest(answer(g, k) for g in corpus for k in range(1, g.p + 2)) == "a7876cc9e24d1cfa"
+    assert _digest(_answer(g, k) for g in corpus for k in range(1, g.p + 2)) == "a7876cc9e24d1cfa"
     assert _digest(repr(encode_colorful_to_cnf(g)) for g in corpus) == "7f86c0aa0239b5d9"
 
 
@@ -289,6 +326,18 @@ def test_kernel_outputs_are_pinned():
     assert len(reduced) == 1022
     for r in reduced:
         assert ColoredGraph(r.n, r.edges, r.p) == r
+
+
+def test_search_past_one_block_is_pinned():
+    # sha256 prefixes of every solve and every decide_max answer at
+    # k = 1..p+1 over graphs whose search spans 2 to 16 blocks, recorded
+    # before decide_max answered "no" from the odd-cycle bound: that answer
+    # changes no value and no witness
+    corpus = _multi_block_corpus()
+    touched = [len({x for u, v, _ in g.edges for x in (u, v)}) for g in corpus]
+    assert touched == [t for t in range(18, 22) for _ in range(3)]
+    assert _digest(repr(solve_via_kernel(g)) for g in corpus) == "ba941c407022e4b9"
+    assert _digest(_answer(g, k) for g in corpus for k in range(1, g.p + 2)) == "438d5aaf44165cf4"
 
 
 def test_greedy_half_and_below_optimum():
@@ -679,8 +728,9 @@ def test_colorful_never_runs_dpll(monkeypatch):
     assert colorful_cut_decide(RAINBOW_C4) is not None
 
 
-# (stub, call on the path 1-2-3 colored 1, 2, message of the check it trips);
-# each stub leaves the checks before the targeted one passing
+# (stub, call on the path 1-2-3 colored 1, 2 unless a graph is given, message
+# of the check it trips); each stub leaves the checks before the targeted one
+# passing
 NO_COLORS = "s.cut_colors = lambda g, cut: frozenset()"
 WITNESS_CHECKS = {
     "brute": (
@@ -707,6 +757,11 @@ WITNESS_CHECKS = {
         NO_COLORS,
         "s.decide_max(G, 1)",
         "early-yes witness crosses fewer than 1 colors",
+    ),
+    "odd-cycle-no": (
+        "s._odd_cycles = lambda n, classes, single: [[1, 2]]",
+        "s.decide_max(ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3), 3)",
+        "colors [1, 2] do not form an odd cycle",
     ),
 }
 
@@ -790,6 +845,100 @@ def test_decide_max_agrees_with_oracle_for_all_k():
                 assert len(cut_colors(g, cut)) >= k
             else:
                 assert cut is None
+
+
+def test_decide_max_says_no_from_the_odd_cycle_bound_above_the_cap():
+    # a rainbow C_41 puts 41 vertices in the search, far above the cap; every
+    # cut leaves a color of the cycle uncrossed, so k = 41 is a certified no,
+    # while k = 40 still needs the search
+    cycle = ColoredGraph(41, tuple((v, v % 41 + 1, v) for v in range(1, 42)), 41)
+    assert decide_max(cycle, 41) == (False, None)
+    with pytest.raises(CapExceededError):
+        decide_max(cycle, 40)
+
+
+def test_decide_max_no_from_the_bound_runs_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("coloredcut.solve._search", refuse)
+    for g, k in ((RAINBOW_TRIANGLE, 3), (RAINBOW_C5, 5), (TWO_TRIANGLES, 5)):
+        assert decide_max(g, k) == (False, None)
+
+
+def test_decide_max_skips_a_packing_that_cannot_answer(monkeypatch):
+    # a cycle takes three single-pair colors, so p - (their number) // 3 >= k
+    # leaves the bound at k or above whatever the packing finds
+    def refuse(*args):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr("coloredcut.solve._odd_cycles", refuse)
+    for g, k in ((RAINBOW_C5, 4), (TWO_TRIANGLES, 4), (RAINBOW_C4, 3)):
+        yes, cut = decide_max(g, k)
+        assert yes and len(cut_colors(g, cut)) >= k
+
+
+# ------------------------------------------------------------ odd-cycle bound
+
+def _packing(g: ColoredGraph) -> list[list[int]]:
+    classes = _color_classes(g)
+    return _odd_cycles(g.n, classes, [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1])
+
+
+# C5 plus color 6 on two pairs
+ODD_CYCLE_CASES = ColoredGraph(5, RAINBOW_C5.edges + ((1, 3, 6), (2, 4, 6)), 6)
+
+
+@pytest.mark.parametrize(
+    "g,count",
+    [
+        (RAINBOW_TRIANGLE, 1),
+        (RAINBOW_C5, 1),
+        (TWO_TRIANGLES, 2),
+        (ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (1, 4, 3)), 3), 0),
+        (RAINBOW_C4, 0),
+        (ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2), 0),
+    ],
+    ids=["triangle", "c5", "two-triangles", "two-pair-color", "c4", "one-pair-twice"],
+)
+def test_odd_cycles_hand_cases(g, count):
+    cycles = _packing(g)
+    assert len(cycles) == count
+    _check_odd_cycles(g, cycles)
+    assert brute_force_max(g).value == g.p - count
+
+
+@pytest.mark.parametrize(
+    "cycles,message",
+    [
+        ([[1, 2, 3, 4, 5], [5]], "odd-cycle packing uses a color twice"),
+        ([[1, 2, 6]], "odd-cycle color 6 has more than one endpoint pair"),
+        ([[1, 2, 9]], "odd-cycle color 9 has no edge"),
+        ([[1, 2, 3, 4]], "colors [1, 2, 3, 4] do not form an odd cycle"),
+        ([[1, 2, 3]], "colors [1, 2, 3] do not form an odd cycle"),  # a path
+    ],
+)
+def test_odd_cycle_check_names_the_fault(cycles, message):
+    _check_odd_cycles(ODD_CYCLE_CASES, [[1, 2, 3, 4, 5]])
+    with pytest.raises(InvariantError) as exc:
+        _check_odd_cycles(ODD_CYCLE_CASES, cycles)
+    assert str(exc.value) == message
+
+
+@given(st.integers(min_value=2, max_value=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_odd_cycles_bound_the_optimum(n, data):
+    # mostly single-pair colors, so the packing has cycles to find
+    pair = st.tuples(
+        st.integers(min_value=1, max_value=n), st.integers(min_value=1, max_value=n)
+    ).filter(lambda uv: uv[0] != uv[1])
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=14))
+    extra = data.draw(st.lists(st.tuples(pair, st.integers(1, len(pairs))), max_size=4))
+    edges = [(u, v, c) for c, (u, v) in enumerate(pairs, 1)] + [(u, v, c) for (u, v), c in extra]
+    g = ColoredGraph(n, edges, len(pairs))
+    cycles = _packing(g)
+    _check_odd_cycles(g, cycles)
+    assert g.p - len(cycles) >= brute_force_max(g).value
 
 
 # ------------------------------------------------------------ solve_via_kernel
