@@ -160,28 +160,30 @@ def is_colorful(g: ColoredGraph, cut: Cut) -> bool:
 
 def _bfs_labels(
     vertices: Iterable[int], pairs: Iterable[tuple[int, int]]
-) -> dict[int, tuple[int, int]]:
-    """Label every vertex with (component root, BFS depth parity).
+) -> dict[int, tuple[int, int, int]]:
+    """Label every vertex with (component root, BFS depth parity, BFS parent),
+    a root being its own parent.
 
     Each pair must join two of `vertices`.  Roots are taken in the order of
-    `vertices`, so a root is its component's first vertex in that order.  An
-    edge joins two equal parities exactly when its component has an odd cycle.
+    `vertices`, and each vertex's neighbours in the order of `pairs`, so a
+    root is its component's first vertex in that order.  An edge joins two
+    equal parities exactly when its component has an odd cycle.
     """
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    labels: dict[int, tuple[int, int]] = {}
+    labels: dict[int, tuple[int, int, int]] = {}
     for root in adj:
         if root in labels:
             continue
-        labels[root] = (root, 0)
+        labels[root] = (root, 0, root)
         queue = [root]
         for v in queue:
             parity = 1 - labels[v][1]
             for w in adj[v]:
                 if w not in labels:
-                    labels[w] = (root, parity)
+                    labels[w] = (root, parity, v)
                     queue.append(w)
     return labels
 
@@ -189,7 +191,7 @@ def _bfs_labels(
 def _span(pairs: Collection[tuple[int, int]]) -> int:
     """Number of connected components among the vertices `pairs` touch."""
     labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
-    return len({root for root, _ in labels.values()})
+    return len({root for root, _, _ in labels.values()})
 
 
 def _color_classes(g: ColoredGraph) -> list[dict[tuple[int, int], int]]:

@@ -23,9 +23,11 @@ is built), repairs the witness with `augment_cut` and recounts it on g.
 `decide_max` adds the value kernel's early yes, answered by the greedy cut,
 and a "no" with no search when k exceeds the upper bound.  That bound is
 the color count minus a packing of color-disjoint odd cycles of colors with
-a single endpoint pair (`_odd_cycles`): every cut leaves a color of each
-uncrossed.  These are the odd-cycle inequalities of the cut polytope
-(Barahona and Mahjoub, Math. Programming 1986).
+a single endpoint pair (`_odd_cycles`, which climbs the parents of the
+`_bfs_labels` forest of those pairs, in time linear in them whatever n
+is): every cut leaves a color of each uncrossed.  These are the odd-cycle
+inequalities of the cut polytope (Barahona and Mahjoub, Math. Programming
+1986).
 Witness checks, and the packing's check before it is trusted, raise
 `InvariantError`, so they also run under ``python -O``.
 """
@@ -124,59 +126,48 @@ def _add_bits(bits: list[int], counter: Sequence[int] = ()) -> list[int]:
 
 
 def _odd_cycles(
-    n: int, classes: list[dict[tuple[int, int], int]], single: Sequence[int]
+    classes: list[dict[tuple[int, int], int]], single: Sequence[int]
 ) -> list[list[int]]:
     """Pairwise color-disjoint odd cycles, each as the list of its colors,
-    over the colors `single` of an n-vertex graph, whose `_color_classes`
-    entries each hold a single endpoint pair.  Every cut crosses an even
-    number of a cycle's edges, so it leaves some color of each cycle
-    uncrossed: no cut crosses more than p minus the number of cycles.
+    over the colors `single`, whose `_color_classes` entries each hold a
+    single endpoint pair.  Every cut crosses an even number of a cycle's
+    edges, so it leaves some color of each cycle uncrossed: no cut crosses
+    more than p minus the number of cycles.
 
-    A BFS with parents spans the graph of those pairs, roots taken in
-    increasing order.  A non-tree pair joins two depths that differ by at
-    most one; when they are equal, it closes a fundamental odd cycle, and
-    both ends climb in step to the vertex where they meet.  Pairs are
+    `_bfs_labels` spans the graph of those pairs, roots taken in increasing
+    order; a tree pair's color is the first of `single` on it.  A non-tree
+    pair joins two depths that differ by at most one; when its parities are
+    equal the depths are too, it closes a fundamental odd cycle, and both
+    ends climb the parents in step to the vertex where they meet.  Pairs are
     tried in the order of `single`, and a cycle is taken when none of its
-    colors is taken yet.  A climb stops at the first taken color, and all
-    climbs together make at most one step per pair, so the cost stays
-    linear in n and the pairs.
+    tree pairs, each named by its lower end, is taken yet.  A climb stops at
+    the first taken one, and all climbs together make at most one step per
+    pair, so the cost is linear in the pairs, whatever n is.
     """
-    pairs = [(*classes[c - 1], c) for c in single]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for (u, v), c in pairs:
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    depth = [-1] * (n + 1)
-    up: list[tuple[int, int]] = [(0, 0)] * (n + 1)  # (parent, color of the tree pair)
-    for root in range(1, n + 1):
-        if depth[root] >= 0 or not adj[root]:
-            continue
-        depth[root] = 0
-        queue = [root]
-        for v in queue:
-            below = depth[v] + 1
-            for w, c in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = below
-                    up[w] = (v, c)
-                    queue.append(w)
-    taken: set[int] = set()
+    pairs = [pair for c in single for pair in classes[c - 1]]  # one pair each
+    labels = _bfs_labels(sorted({x for pair in pairs for x in pair}), pairs)
+    first = dict(zip(pairs[::-1], single[::-1]))  # each pair's first color
+    taken: set[int] = set()  # the lower ends of the tree pairs taken
     cycles = []
     steps = len(pairs)
-    for (u, v), c in pairs:
+    for (u, v), c in zip(pairs, single):
         if not steps:
             break
-        if depth[u] != depth[v]:  # a tree pair, or an even cycle
+        if labels[u][1] != labels[v][1]:  # a tree pair, or an even cycle
             continue
-        cycle = [c]
+        lower: list[int] = []
         while u != v and steps:
             steps -= 1
-            (u, a), (v, b) = up[u], up[v]
-            cycle += (a, b)
-            if a in taken or b in taken:
+            lower += (u, v)
+            if u in taken or v in taken:
                 break
-        if u == v and taken.isdisjoint(cycle):
-            taken.update(cycle)
+            u, v = labels[u][2], labels[v][2]
+        if u == v and taken.isdisjoint(lower):
+            taken.update(lower)
+            cycle = [c]
+            for w in lower:  # the tree pair (w, its parent)
+                up = labels[w][2]
+                cycle.append(first[(up, w) if up < w else (w, up)])
             cycles.append(cycle)
     return cycles
 
@@ -481,10 +472,10 @@ def _root_contraction(g: ColoredGraph) -> _Contraction | None:
         if len(pairs) != 1:
             edges = colors[c] = []
             for u, v in pairs:
-                a, x = labels.get(u, (u, 0))
-                b, y = labels.get(v, (v, 0))
+                a, x, _ = labels.get(u, (u, 0, u))
+                b, y, _ = labels.get(v, (v, 0, v))
                 edges.append((a, b, x ^ y))
-    up = {v: label for v, label in labels.items() if label[0] != v}
+    up = {v: (root, parity) for v, (root, parity, _) in labels.items() if root != v}
     state = _Contraction(up, colors)
     if not state.propagate(list(colors)):
         return None
@@ -577,7 +568,7 @@ def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
     # can only answer when a third of them is more than p - k
     single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
     if g.p - len(single) // 3 < k:
-        cycles = _odd_cycles(g.n, classes, single)
+        cycles = _odd_cycles(classes, single)
         if g.p - len(cycles) < k:
             _check_odd_cycles(g, cycles)
             return False, None

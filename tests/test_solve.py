@@ -759,7 +759,7 @@ WITNESS_CHECKS = {
         "early-yes witness crosses fewer than 1 colors",
     ),
     "odd-cycle-no": (
-        "s._odd_cycles = lambda n, classes, single: [[1, 2]]",
+        "s._odd_cycles = lambda classes, single: [[1, 2]]",
         "s.decide_max(ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3), 3)",
         "colors [1, 2] do not form an odd cycle",
     ),
@@ -882,7 +882,20 @@ def test_decide_max_skips_a_packing_that_cannot_answer(monkeypatch):
 
 def _packing(g: ColoredGraph) -> list[list[int]]:
     classes = _color_classes(g)
-    return _odd_cycles(g.n, classes, [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1])
+    return _odd_cycles(classes, [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1])
+
+
+def _ladder() -> ColoredGraph:
+    """Vertex 1 with children 2 and 3, color 1 on (2, 3), a path of length 8
+    below each of 2 and 3, and a rung joining each pair of equal-depth path
+    vertices: 19 vertices and 27 single-pair colors.  The triangle takes the
+    pairs (1, 2) and (1, 3); every rung closes an odd cycle through them, and
+    the rungs' climbs outrun the budget of one step per pair."""
+    left, right = [2, *range(4, 20, 2)], [3, *range(5, 20, 2)]
+    pairs = [(2, 3), (1, 2), (1, 3)]
+    pairs += [pair for path in (left, right) for pair in zip(path, path[1:])]
+    pairs += zip(left[1:], right[1:])
+    return ColoredGraph(19, [(u, v, c) for c, (u, v) in enumerate(pairs, 1)], len(pairs))
 
 
 # C5 plus color 6 on two pairs
@@ -898,8 +911,9 @@ ODD_CYCLE_CASES = ColoredGraph(5, RAINBOW_C5.edges + ((1, 3, 6), (2, 4, 6)), 6)
         (ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (1, 4, 3)), 3), 0),
         (RAINBOW_C4, 0),
         (ColoredGraph(2, ((1, 2, 1), (1, 2, 2)), 2), 0),
+        (_ladder(), 1),
     ],
-    ids=["triangle", "c5", "two-triangles", "two-pair-color", "c4", "one-pair-twice"],
+    ids=["triangle", "c5", "two-triangles", "two-pair-color", "c4", "one-pair-twice", "ladder"],
 )
 def test_odd_cycles_hand_cases(g, count):
     cycles = _packing(g)
@@ -939,6 +953,63 @@ def test_property_odd_cycles_bound_the_optimum(n, data):
     cycles = _packing(g)
     _check_odd_cycles(g, cycles)
     assert g.p - len(cycles) >= brute_force_max(g).value
+
+
+def _packing_corpus() -> list[ColoredGraph]:
+    """5,000 seeded `random_multigraph` draws with mostly single-pair colors,
+    and 25 planted graphs like those of the max-cut benchmark: t = 14..18
+    shuffled vertices, t // 5 rainbow triangles, and t - 4 free colors of 1,
+    2, 3, 1, ... pairs whose first pair crosses a planted bipartition."""
+    rng = random.Random(40)
+    corpus = [random_multigraph(rng, n_max=10, p_max=12, extra_max=4) for _ in range(5000)]
+    for t in (14, 15, 16, 17, 18):
+        for _ in range(5):
+            vertices = list(range(1, t + 1))
+            rng.shuffle(vertices)
+            s_side = set(vertices[: t // 2])
+            classes = []
+            for i in range(0, 3 * (t // 5), 3):
+                a, b, c = vertices[i : i + 3]
+                classes += [[(a, b)], [(b, c)], [(a, c)]]
+            for i in range(t - 4):
+                v = rng.choice(vertices)
+                other = rng.choice([w for w in vertices if (w in s_side) != (v in s_side)])
+                extra = [tuple(rng.sample(vertices, 2)) for _ in range(i % 3)]
+                classes.append([(v, other), *extra])
+            rng.shuffle(classes)
+            edges = [(u, v, c) for c, pairs in enumerate(classes, 1) for u, v in pairs]
+            corpus.append(ColoredGraph(t, edges, len(classes)))
+    return corpus
+
+
+def test_odd_cycle_packing_is_pinned():
+    # sha256 prefix of every packing over a seeded corpus, so that a rewrite
+    # of `_odd_cycles` shows it finds the same cycles in the same order
+    packings = [_packing(g) for g in _packing_corpus()]
+    assert sum(map(len, packings)) == 1724
+    assert _digest(repr(cycles) for cycles in packings) == "59a6ad5f23fc17a1"
+
+
+def test_odd_cycle_no_ignores_untouched_vertices_in_time_and_memory():
+    # a rainbow triangle declared over 10^9 vertices, answered at k = 3 from
+    # the odd-cycle bound by a child process whose address space is capped at
+    # 2 GB: the packing costs O(m), not O(n)
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from coloredcut import ColoredGraph, decide_max\n"
+        "print(decide_max(ColoredGraph(10**9, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3), 3))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(False, None)\n"
 
 
 # ------------------------------------------------------------ solve_via_kernel
