@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from enum import Enum
+from operator import itemgetter
 
 from .errors import FormatError, InvariantError
 from .graph import (
@@ -403,7 +404,9 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
             raise ValueError(f"vertex {v} has degree {degree[v]} but is not a clause corner")
     attach = [max(range(3 * j + 1, 3 * j + 4), key=degree.__getitem__) for j in range(m)]
 
-    # binary tree on m leaves, heap order: nodes 1..2m-1, leaves m..2m-1
+    # binary tree on m leaves, heap order: nodes 1..2m-1, leaves m..2m-1;
+    # its edges follow h's, from index tree_start on
+    tree_start = h.m
     tree = [(h.n + t // 2, h.n + t) for t in range(2, 2 * m)]
     tree += [(attach[j], h.n + m + j) for j in range(m)]
     for u, v in tree:
@@ -422,14 +425,14 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     for v, ends in enumerate(incident):
         if len(ends) < 4:
             continue
-        sides = [side for idx, side in ends if idx < h.m]
+        sides = [side for idx, side in ends if idx < tree_start]
         slots = max(1, sides.count(1) - 1) + max(1, sides.count(0) - 1)
         path = list(range(next_id + 1, next_id + 2 * max(1, slots - 1) + 2))
         next_id = path[-1]
         # side 0 leads to the next corner: right end; side 1: left end
         targets = (iter([path[-1], *path[::-2]]), iter([path[0], *path[::2]]))
         for idx, side in ends:
-            edges[idx][side] = next(targets[side]) if idx < h.m else path[1]
+            edges[idx][side] = next(targets[side]) if idx < tree_start else path[1]
         for w, x in zip(path, path[1:]):
             color = len(color_meaning) + 1
             color_meaning[color] = ("fresh",)
@@ -442,9 +445,7 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     survivors = [v for v in range(1, next_id + 1) if v not in split]
     rename = {old: new for new, old in enumerate(survivors, start=1)}
     graph = ColoredGraph(
-        len(survivors),
-        tuple((rename[u], rename[v], c) for u, v, c in edges),
-        len(color_meaning),
+        len(survivors), [(rename[u], rename[v], c) for u, v, c in edges], len(color_meaning)
     )
     return ReductionArtifact(
         graph,
@@ -633,21 +634,33 @@ def _reduces_away(adj: dict[int, set[int]]) -> bool:
     """True iff the simple graph `adj` has no K4 minor (Duffin), by exhaustive
     reduction: delete vertices of degree at most one, smooth degree-two
     vertices.  Adjacency sets merge the parallel edges that smoothing creates,
-    and smoothing never raises a degree, so a worklist of degree-two-or-less
-    vertices makes the reduction linear.  Consumes `adj`."""
+    so a step lowers a degree by at most one and raises none: a vertex is
+    queued once, when it starts at degree two or less or when its degree
+    falls from three to two, and it is still there, of degree two or less,
+    when it is taken.  The reduction is linear.  Consumes `adj`."""
     work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while work:
         v = work.pop()
-        if v not in adj:
-            continue  # queued twice
         nbrs = adj.pop(v)
-        for w in nbrs:
-            adj[w].discard(v)
         if len(nbrs) == 2:
             x, y = nbrs
-            adj[x].add(y)
-            adj[y].add(x)
-        work.extend(w for w in nbrs if len(adj[w]) <= 2)
+            ax, ay = adj[x], adj[y]
+            ax.remove(v)
+            ay.remove(v)
+            if y in ax:  # the new edge merges: x and y each lose a neighbour
+                if len(ax) == 2:
+                    work.append(x)
+                if len(ay) == 2:
+                    work.append(y)
+            else:
+                ax.add(y)
+                ay.add(x)
+        else:
+            for x in nbrs:
+                ax = adj[x]
+                ax.remove(v)
+                if len(ax) == 2:
+                    work.append(x)
     return not adj
 
 
@@ -675,26 +688,29 @@ class StructureReport(_Record):
 
 def _check_max_degree(g: ColoredGraph, limit: int) -> CheckItem:
     # parallel edges count, so the degree comes from the edges, not `_adjacency`
-    degree = Counter(u for u, _, _ in g.edges)
-    degree.update(v for _, v, _ in g.edges)
-    bad = min((v for v, d in degree.items() if d > limit), default=None)
-    if bad is None:
+    degree = Counter(map(itemgetter(0), g.edges))
+    degree.update(map(itemgetter(1), g.edges))
+    if max(degree.values(), default=0) <= limit:
         return CheckItem(f"max-degree-{limit}", True)
+    bad = min(v for v, d in degree.items() if d > limit)
     return CheckItem(
         f"max-degree-{limit}", False, f"vertex {bad} has degree {degree[bad]}"
     )
 
 
 def _check_class_sizes(g: ColoredGraph, limit: int, exact: bool) -> CheckItem:
-    sizes = Counter(c for _, _, c in g.edges)
+    # every color of a valid graph carries an edge, so sizes counts all p of them
+    sizes = Counter(map(itemgetter(2), g.edges))
     if exact:
-        bad = min((c for c in range(1, g.p + 1) if sizes[c] != limit), default=None)
         name = f"color-class-size-{limit}"
+        if set(sizes.values()) <= {limit}:
+            return CheckItem(name, True)
+        bad = min(c for c, size in sizes.items() if size != limit)
     else:
-        bad = min((c for c in range(1, g.p + 1) if sizes[c] > limit), default=None)
         name = f"color-class-size-le-{limit}"
-    if bad is None:
-        return CheckItem(name, True)
+        if max(sizes.values(), default=0) <= limit:
+            return CheckItem(name, True)
+        bad = min(c for c, size in sizes.items() if size > limit)
     return CheckItem(name, False, f"color {bad} has {sizes[bad]} edges")
 
 
@@ -712,12 +728,13 @@ def _check_k4mf(g: ColoredGraph) -> list[CheckItem]:
         connected = CheckItem("connected", False, "graph has no vertices")
     else:
         # n = 1 is connected; with n >= 2 every vertex needs an edge, so a key in adj
-        reached = {next(iter(adj))} if len(adj) == g.n else set()
-        queue = list(reached)
+        queue = [next(iter(adj))] if len(adj) == g.n else []
+        reached = set(queue)
         for v in queue:
-            new = adj[v] - reached
-            reached |= new
-            queue.extend(new)
+            for w in adj[v]:
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
         ok = g.n == 1 or len(reached) == g.n
         connected = CheckItem("connected", ok, "" if ok else "graph is disconnected")
     if repeat is not None:  # the simple item names the pair
@@ -809,9 +826,14 @@ _VERTEX_TAGS = {"corner", "a", "b", "tree", "subdiv", "apex"}
 
 
 def serialize_provenance(a: ReductionArtifact) -> str:
-    colors, vertices = a.color_meaning, a.vertex_meaning
-    lines = [f"color {c} {' '.join(map(str, colors[c]))}" for c in sorted(colors)]
-    lines += [f"vertex {v} {' '.join(map(str, vertices[v]))}" for v in sorted(vertices)]
+    lines = []
+    for section, meanings in (("color", a.color_meaning), ("vertex", a.vertex_meaning)):
+        # one `%` template per meaning arity; `%s` writes what `str` writes
+        template = {
+            arity: f"{section} %s " + " ".join(["%s"] * arity)
+            for arity in set(map(len, meanings.values()))
+        }
+        lines += [template[len(m)] % (i, *m) for i in sorted(meanings) for m in (meanings[i],)]
     return "\n".join(lines) + "\n"
 
 
@@ -828,14 +850,45 @@ class _Tokens(dict):
 def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
     """Parse a provenance sidecar into (color_meaning, vertex_meaning).
 
-    An id may appear once per section; a repeat is a FormatError.
+    An id may appear once per section; a repeat is a FormatError.  Each
+    nonblank line is split and stored with no check, and the checks then run
+    once over the built dicts; only a file that fails them is walked line by
+    line, for the message that names its first faulty line.
     """
+    lines = text.splitlines()
+    convert = _Tokens().__getitem__
+    # `int` reads exactly the integer ids of a text that is ASCII and holds
+    # no `_`; elsewhere `convert` reads them, and keeps a non-integer a string
+    ident = int if text.isascii() and "_" not in text else convert
+    colors: dict[int, tuple] = {}
+    vertices: dict[int, tuple] = {}
+    sections = {"color": colors, "vertex": vertices}
+    stored = 0
+    try:  # an unknown section, a one-token line or a non-integer id raises
+        for stored, tokens in enumerate(filter(None, map(str.split, lines)), start=1):
+            sections[tokens[0]][ident(tokens[1])] = tuple(map(convert, tokens[2:]))
+    except (KeyError, IndexError, ValueError):
+        return _walk_provenance(lines)
+    for meanings, tags in ((colors, _COLOR_TAGS), (vertices, _VERTEX_TAGS)):
+        if (
+            not all(meanings.values())  # a two-token line
+            or not set(map(itemgetter(0), meanings.values())) <= tags  # no tag is a number
+            or str in map(type, meanings)  # an id `convert` kept as a string
+        ):
+            return _walk_provenance(lines)
+    if len(colors) + len(vertices) < stored:  # a repeated id
+        return _walk_provenance(lines)
+    return colors, vertices
+
+
+def _walk_provenance(lines: list[str]) -> tuple[dict[int, tuple], dict[int, tuple]]:
+    """`parse_provenance` line by line, raising at the first faulty line."""
     sections = {
         "color": (_COLOR_TAGS, {}, {}),  # (tags, meaning, id -> line of its definition)
         "vertex": (_VERTEX_TAGS, {}, {}),
     }
     convert = _Tokens().__getitem__
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
             continue

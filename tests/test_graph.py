@@ -35,6 +35,7 @@ from coloredcut import (
     solve_via_kernel,
     verify_structural,
 )
+from coloredcut.graph import _WRITE_CHUNK
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 
@@ -278,6 +279,20 @@ def test_parse_graph_errors_name_lines():
             "vertex 1 apex\n\nvertex 1 corner 1 1\n",
             "line 3: vertex 1 already defined on line 1",
         ),
+        # the provenance checks run over the whole file at once, and a file
+        # that fails them is walked for the first faulty line
+        (parse_provenance, "color 1 fresh\ncolor 2\n", "line 2: malformed provenance line"),
+        (
+            parse_provenance,
+            "color 1 fresh\n\nedge 3 fresh\n",
+            "line 3: malformed provenance line",
+        ),
+        pytest.param(
+            parse_provenance,
+            "".join(f"color {c} fresh\n" for c in range(1, 1001)) + "color 7 clause 1\n",
+            "line 1001: color 7 already defined on line 7",
+            id="repeat-after-1000-lines",
+        ),
     ],
 )
 def test_parse_errors_name_the_line(parse, text, message):
@@ -407,6 +422,19 @@ def test_parse_cut():
 def test_serialize_cut_sorted():
     assert serialize_cut(Cut(4, frozenset({3, 1}))) == "s 1 3\n"
     assert parse_cut(serialize_cut(Cut(4, frozenset({2}))), 4) == Cut(4, frozenset({2}))
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 3 * _WRITE_CHUNK + 5]
+)
+def test_serialize_graph_matches_a_line_per_edge_at_chunk_boundaries(m):
+    # the writer formats whole chunks of edges at once; each file must equal
+    # the one written an edge at a time
+    n = 2 + m
+    g = ColoredGraph(n, [(e + 1, e + 3, e + 1) for e in range(m)], m)
+    reference = "".join([f"p ecg {n} {m} {m}\n", *(f"e {u} {v} {c}\n" for u, v, c in g.edges)])
+    assert serialize_graph(g) == reference
+    assert parse_graph(reference) == g
 
 
 @st.composite

@@ -880,6 +880,27 @@ def test_provenance_roundtrip_all_kinds():
         assert vertices == a.vertex_meaning
 
 
+def test_serialize_provenance_matches_a_line_per_meaning_of_every_arity():
+    # one `%` template per arity; arities 6 to 9 are made by no construction
+    meanings = {i: ("pair", *range(i + 1, 2 * i)) for i in range(1, 10)}
+    assert [len(m) for m in meanings.values()] == list(range(1, 10))
+    a = ReductionArtifact(
+        ColoredGraph(2, ((1, 2, 1),), 1),
+        ReductionKind.PLANAR_MULTI,
+        None,
+        color_meaning={c: meanings[10 - c] for c in range(9, 0, -1)},
+        vertex_meaning={v: ("subdiv", *meanings[v][1:]) for v in range(1, 10)},
+    )
+    reference = "".join(
+        [
+            *(f"color {c} {' '.join(map(str, a.color_meaning[c]))}\n" for c in range(1, 10)),
+            *(f"vertex {v} {' '.join(map(str, a.vertex_meaning[v]))}\n" for v in range(1, 10)),
+        ]
+    )
+    assert serialize_provenance(a) == reference
+    assert parse_provenance(reference) == (a.color_meaning, a.vertex_meaning)
+
+
 def test_provenance_parse_errors():
     with pytest.raises(FormatError):
         parse_provenance("color 1 rainbow\n")
