@@ -14,8 +14,9 @@ The cyclic garbage collector is off while a command runs.
 
 Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output
 (an ``--output`` path, or a stdout that is closed, a closed pipe or a full
-device such as ``> /dev/full``), 3 solve refused its search (more than
-``BRUTE_FORCE_CAP``, 24, vertices to enumerate), 4 internal error.
+device such as ``> /dev/full``), 3 no stage of solve could answer (its
+search has more than ``BRUTE_FORCE_CAP``, 24, vertices to enumerate, and
+with ``-k`` no certificate settles K either), 4 internal error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graph import (
     serialize_graph,
 )
 from .kernel import kernelize_colors, kernelize_value
-from .solve import colorful_cut_decide, greedy_half_colors, solve_via_kernel
+from .solve import _staged, colorful_cut_decide, greedy_half_colors
 
 # The `ReductionKind` values, spelled out so that building the parser does not
 # load reductions.py: only `generate` and `verify --kind <construction>` use it.
@@ -83,10 +84,20 @@ def _answer(line: str, body: str, output: str | None) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
-    if args.algo == "kernel":
-        witness = solve_via_kernel(g).witness
-    else:
+    if args.algo == "greedy":
         witness = greedy_half_colors(g)
+    else:
+        try:
+            witness = _staged(g, None)[1]
+        except CapExceededError:
+            if args.k is None:
+                raise
+            # every cut crosses at least 0 colors, so K < 1 asks what K = 1 does
+            k = max(args.k, 1)
+            lower, cut, upper, _, _ = _staged(g, k)
+            if lower < k:
+                return 1, f"at most {upper}\n"
+            return 0, _answer(f"at least {lower}", serialize_cut(cut), args.output)
     value = len(cut_colors(g, witness))
     text = _answer(f"value {value}", serialize_cut(witness), args.output)
     return (0 if args.k is None or value >= args.k else 1), text

@@ -619,14 +619,22 @@ _GENERATORS = {
 def _adjacency(g: ColoredGraph) -> tuple[dict[int, set[int]], tuple[int, int] | None]:
     """Neighbour sets of the vertices that edges touch, and the endpoints
     (u, v), as written, of the first edge in edge order that joins a pair an
-    earlier edge already joined (None when g is simple)."""
+    earlier edge already joined (None when g is simple).  A vertex's set is
+    made on its first edge, so no edge builds a set it throws away."""
     adj: dict[int, set[int]] = {}
     repeat = None
     for u, v, _ in g.edges:
-        if repeat is None and v in adj.get(u, ()):
-            repeat = (u, v)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        if u in adj:
+            nbrs = adj[u]
+            if repeat is None and v in nbrs:
+                repeat = (u, v)
+            nbrs.add(v)
+        else:
+            adj[u] = {v}
+        if v in adj:
+            adj[v].add(u)
+        else:
+            adj[v] = {u}
     return adj, repeat
 
 

@@ -16,18 +16,19 @@ Three routes:
   fewest edges (the MOMS rule of DPLL solvers) and contracting again at
   every node, down to the node where no color is left to cross.
 
-`brute_force_max`, `solve_via_kernel` and `decide_max` share one
-exhaustive search.  It takes the color-class table and the colors the
-kernel removed, scans the surviving colors in place on g (no reduced graph
-is built), repairs the witness with `augment_cut` and recounts it on g.
-`decide_max` adds the value kernel's early yes, answered by the greedy cut,
-and a "no" with no search when k exceeds the upper bound.  That bound is
-the color count minus a packing of color-disjoint odd cycles of colors with
-a single endpoint pair (`_odd_cycles`, which climbs the parents of the
-`_bfs_labels` forest of those pairs, in time linear in them whatever n
-is): every cut leaves a color of each uncrossed.  These are the odd-cycle
-inequalities of the cut polytope (Barahona and Mahjoub, Math. Programming
-1986).
+`brute_force_max` and `_staged` share one exhaustive search.  It takes the
+color-class table and the colors the kernel removed, scans the surviving
+colors in place on g (no reduced graph is built), repairs the witness with
+`augment_cut` and recounts it on g.  `solve_via_kernel` and `decide_max`
+read `_staged`, which runs the stages of both questions in one order: the
+value kernel's early yes, answered by the greedy cut, and a "no" with no
+search when k exceeds the upper bound, before the search; the greedy cut
+again where the search refuses.  That bound is the color count minus a
+packing of color-disjoint odd cycles of colors with a single endpoint pair
+(`_odd_cycles`, which climbs the parents of the `_bfs_labels` forest of
+those pairs, in time linear in them whatever n is): every cut leaves a
+color of each uncrossed.  These are the odd-cycle inequalities of the cut
+polytope (Barahona and Mahjoub, Math. Programming 1986).
 Witness checks, and the packing's check before it is trusted, raise
 `InvariantError`, so they also run under ``python -O``.
 """
@@ -540,49 +541,97 @@ def colorful_cut_decide(g: ColoredGraph) -> Cut | None:
     return cut
 
 
-def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
-    """Decide whether some cut crosses at least k colors; witness on yes.
+# The stages of `_staged`, in the order they run.
+_STAGES = ("color-count", "early-yes", "odd-cycle", "search", "greedy")
 
-    No cut crosses more than p colors, so every k > p is a no.  Otherwise the
-    value-parameterized kernel runs first.  On an early yes (every k up to
-    ceil(p/2) gets one) the witness is the greedy cut over the surviving
-    colors, repaired by `augment_cut`.  Else, when p minus an `_odd_cycles`
-    packing of the single-pair colors is below k, the packing is checked and
-    the answer is no, with no search, above the search cap too.  The packing
-    is skipped when a third of those colors is at most p - k, since it could
-    not bring the bound below k then.  Otherwise the search of
-    `solve_via_kernel` runs on the same table and removals.  A returned cut
-    crosses >= k colors of g.
+
+def _staged(
+    g: ColoredGraph, k: int | None
+) -> tuple[int, Cut | None, int, str, SolveResult | None]:
+    """The one staged answer to "does some cut cross at least k colors?"
+    (with k None: "how many colors does a maximum cut cross?").
+
+    Stages run in the order of `_STAGES`, the first that settles the
+    question answers, and with k None only the search runs:
+
+    * color-count: k > p is a no, since no cut crosses more than p colors.
+    * early-yes: the value kernel's early yes (every k up to ceil(p/2) gets
+      one), with the greedy cut over the surviving colors, repaired by
+      `augment_cut`, as witness.
+    * odd-cycle: when p minus an `_odd_cycles` packing of the single-pair
+      colors is below k, the packing is checked and the answer is no.  It
+      is skipped when a third of those colors is at most p - k, since it
+      could not bring the bound below k then.
+    * search: `_search` over the rule's full removal order, when it
+      enumerates at most `BRUTE_FORCE_CAP` vertices.
+    * greedy, only where the search refuses: the greedy cut over the colors
+      the rule keeps, repaired and recounted on g, is a yes when it crosses
+      at least k colors.
+
+    Returns (lower, witness, upper, stage, result): `witness` crosses
+    `lower` colors of g (0 and None when a stage answers no without a cut),
+    no cut crosses more than `upper`, `stage` answered, and `result` is the
+    search's `SolveResult` when that stage was the search, else None.  A no
+    has a certified `upper` below k.  Where no stage settles the question,
+    the search's `CapExceededError` propagates.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if k > g.p:
-        return False, None
-    classes, removed, early = _value_kernel(g, k)
-    if early:
-        base = _greedy_cut(g, removed)
-        if len(cut_colors(g, base)) < k:
-            raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
-        return True, base
-    # each odd cycle takes three single-pair colors or more, so the packing
-    # can only answer when a third of them is more than p - k
-    single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
-    if g.p - len(single) // 3 < k:
-        cycles = _odd_cycles(classes, single)
-        if g.p - len(cycles) < k:
-            _check_odd_cycles(g, cycles)
-            return False, None
-    result = _search(g, classes, removed)
-    return (True, result.witness) if result.value >= k else (False, None)
+    if k is None:
+        classes = _color_classes(g)
+        removed = _removal_order(classes)
+    else:
+        if k > g.p:
+            return 0, None, g.p, "color-count", None
+        classes, removed, early = _value_kernel(g, k)
+        if early:
+            base = _greedy_cut(g, removed)
+            lower = len(cut_colors(g, base))
+            if lower < k:
+                raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
+            return lower, base, g.p, "early-yes", None
+        # each odd cycle takes three single-pair colors or more, so the packing
+        # can only answer when a third of them is more than p - k
+        single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
+        if g.p - len(single) // 3 < k:
+            cycles = _odd_cycles(classes, single)
+            if g.p - len(cycles) < k:
+                _check_odd_cycles(g, cycles)
+                return 0, None, g.p - len(cycles), "odd-cycle", None
+    try:
+        result = _search(g, classes, removed)
+    except CapExceededError:
+        if k is None:
+            raise
+        cut = _greedy_cut(g, removed)
+        lower = len(cut_colors(g, cut))
+        # every removed color crosses, and at least half of the kept ones
+        if 2 * lower < g.p + len(removed):
+            raise InvariantError(
+                f"greedy witness crosses {lower} colors, fewer than the {len(removed)} "
+                f"removed and half of the {g.p - len(removed)} kept"
+            )
+        if lower < k:
+            raise
+        return lower, cut, g.p, "greedy", None
+    return result.value, result.witness, result.value, "search", result
+
+
+def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
+    """Decide whether some cut crosses at least k colors; witness on yes.
+
+    `_staged` answers, by the stage order its docstring names.  A returned
+    cut crosses >= k colors of g.
+    """
+    lower, witness, *_ = _staged(g, k)
+    return (True, witness) if lower >= k else (False, None)
 
 
 def solve_via_kernel(g: ColoredGraph) -> SolveResult:
     """Exact maximum colored cut through the color-parameterized kernel:
-    `_search` over the colors the rule keeps, with no reduced graph built.
-    Value and witness are those of `brute_force_max` on the reduced graph of
-    `kernelize_colors`, lifted back and repaired by `augment_cut`.
+    `_search` over the colors the rule keeps, with no reduced graph built,
+    reached through `_staged`.  Value and witness are those of
+    `brute_force_max` on the reduced graph of `kernelize_colors`, lifted
+    back and repaired by `augment_cut`.
     """
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    classes = _color_classes(g)
-    return _search(g, classes, _removal_order(classes))
+    return _staged(g, None)[4]

@@ -194,6 +194,17 @@ def random_multigraph(
     return ColoredGraph(n, tuple(edges), p)
 
 
+def greedy_misses(blocks: int) -> ColoredGraph:
+    """Rainbow paths a-c-d-b on blocks of four vertices a < b < c < d: the
+    greedy cut puts a and b on S, c on T and then d on S, so it misses the
+    color of (b, d), while the paths are bipartite and no odd cycle bounds
+    the optimum (p) below p."""
+    pairs = []
+    for o in range(0, 4 * blocks, 4):
+        pairs += [(o + 1, o + 3), (o + 3, o + 4), (o + 2, o + 4)]
+    return ColoredGraph(4 * blocks, [(u, v, c) for c, (u, v) in enumerate(pairs, 1)], len(pairs))
+
+
 def random_simple_graph(
     rng: random.Random, n_max: int = 8, p_max: int = 4
 ) -> ColoredGraph:

@@ -29,6 +29,7 @@ from coloredcut.cli import _cmd_solve, main
 
 from helpers import (
     distinct_pairs,
+    greedy_misses,
     inflate_one_color,
     random_3cnf,
     random_multigraph,
@@ -39,6 +40,10 @@ from helpers import (
 TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 C4 = ColoredGraph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 1, 4)), 4)
 STAR = ColoredGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 1)), 1)
+# a rainbow C_41: 41 vertices to search, above the cap, and optimum 40; the
+# greedy cut puts the odd vertices on S and misses color 41
+C41 = ColoredGraph(41, tuple((v, v % 41 + 1, v) for v in range(1, 42)), 41)
+C41_GREEDY = "s " + " ".join(map(str, range(1, 42, 2))) + "\n"
 DEMO_CNF = CnfFormula(3, ((1, -2, -3), (-1, 2, 3), (-1, -2, 3)))
 
 ALL_REDUCTIONS = ("planar-multi", "planar-simple", "k4mf", "oct1", "complete", "nae")
@@ -85,6 +90,8 @@ def test_colorful_no_on_rainbow_triangle(graph_file, capsys):
     [
         (["colorful", "GRAPH"], "colorful no"),
         (["kernelize", "GRAPH", "--param", "k", "-k", "1"], "early yes"),
+        (["solve", "C41", "-k", "41"], "at most 40"),
+        (["solve", "C41", "-k", "42"], "at most 41"),
     ],
 )
 def test_answers_without_a_body_leave_the_output_file_alone(
@@ -92,7 +99,8 @@ def test_answers_without_a_body_leave_the_output_file_alone(
 ):
     out_file = tmp_path / "kept.txt"
     out_file.write_text("old\n")
-    argv = [graph_file(TRIANGLE) if a == "GRAPH" else a for a in argv]
+    graphs = {"GRAPH": TRIANGLE, "C41": C41}
+    argv = [graph_file(graphs[a]) if a in graphs else a for a in argv]
     _, out, _ = run(capsys, [*argv, "--output", str(out_file)])
     assert out.splitlines()[0] == answer
     assert out_file.read_text() == "old\n"
@@ -229,6 +237,43 @@ def test_solve_brute_cap_exit_code(graph_file, capsys):
     code, _, err = run(capsys, ["solve", graph_file(big)])
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "k,code,line",
+    [(k, 0, "at least 40") for k in ("5", "30", "40", "0", "-1")]
+    + [("41", 1, "at most 40"), ("42", 1, "at most 41")],
+)
+def test_solve_k_answers_by_certificate_above_the_cap(k, code, line, graph_file, capsys):
+    # `solve` refuses the search, so -k asks the staged answer with max(K, 1):
+    # the early yes (K <= 21) or the greedy cut (K = 22..40) crosses 40
+    # colors, the odd-cycle packing refutes 41, and 42 exceeds p; a no
+    # prints its bound alone
+    path = graph_file(C41)
+    assert run(capsys, ["solve", path])[0] == 3
+    out = line + "\n" + (C41_GREEDY if code == 0 else "")
+    assert run(capsys, ["solve", path, "-k", k]) == (code, out, "")
+
+
+def test_solve_k_yes_above_the_cap_writes_a_cut_verify_accepts(graph_file, capsys, tmp_path):
+    path, cut = graph_file(C41), str(tmp_path / "c41.cut")
+    assert run(capsys, ["solve", path, "-k", "30", "--output", cut]) == (0, "at least 40\n", "")
+    assert parse_cut(Path(cut).read_text(), C41.n) == parse_cut(C41_GREEDY, C41.n)
+    code, out, _ = run(capsys, ["verify", "--kind", "graph", "--graph", path, "--cut", cut])
+    assert code == 1  # colorful fails: color 41 does not cross
+    assert "check cut-valid: pass (crosses 40 colors)\n" in out
+
+
+def test_solve_k_exits_3_where_no_stage_settles_k(graph_file, capsys):
+    # 28 vertices, optimum 21, but the greedy cut crosses 14 (S holds a, b
+    # and d of each block) and no odd cycle bounds the optimum below 21
+    path = graph_file(greedy_misses(7))
+    assert run(capsys, ["solve", path])[0] == 3
+    greedy = "s " + " ".join(str(v) for v in range(1, 29) if v % 4 != 3) + "\n"
+    assert run(capsys, ["solve", path, "-k", "14"]) == (0, "at least 14\n" + greedy, "")
+    code, out, err = run(capsys, ["solve", path, "-k", "15"])
+    assert (code, out) == (3, "")
+    assert err == "error: refusing exhaustive search on 28 vertices (cap 24)\n"
 
 
 def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,18 @@ from coloredcut import (
     strip_single_polarity,
 )
 from coloredcut.graph import _color_classes
-from coloredcut.solve import _add_bits, _check_odd_cycles, _Contraction, _odd_cycles
+from coloredcut.solve import (
+    _STAGES,
+    _add_bits,
+    _check_odd_cycles,
+    _Contraction,
+    _odd_cycles,
+    _staged,
+)
 
 from helpers import (
     encode_colorful_to_cnf,
+    greedy_misses,
     inflate_one_color,
     oracle_colorful_cut,
     oracle_first_max_mask,
@@ -758,6 +767,11 @@ WITNESS_CHECKS = {
         "s.decide_max(G, 1)",
         "early-yes witness crosses fewer than 1 colors",
     ),
+    "greedy-above-cap": (
+        "s.BRUTE_FORCE_CAP = 2; " + NO_COLORS,
+        "s.decide_max(G, 2)",
+        "greedy witness crosses 0 colors, fewer than the 0 removed and half of the 2 kept",
+    ),
     "odd-cycle-no": (
         "s._odd_cycles = lambda classes, single: [[1, 2]]",
         "s.decide_max(ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3), 3)",
@@ -850,11 +864,51 @@ def test_decide_max_agrees_with_oracle_for_all_k():
 def test_decide_max_says_no_from_the_odd_cycle_bound_above_the_cap():
     # a rainbow C_41 puts 41 vertices in the search, far above the cap; every
     # cut leaves a color of the cycle uncrossed, so k = 41 is a certified no,
-    # while k = 40 still needs the search
+    # while k = 40 is a yes from the greedy cut where the search refuses
     cycle = ColoredGraph(41, tuple((v, v % 41 + 1, v) for v in range(1, 42)), 41)
     assert decide_max(cycle, 41) == (False, None)
-    with pytest.raises(CapExceededError):
-        decide_max(cycle, 40)
+    yes, cut = decide_max(cycle, 40)
+    assert yes and len(cut_colors(cycle, cut)) == 40
+
+
+def test_decide_max_refuses_where_greedy_misses_and_no_cycle_refutes():
+    # 28 vertices, p = 21 and optimum 21; the greedy cut crosses 14
+    g = greedy_misses(7)
+    assert len(cut_colors(g, greedy_half_colors(g))) == 14
+    for k in (12, 14):  # above ceil(21/2): no early yes, but the greedy cut reaches k
+        yes, cut = decide_max(g, k)
+        assert yes and len(cut_colors(g, cut)) == 14
+    for k in (15, 21):
+        with pytest.raises(CapExceededError):
+            decide_max(g, k)
+    assert decide_max(g, 22) == (False, None)
+
+
+def test_stage_answers_agree_with_the_search_under_a_low_cap(monkeypatch):
+    # a search cap of 3 leaves the answers to the certificate stages; each is
+    # checked against the optimum `brute_force_max` finds under the real cap
+    rng = random.Random(42)
+    corpus = [random_multigraph(rng, n_max=10, p_max=8, extra_max=6) for _ in range(400)]
+    corpus += [greedy_misses(2), RAINBOW_C5, TWO_TRIANGLES]
+    optima = [brute_force_max(g).value for g in corpus]
+    monkeypatch.setattr("coloredcut.solve.BRUTE_FORCE_CAP", 3)
+    stages = Counter()
+    for g, opt in zip(corpus, optima):
+        for k in range(1, g.p + 2):
+            try:
+                lower, witness, upper, stage, _ = _staged(g, k)
+            except CapExceededError:
+                stages["refused"] += 1
+                continue
+            stages[stage] += 1
+            assert lower <= opt <= upper
+            if lower >= k:
+                assert len(cut_colors(g, witness)) == lower
+                assert decide_max(g, k) == (True, witness)
+            else:
+                assert opt < k and upper < k
+                assert decide_max(g, k) == (False, None)
+    assert set(stages) == {*_STAGES, "refused"}
 
 
 def test_decide_max_no_from_the_bound_runs_no_search(monkeypatch):
