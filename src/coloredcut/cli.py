@@ -22,7 +22,6 @@ with ``-k`` no certificate settles K either), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from collections import Counter
@@ -32,6 +31,7 @@ from .errors import CapExceededError, FormatError
 from .graph import (
     _check_int_fields,
     _color_classes,
+    _gc_paused,
     _span,
     cut_colors,
     is_colorful,
@@ -40,7 +40,7 @@ from .graph import (
     serialize_cut,
     serialize_graph,
 )
-from .kernel import kernelize_colors, kernelize_value
+from .kernel import _rule_table, kernelize_colors, kernelize_value
 from .solve import _staged, colorful_cut_decide, greedy_half_colors
 
 # The `ReductionKind` values, spelled out so that building the parser does not
@@ -86,19 +86,22 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
     if args.algo == "greedy":
         witness = greedy_half_colors(g)
+        value = len(cut_colors(g, witness))
     else:
+        # the search and, where it refuses, the staged answer to -k read one table
+        table = _rule_table(g)
         try:
-            witness = _staged(g, None)[1]
+            # the search recounted its witness on g
+            value, witness = _staged(g, None, table)[:2]
         except CapExceededError:
             if args.k is None:
                 raise
             # every cut crosses at least 0 colors, so K < 1 asks what K = 1 does
             k = max(args.k, 1)
-            lower, cut, upper, _, _ = _staged(g, k)
+            lower, cut, upper, _, _ = _staged(g, k, table)
             if lower < k:
                 return 1, f"at most {upper}\n"
             return 0, _answer(f"at least {lower}", serialize_cut(cut), args.output)
-    value = len(cut_colors(g, witness))
     text = _answer(f"value {value}", serialize_cut(witness), args.output)
     return (0 if args.k is None or value >= args.k else 1), text
 
@@ -247,41 +250,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A command builds its objects once and exits, so the cyclic GC would only
+# rescan them: it is off while the command runs, and its prior state comes
+# back afterwards for callers that run `main` in-process.
+@_gc_paused
 def main(argv: list[str] | None = None) -> int:
-    # A command builds its objects once and exits, so the cyclic GC would only
-    # rescan them: it is off while the command runs, and its prior state comes
-    # back afterwards for callers that run `main` in-process.
-    enabled = gc.isenabled()
-    gc.disable()
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
-        try:
-            if sys.stdout is None:  # fd 1 was closed when the interpreter started
-                raise FormatError("cannot write stdout: it is closed")
-            code, text = args.func(args)
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:  # FormatError included
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 4
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()  # a closed pipe or a full device fails here, not at exit
-        except (OSError, UnicodeEncodeError) as exc:  # or a path stdout cannot encode
-            # point fd 1 at devnull, so that the flush at exit cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-            return 2
-        return code
-    finally:
-        if enabled:
-            gc.enable()
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise FormatError("cannot write stdout: it is closed")
+        code, text = args.func(args)
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # FormatError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # InvariantError or a bug: must not read as "no" (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe or a full device fails here, not at exit
+    except (OSError, UnicodeEncodeError) as exc:  # or a path stdout cannot encode
+        # point fd 1 at devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -17,13 +17,37 @@ vertices in increasing order; both sides must be nonempty.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Callable, Collection, Iterable
+from functools import wraps
 from itertools import chain
 from operator import index
-from collections.abc import Collection, Iterable
 
 from .errors import FormatError
 
 Edge = tuple[int, int, int]  # (u, v, color)
+
+
+def _gc_paused(func: Callable) -> Callable:
+    """Run `func` with the cyclic garbage collector off.
+
+    The graph-sized builders allocate tuples, lists and dicts that form no
+    reference cycle, so a collector pass over them frees nothing.  A
+    collector that was on is turned back on when `func` returns or raises;
+    one that was off stays off, so paused builders nest.
+    """
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class _Record:
@@ -88,15 +112,7 @@ class ColoredGraph(_Record):
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if p < 0:
             raise ValueError(f"color count must be nonnegative, got {p}")
-        seen_colors: set[int] = set()
-        for u, v, c in edges:
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= c <= p):
-                raise ValueError(f"edge ({u},{v}) has color {c} outside 1..{p}")
-            seen_colors.add(c)
+        seen_colors = _edge_colors(n, edges, p)
         if len(seen_colors) != p:
             raise ValueError(_dead_colors(seen_colors, p, len(edges)))
         super().__init__(n, edges, p)
@@ -110,6 +126,24 @@ class ColoredGraph(_Record):
         g = object.__new__(cls)
         _Record.__init__(g, n, edges, p)
         return g
+
+    def _extended(self, n: int, added: tuple[Edge, ...], p: int) -> ColoredGraph:
+        """The graph on 1..n with colors 1..p whose edges are this graph's
+        followed by `added`, int triples, as the constructor would build it.
+
+        This graph's edges passed the constructor's checks over 1..self.n
+        and 1..self.p, so with n and p no smaller only the added edges are
+        checked, and the added colors above self.p for liveness; a smaller n
+        or p goes through the constructor.
+        """
+        if n < self.n or p < self.p:
+            return ColoredGraph(n, self.edges + added, p)
+        seen_colors = _edge_colors(n, added, p)
+        edges = self.edges + added
+        if not seen_colors.issuperset(range(self.p + 1, p + 1)):
+            present = seen_colors.union(c for _, _, c in self.edges)
+            raise ValueError(_dead_colors(present, p, len(edges)))
+        return ColoredGraph._trusted(n, edges, p)
 
     @property
     def m(self) -> int:
@@ -140,6 +174,21 @@ class Cut(_Record):
 
     def crosses(self, u: int, v: int) -> bool:
         return (u in self.s_side) != (v in self.s_side)
+
+
+def _edge_colors(n: int, edges: Iterable[Edge], p: int) -> set[int]:
+    """The colors of `edges`, after the constructor's per-edge checks: both
+    endpoints in 1..n and apart, the color in 1..p."""
+    seen_colors: set[int] = set()
+    for u, v, c in edges:
+        if not (1 <= u <= n) or not (1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (1 <= c <= p):
+            raise ValueError(f"edge ({u},{v}) has color {c} outside 1..{p}")
+        seen_colors.add(c)
+    return seen_colors
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +269,16 @@ def _check_int_fields(tokens: list[str]) -> None:
             raise ValueError(f"not a plain integer: {t!r}")
 
 
+class _IntTokens(dict):
+    """Token -> int(token), converted on the first lookup of each token;
+    a token `int` rejects raises its ValueError from the lookup."""
+
+    def __missing__(self, t: str) -> int:
+        value = self[t] = int(t)
+        return value
+
+
+@_gc_paused
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the ECG format.  Raises FormatError naming the offending line.
 
@@ -229,6 +288,7 @@ def parse_graph(text: str) -> ColoredGraph:
     lines = text.splitlines()
     # one check of the whole text spares most files a check per line
     plain = text.isascii() and "_" not in text
+    field = int  # reads an edge field; the header may swap in a token cache
     header: list[str] | None = None
     header_lineno = 0
     edges: list[Edge] = []
@@ -254,6 +314,12 @@ def parse_graph(text: str) -> ColoredGraph:
                 raise FormatError(f"line {lineno}: negative count in header {raw!r}")
             header = tokens
             header_lineno = lineno
+            # The 3m edge fields hold at most max(n, p) distinct in-range
+            # integers.  A cache miss costs about three `int` calls and a hit
+            # under half of one, so the cache converts each token once where
+            # at most one field in six can be a token's first appearance.
+            if plain and m >= 2 * max(n, p):
+                field = _IntTokens().__getitem__
             continue
         if tokens[0] != "e":
             raise FormatError(f"line {lineno}: expected edge line, got {raw!r}")
@@ -264,7 +330,7 @@ def parse_graph(text: str) -> ColoredGraph:
         try:
             if not plain:
                 _check_int_fields(tokens[1:])
-            u, v, c = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            u, v, c = field(tokens[1]), field(tokens[2]), field(tokens[3])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer field in edge line {raw!r}")
         if not (1 <= u <= n) or not (1 <= v <= n):
@@ -304,6 +370,7 @@ _WRITE_CHUNK = 64
 _CHUNK_FORMAT = "e %s %s %s\n" * _WRITE_CHUNK
 
 
+@_gc_paused
 def serialize_graph(g: ColoredGraph) -> str:
     edges = g.edges
     full = len(edges) - len(edges) % _WRITE_CHUNK

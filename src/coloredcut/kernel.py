@@ -104,27 +104,34 @@ def _build_reduced(
     return KernelOutcome(ColoredGraph._trusted(g.n - len(dropped), edges, len(kept)), tuple(removed))
 
 
+def _rule_table(g: ColoredGraph) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+    """The `_color_classes` table of g and the rule's full removal order."""
+    classes = _color_classes(g)
+    return classes, _removal_order(classes)
+
+
 def kernelize_colors(g: ColoredGraph) -> KernelOutcome:
     """Apply the reduction rule exhaustively with the color count as parameter."""
-    classes = _color_classes(g)
-    return _build_reduced(g, classes, _removal_order(classes))
+    return _build_reduced(g, *_rule_table(g))
 
 
 def _value_kernel(
-    g: ColoredGraph, k: int
+    g: ColoredGraph,
+    k: int,
+    table: tuple[list[dict[tuple[int, int], int]], list[int]] | None = None,
 ) -> tuple[list[dict[tuple[int, int], int]] | None, list[int], bool]:
-    """(color-class table, removals, early yes) of the rule with target k.
+    """(color-class table, removals, early yes) of the rule with target k,
+    reading g's `_rule_table` from `table` when one is given.
 
     An early yes carries the first max(0, 2k - p - 1) removals; with none
-    the table is not built and is None.  Otherwise every removal is listed.
+    the table is not read and is None.  Otherwise every removal is listed.
     """
     if k < 1:
         raise ValueError(f"target k must be at least 1, got {k}")
     need = max(0, 2 * k - g.p - 1)
     if need == 0:
         return None, [], True
-    classes = _color_classes(g)
-    removed = _removal_order(classes)
+    classes, removed = _rule_table(g) if table is None else table
     if need <= len(removed):
         return classes, removed[:need], True
     return classes, removed, False

@@ -46,6 +46,7 @@ from .graph import (
     _bfs_labels,
     _check_int_fields,
     _color_classes,
+    _gc_paused,
     is_colorful,
 )
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
@@ -159,6 +160,7 @@ def _occurrences(
 _SLOT_CORNERS = {1: (1, 2), 2: (2, 3), 3: (3, 1)}  # slot -> corner offsets
 
 
+@_gc_paused
 def sat_to_multigraph(f: CnfFormula) -> ReductionArtifact:
     """Clause-triangle multigraph whose colorful cuts are satisfying assignments.
 
@@ -320,6 +322,7 @@ def cut_to_assignment(a: ReductionArtifact, cut: Cut) -> Assignment:
 # simple-graph form: replace every edge by a three-edge path
 
 
+@_gc_paused
 def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
     """Replace edge e = {v,w} by v-x-y-w; the middle edge keeps e's color and
     the end edges get fresh single-edge colors, preserving colorful cuts.
@@ -359,6 +362,7 @@ def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
 # connected, max degree 3, K4-minor-free form
 
 
+@_gc_paused
 def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     """Connect the clause gadgets by a binary tree and split every vertex of
     degree four or more into a path.
@@ -462,6 +466,7 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
 # odd-cycle-transversal-number-one form
 
 
+@_gc_paused
 def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
     """Merge the lowest-index corner of every triangle into one apex vertex.
 
@@ -499,6 +504,7 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
 # complete-graph form
 
 
+@_gc_paused
 def embed_complete(g: ColoredGraph) -> ColoredGraph:
     """Add a universal vertex and paint all missing edges with one fresh color.
 
@@ -516,9 +522,11 @@ def embed_complete(g: ColoredGraph) -> ColoredGraph:
     for u in range(1, g.n + 2):
         near = adj.get(u, ())
         new_edges.extend((u, v, fresh) for v in range(u + 1, g.n + 2) if v not in near)
-    return ColoredGraph(g.n + 1, g.edges + tuple(new_edges), fresh)
+    # g's edges were checked when g was built: only the new ones are
+    return g._extended(g.n + 1, tuple(new_edges), fresh)
 
 
+@_gc_paused
 def embed_complete_artifact(a: ReductionArtifact) -> ReductionArtifact:
     """`embed_complete` on a planar-simple artifact; old edges keep their
     indices, so literal_edge_map is shared with `a`."""
@@ -540,6 +548,7 @@ def embed_complete_artifact(a: ReductionArtifact) -> ReductionArtifact:
 # not-all-equal form
 
 
+@_gc_paused
 def nae_to_cliques(f: CnfFormula) -> ReductionArtifact:
     """Monochromatic clause triangles plus per-variable connector vertices.
 
@@ -803,6 +812,7 @@ def _check_clique_classes(g: ColoredGraph) -> CheckItem:
     return CheckItem("color-class-clique", True)
 
 
+@_gc_paused
 def verify_structural(a: ReductionArtifact) -> StructureReport:
     """Kind-specific structural checklist for a generated graph.
 
@@ -833,6 +843,7 @@ _COLOR_TAGS = {"pair", "clause", "fresh"}
 _VERTEX_TAGS = {"corner", "a", "b", "tree", "subdiv", "apex"}
 
 
+@_gc_paused
 def serialize_provenance(a: ReductionArtifact) -> str:
     lines = []
     for section, meanings in (("color", a.color_meaning), ("vertex", a.vertex_meaning)):
@@ -855,6 +866,7 @@ class _Tokens(dict):
         return value
 
 
+@_gc_paused
 def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
     """Parse a provenance sidecar into (color_meaning, vertex_meaning).
 

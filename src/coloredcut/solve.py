@@ -40,7 +40,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .graph import ColoredGraph, Cut, _bfs_labels, _color_classes, _Record, cut_colors, is_colorful
-from .kernel import _removal_order, _survivors, _value_kernel, augment_cut
+from .kernel import _rule_table, _survivors, _value_kernel, augment_cut
 
 BRUTE_FORCE_CAP = 24
 
@@ -546,7 +546,9 @@ _STAGES = ("color-count", "early-yes", "odd-cycle", "search", "greedy")
 
 
 def _staged(
-    g: ColoredGraph, k: int | None
+    g: ColoredGraph,
+    k: int | None,
+    table: tuple[list[dict[tuple[int, int], int]], list[int]] | None = None,
 ) -> tuple[int, Cut | None, int, str, SolveResult | None]:
     """The one staged answer to "does some cut cross at least k colors?"
     (with k None: "how many colors does a maximum cut cross?").
@@ -573,17 +575,17 @@ def _staged(
     no cut crosses more than `upper`, `stage` answered, and `result` is the
     search's `SolveResult` when that stage was the search, else None.  A no
     has a certified `upper` below k.  Where no stage settles the question,
-    the search's `CapExceededError` propagates.
+    the search's `CapExceededError` propagates.  A `table` from
+    `kernel._rule_table(g)` is read in place of building it again.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     if k is None:
-        classes = _color_classes(g)
-        removed = _removal_order(classes)
+        classes, removed = _rule_table(g) if table is None else table
     else:
         if k > g.p:
             return 0, None, g.p, "color-count", None
-        classes, removed, early = _value_kernel(g, k)
+        classes, removed, early = _value_kernel(g, k, table)
         if early:
             base = _greedy_cut(g, removed)
             lower = len(cut_colors(g, base))

@@ -12,11 +12,136 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
-from coloredcut import CnfFormula, ColoredGraph
+from coloredcut import CnfFormula, ColoredGraph, FormatError
+from coloredcut.graph import _dead_colors
 
 # the settled contraction that `colorful_cut_decide` searches from, or None
 # when some color can never cross
 from coloredcut.solve import _root_contraction as root_contraction
+
+
+def oracle_parse_graph(text: str) -> ColoredGraph:
+    """`parse_graph`'s line walk as it was before the edge fields went
+    through a token cache: every field converted by `int` on its own line,
+    and the graph built by the full constructor."""
+
+    def check_int_fields(tokens: list[str]) -> None:
+        for t in tokens:
+            if "_" in t or not t.isascii():
+                raise ValueError(f"not a plain integer: {t!r}")
+
+    lines = text.splitlines()
+    plain = text.isascii() and "_" not in text
+    header: list[str] | None = None
+    header_lineno = 0
+    edges: list[tuple[int, int, int]] = []
+    n = m = p = 0
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if header is None:
+            if tokens[0] == "c":
+                continue
+            if tokens[0] != "p":
+                raise FormatError(f"line {lineno}: expected comment or header, got {raw!r}")
+            if len(tokens) != 5 or tokens[1] != "ecg":
+                raise FormatError(f"line {lineno}: malformed header {raw!r}")
+            try:
+                if not plain:
+                    check_int_fields(tokens[2:])
+                n, m, p = int(tokens[2]), int(tokens[3]), int(tokens[4])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer field in header {raw!r}")
+            if n < 0 or m < 0 or p < 0:
+                raise FormatError(f"line {lineno}: negative count in header {raw!r}")
+            header = tokens
+            header_lineno = lineno
+            continue
+        if tokens[0] != "e":
+            raise FormatError(f"line {lineno}: expected edge line, got {raw!r}")
+        if len(edges) >= m:
+            raise FormatError(f"line {lineno}: more than the {m} edges declared in the header")
+        if len(tokens) != 4:
+            raise FormatError(f"line {lineno}: malformed edge line {raw!r}")
+        try:
+            if not plain:
+                check_int_fields(tokens[1:])
+            u, v, c = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer field in edge line {raw!r}")
+        if not (1 <= u <= n) or not (1 <= v <= n):
+            raise FormatError(f"line {lineno}: vertex outside 1..{n}")
+        if u == v:
+            raise FormatError(f"line {lineno}: self-loop at vertex {u}")
+        if not (1 <= c <= p):
+            raise FormatError(f"line {lineno}: color {c} outside 1..{p}")
+        edges.append((u, v, c))
+    if header is None:
+        raise FormatError("line 1: missing 'p ecg' header")
+    if len(edges) != m:
+        raise FormatError(
+            f"line {header_lineno}: header declares {m} edges but file has {len(edges)}"
+        )
+    present = {c for _, _, c in edges}
+    if len(present) != p:
+        raise FormatError(f"line {header_lineno}: {_dead_colors(present, p, m)}")
+    return ColoredGraph(n, tuple(edges), p)
+
+
+def mutated_ecg(rng: random.Random, text: str) -> str:
+    """`text`, an ECG file, with one to three random edits: a field
+    rewritten (leading zeros, a `+` sign, `_`, non-ASCII digits, zero, a
+    negative, a value one past its range, a self-loop or a huge value), a
+    token dropped or repeated, a line dropped, repeated or inserted, the
+    declared p raised (a dead color) or a separator made non-ASCII."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        kind = rng.randrange(8)
+        if kind == 0 and len(tokens) > 1:
+            j = rng.randrange(1, len(tokens))
+            t = tokens[j]
+            tokens[j] = rng.choice(
+                [
+                    "0" * rng.randint(1, 3) + t,
+                    "+" + t,
+                    "+0" + t,
+                    "-" + t,
+                    t[:1] + "_" + t[1:],
+                    t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+                    t.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+                    "0",
+                    "-0",
+                    str(int(t) + 1) if t.isdecimal() else t,
+                    tokens[1] if j == 2 else t,  # u == v
+                    "9" * 25,
+                    "x" + t,
+                ]
+            )
+            lines[i] = " ".join(tokens)
+        elif kind == 1 and tokens:
+            del tokens[rng.randrange(len(tokens))]
+            lines[i] = " ".join(tokens)
+        elif kind == 2 and tokens:
+            j = rng.randrange(len(tokens))
+            tokens.insert(j, tokens[j])
+            lines[i] = " ".join(tokens)
+        elif kind == 3:
+            del lines[i]
+        elif kind == 4:
+            lines.insert(i, lines[i])
+        elif kind == 5:
+            lines.insert(i, rng.choice(["", "   ", "c note", "e 1 2 1", "p ecg 3 1 1"]))
+        elif kind == 6 and len(tokens) == 5 and tokens[0] == "p" and tokens[4].isdecimal():
+            tokens[4] = str(int(tokens[4]) + rng.randint(1, 3))
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = rng.choice(["\u2003", "\t", "  "]).join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines) + rng.choice(["", "\n"])
 
 
 def oracle_max_cut_colors(g: ColoredGraph) -> int:

@@ -25,6 +25,7 @@ from coloredcut import (
     sat_to_multigraph,
     serialize_graph,
 )
+from coloredcut import cli, kernel
 from coloredcut.cli import _cmd_solve, main
 
 from helpers import (
@@ -274,6 +275,32 @@ def test_solve_k_exits_3_where_no_stage_settles_k(graph_file, capsys):
     code, out, err = run(capsys, ["solve", path, "-k", "15"])
     assert (code, out) == (3, "")
     assert err == "error: refusing exhaustive search on 28 vertices (cap 24)\n"
+
+
+def test_solve_builds_one_table_and_recounts_only_the_greedy_cut(graph_file, capsys, monkeypatch):
+    # the refused search and the staged answer to -k read one color-class
+    # table; the search recounted its witness on g, so the CLI prints its
+    # value, and only --algo greedy recounts in the CLI
+    tables, recounts = [], []
+    real_classes, real_count = kernel._color_classes, cli.cut_colors
+    monkeypatch.setattr(kernel, "_color_classes", lambda g: tables.append(g) or real_classes(g))
+    monkeypatch.setattr(cli, "cut_colors", lambda g, cut: recounts.append(g) or real_count(g, cut))
+    c41, misses = graph_file(C41, "c41.ecg"), graph_file(greedy_misses(7), "misses.ecg")
+    triangle = graph_file(TRIANGLE, "triangle.ecg")
+    for argv, code in (
+        ([c41, "-k", "5"], 0),
+        ([c41, "-k", "30"], 0),
+        ([c41, "-k", "41"], 1),
+        ([misses, "-k", "15"], 3),
+        ([triangle], 0),
+        ([triangle, "-k", "4"], 1),
+    ):
+        tables.clear()
+        assert run(capsys, ["solve", *argv])[0] == code
+        assert len(tables) == 1
+    assert recounts == []
+    assert run(capsys, ["solve", "--algo", "greedy", triangle])[0] == 0
+    assert len(recounts) == 1
 
 
 def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):

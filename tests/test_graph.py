@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import gc
+import importlib
 import inspect
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,11 +23,14 @@ from coloredcut import (
     colorful_cut_decide,
     cut_colors,
     cut_to_assignment,
+    embed_complete,
+    embed_complete_artifact,
     is_colorful,
     kernelize_colors,
     make_k4mf_connected,
     make_oct_one,
     multigraph_to_simple,
+    nae_to_cliques,
     parse_cut,
     parse_dimacs,
     parse_graph,
@@ -32,10 +38,13 @@ from coloredcut import (
     sat_to_multigraph,
     serialize_cut,
     serialize_graph,
+    serialize_provenance,
     solve_via_kernel,
     verify_structural,
 )
-from coloredcut.graph import _WRITE_CHUNK
+from coloredcut.graph import _WRITE_CHUNK, _gc_paused
+
+from helpers import mutated_ecg, oracle_parse_graph, random_multigraph
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 
@@ -203,6 +212,67 @@ def test_parse_graph_roundtrip():
     # a comment may hold any text; integer fields still split on any space
     text = "c my_graph \uff12\np ecg 3 3 3\ne 1 2 1\ne 2\u00a03 2\ne 1 3 +3\n"
     assert parse_graph(text) == RAINBOW_TRIANGLE
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "graph", g, {type(x) for e in g.edges for x in e}
+
+
+def test_parse_graph_answers_as_the_line_walk_did():
+    # the token cache must change no answer: every mutated text gives the
+    # graph, or the FormatError message, of the walk that converted each
+    # field on its own line.  Sparse draws read their fields with `int`,
+    # dense ones (m >= 2 max(n, p)) through the cache.
+    rng = random.Random(43)
+    kinds = set()
+    accepted = {False: 0, True: 0}  # by dense
+    for i in range(3000):
+        if i % 2:
+            g = random_multigraph(rng, n_max=5, p_max=2, extra_max=30)
+        else:
+            g = random_multigraph(rng, n_max=12, p_max=6, extra_max=10)
+        text = serialize_graph(g)
+        if rng.random() < 0.2:
+            text = "c a comment\n" + text
+        text = mutated_ecg(rng, text)
+        expected = _parse_outcome(oracle_parse_graph, text)
+        assert _parse_outcome(parse_graph, text) == expected, text
+        if expected[0] == "graph":
+            g = expected[1]
+            accepted[g.m >= 2 * max(g.n, g.p)] += 1
+            assert expected[2] <= {int}
+        else:
+            kinds.add(expected[1].split(": ", 1)[1].split()[0])
+    # the edits reach both answers, both readers and every kind of message
+    assert min(accepted.values()) > 150
+    assert kinds == {
+        "expected",
+        "malformed",
+        "non-integer",
+        "negative",
+        "more",
+        "vertex",
+        "self-loop",
+        "color",
+        "colors",
+        "header",
+        "missing",
+    }
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_parse_graph_reads_leading_zeros_and_signs_as_ints(copies):
+    # one copy of the triangle is read with `int`; with two, m = 2 max(n, p)
+    # and the cache keys by token text, so `01`, `+1` and `1` are three keys
+    # of one int
+    lines = ["e 01 2 1", "e +2 03 +2", "e 1 3 003"] * copies
+    g = parse_graph(f"p ecg 3 {3 * copies} 3\n" + "\n".join(lines))
+    assert g == ColoredGraph(3, RAINBOW_TRIANGLE.edges * copies, 3)
+    assert {type(x) for e in g.edges for x in e} == {int}
 
 
 def test_parse_graph_errors_name_lines():
@@ -484,3 +554,134 @@ def test_cut_colors_complement_invariant(g, data):
     )
     cut = Cut(g.n, frozenset(members))
     assert cut_colors(g, cut) == cut_colors(g, Cut(g.n, set(range(1, g.n + 1)) - members))
+
+
+# ---------------------------------------------------------------------------
+# the builders that pause the cyclic garbage collector
+
+_GC_FORMULA = CnfFormula(3, ((1, -2, -3), (-1, 2, 3), (-1, -2, 3)))
+_GC_MULTI = sat_to_multigraph(_GC_FORMULA)
+_GC_SIMPLE = multigraph_to_simple(_GC_MULTI)
+
+# name -> (a call that returns, a call that raises, what it raises)
+_PAUSED_BUILDERS = {
+    "graph.parse_graph": (
+        lambda: parse_graph(serialize_graph(RAINBOW_TRIANGLE)),
+        lambda: parse_graph("p ecg 2 1 1\ne 1 1 1\n"),
+        FormatError,
+    ),
+    "graph.serialize_graph": (
+        lambda: serialize_graph(RAINBOW_TRIANGLE),
+        lambda: serialize_graph(None),
+        AttributeError,
+    ),
+    "reductions.parse_provenance": (
+        lambda: parse_provenance(serialize_provenance(_GC_SIMPLE)),
+        lambda: parse_provenance("color 1 bogus\n"),
+        FormatError,
+    ),
+    "reductions.serialize_provenance": (
+        lambda: serialize_provenance(_GC_SIMPLE),
+        lambda: serialize_provenance(None),
+        AttributeError,
+    ),
+    "reductions.sat_to_multigraph": (
+        lambda: sat_to_multigraph(_GC_FORMULA),
+        lambda: sat_to_multigraph(CnfFormula(2, ((1, -2),))),
+        ValueError,
+    ),
+    "reductions.multigraph_to_simple": (
+        lambda: multigraph_to_simple(_GC_MULTI),
+        lambda: multigraph_to_simple(_GC_SIMPLE),
+        ValueError,
+    ),
+    "reductions.make_k4mf_connected": (
+        lambda: make_k4mf_connected(_GC_SIMPLE),
+        lambda: make_k4mf_connected(_GC_MULTI),
+        ValueError,
+    ),
+    "reductions.make_oct_one": (
+        lambda: make_oct_one(_GC_MULTI),
+        lambda: make_oct_one(_GC_SIMPLE),
+        ValueError,
+    ),
+    "reductions.embed_complete": (
+        lambda: embed_complete(_GC_SIMPLE.graph),
+        lambda: embed_complete(_GC_MULTI.graph),  # parallel edges
+        ValueError,
+    ),
+    "reductions.embed_complete_artifact": (
+        lambda: embed_complete_artifact(_GC_SIMPLE),
+        lambda: embed_complete_artifact(_GC_MULTI),
+        ValueError,
+    ),
+    "reductions.nae_to_cliques": (
+        lambda: nae_to_cliques(_GC_FORMULA),
+        lambda: nae_to_cliques(CnfFormula(3, ())),
+        ValueError,
+    ),
+    "reductions.verify_structural": (
+        lambda: verify_structural(_GC_SIMPLE),
+        lambda: verify_structural(None),
+        AttributeError,
+    ),
+}
+
+
+def test_the_paused_builders_are_the_graph_sized_ones():
+    # the solve and kernel routes are not paused; cli.main is, by the same helper
+    paused = {
+        f"{layer}.{name}"
+        for layer in ("cli", "graph", "kernel", "reductions", "sat", "solve")
+        for name, fn in vars(importlib.import_module(f"coloredcut.{layer}")).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == f"coloredcut.{layer}"
+        and getattr(fn, "__wrapped__", None) is not None
+    }
+    assert paused == {*_PAUSED_BUILDERS, "cli.main"}
+
+
+def test_gc_paused_turns_the_collector_off_inside_and_nests():
+    seen = []
+
+    @_gc_paused
+    def inner():
+        seen.append(gc.isenabled())
+
+    @_gc_paused
+    def outer(fail):
+        seen.append(gc.isenabled())
+        inner()
+        seen.append(gc.isenabled())  # the inner call left it off
+        if fail:
+            raise KeyError(fail)
+        return "done"
+
+    assert gc.isenabled()
+    try:
+        assert outer(None) == "done"
+        assert gc.isenabled()
+        with pytest.raises(KeyError):
+            outer("boom")
+        assert gc.isenabled()
+        gc.disable()
+        outer(None)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 9
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+@pytest.mark.parametrize("name", sorted(_PAUSED_BUILDERS))
+def test_paused_builders_restore_the_gc_state(name, was_enabled):
+    returns, raises, error = _PAUSED_BUILDERS[name]
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        returns()
+        assert gc.isenabled() is was_enabled
+        with pytest.raises(error):
+            raises()
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable()

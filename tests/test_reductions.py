@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -551,6 +552,78 @@ def test_embed_complete_artifact_bookkeeping():
     assert [item.name for item in report.items] == ["complete"]
     with pytest.raises(ValueError):
         embed_complete_artifact(sat_to_multigraph(DEMO))
+
+
+def test_embed_complete_equals_the_full_constructor_on_planar_simple_artifacts():
+    # only the added edges are checked; the graph must be the one the full
+    # constructor builds from g's edges and every missing pair in order
+    rng = random.Random(61)
+    built = 0
+    while built < 25:
+        f = random_3cnf(rng, rng.randint(3, 5), rng.randint(4, 10))
+        if not strip_single_polarity(f)[0]:
+            continue
+        g = multigraph_to_simple(sat_to_multigraph(f)).graph
+        joined = {frozenset((u, v)) for u, v, _ in g.edges}
+        missing = tuple(
+            (u, v, g.p + 1)
+            for u, v in combinations(range(1, g.n + 2), 2)
+            if {u, v} not in joined
+        )
+        k = embed_complete(g)
+        assert k == ColoredGraph(g.n + 1, g.edges + missing, g.p + 1)
+        assert k == ColoredGraph(k.n, k.edges, k.p)
+        built += 1
+
+
+def _outcome(build):
+    try:
+        return "graph", build()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "added,n,p",
+    [
+        (((1, 5, 4),), 4, 4),  # endpoint above n
+        (((0, 2, 4),), 4, 4),  # endpoint below 1
+        (((2, 2, 4),), 4, 4),  # self-loop
+        (((1, 4, 5),), 4, 4),  # color above p
+        (((1, 4, 0),), 4, 4),  # color below 1
+        (((1, 4, 4),), 4, 5),  # the added color 5 is dead
+        (((1, 4, 4), (2, 4, 4)), 4, 4),
+        ((), 3, 3),
+        (((1, 2, 3),), 2, 3),  # n below the graph's: the full constructor decides
+        (((1, 3, 1),), 3, 2),  # so does a smaller p
+    ],
+)
+def test_extended_checks_the_added_edges_as_the_constructor_does(added, n, p):
+    tri = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
+    expected = _outcome(lambda: ColoredGraph(n, tri.edges + added, p))
+    assert _outcome(lambda: tri._extended(n, added, p)) == expected
+
+
+def test_extended_matches_the_constructor_on_random_additions():
+    rng = random.Random(67)
+    answers = Counter()
+    for _ in range(2000):
+        g = random_simple_graph(rng, n_max=6, p_max=4)
+        n = g.n + rng.randint(-1, 2)
+        p = g.p + rng.randint(-1, 2)
+        added = tuple(
+            (rng.randint(0, n + 1), rng.randint(0, n + 1), rng.randint(0, p + 1))
+            for _ in range(rng.randint(0, 4))
+        )
+        expected = _outcome(lambda: ColoredGraph(n, g.edges + added, p))
+        assert _outcome(lambda: g._extended(n, added, p)) == expected
+        kind = expected[0]
+        if kind == "error":
+            kind = next(w for w in ("endpoint", "self-loop", "has color", "declared") if w in expected[1])
+        answers[kind] += 1
+    # graphs, and each of the constructor's per-edge and liveness messages
+    assert set(answers) == {"graph", "endpoint", "self-loop", "has color", "declared"}
+    assert min(answers.values()) > 50
 
 
 # ------------------------------------------------------------ not-all-equal
