@@ -18,6 +18,7 @@ vertices in increasing order; both sides must be nonempty.
 from __future__ import annotations
 
 import gc
+from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable
 from functools import wraps
 from itertools import chain
@@ -208,23 +209,21 @@ def is_colorful(g: ColoredGraph, cut: Cut) -> bool:
     return len(cut_colors(g, cut)) == g.p
 
 
-def _bfs_labels(
-    vertices: Iterable[int], pairs: Iterable[tuple[int, int]]
-) -> dict[int, tuple[int, int, int]]:
-    """Label every vertex with (component root, BFS depth parity, BFS parent),
-    a root being its own parent.
+def _bfs_labels(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int, int]]:
+    """Label every vertex the pairs touch with (component root, BFS depth
+    parity, BFS parent), a root being its own parent.
 
-    Each pair must join two of `vertices`.  Roots are taken in the order of
-    `vertices`, and each vertex's neighbours in the order of `pairs`, so a
-    root is its component's first vertex in that order.  An edge joins two
-    equal parities exactly when its component has an odd cycle.
+    Roots are taken in increasing vertex order, and each vertex's neighbours
+    in the order of `pairs`, so a root is its component's smallest vertex.
+    An edge joins two equal parities exactly when its component has an odd
+    cycle.
     """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    adj: dict[int, list[int]] = defaultdict(list)
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
     labels: dict[int, tuple[int, int, int]] = {}
-    for root in adj:
+    for root in sorted(adj):
         if root in labels:
             continue
         labels[root] = (root, 0, root)
@@ -238,10 +237,9 @@ def _bfs_labels(
     return labels
 
 
-def _span(pairs: Collection[tuple[int, int]]) -> int:
+def _span(pairs: Iterable[tuple[int, int]]) -> int:
     """Number of connected components among the vertices `pairs` touch."""
-    labels = _bfs_labels({x for pair in pairs for x in pair}, pairs)
-    return len({root for root, _, _ in labels.values()})
+    return len({root for root, _, _ in _bfs_labels(pairs).values()})
 
 
 def _color_classes(g: ColoredGraph) -> list[dict[tuple[int, int], int]]:

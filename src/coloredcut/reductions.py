@@ -71,7 +71,7 @@ class ReductionArtifact(_Record):
     kind must be a `ReductionKind` member (else TypeError), so
     `verify_structural` meets only the six kinds it checks.
     Each dict left out starts as a fresh empty one.  A derived artifact
-    shares with its source the dicts it does not change.
+    (`_derived`) shares with its source every field it does not change.
     """
 
     __slots__ = (
@@ -105,6 +105,12 @@ class ReductionArtifact(_Record):
             raise TypeError(f"kind must be a ReductionKind, got {kind!r}")
         maps = [{} if d is None else d for d in (literal_edge_map, color_meaning, vertex_meaning)]
         super().__init__(graph, kind, formula, active_clauses, *maps)
+
+    def _derived(self, graph: ColoredGraph, kind: ReductionKind, **changed) -> ReductionArtifact:
+        """An artifact of `kind` on `graph` that shares every field of this one
+        not named in `changed`: the same objects, through the constructor."""
+        shared = {name: getattr(self, name) for name in self.__slots__[2:]}
+        return ReductionArtifact(graph, kind, **(shared | changed))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +353,12 @@ def multigraph_to_simple(a: ReductionArtifact) -> ReductionArtifact:
         key: tuple(3 * e + 1 for e in indices)
         for key, indices in a.literal_edge_map.items()
     }
-    return ReductionArtifact(
+    return a._derived(
         ColoredGraph(g.n + 2 * g.m, tuple(edges), g.p + 2 * g.m),
         ReductionKind.PLANAR_SIMPLE,
-        a.formula,
-        a.active_clauses,
-        literal_edge_map,
-        color_meaning,
-        vertex_meaning,
+        literal_edge_map=literal_edge_map,
+        color_meaning=color_meaning,
+        vertex_meaning=vertex_meaning,
     )
 
 
@@ -451,14 +455,11 @@ def make_k4mf_connected(a: ReductionArtifact) -> ReductionArtifact:
     graph = ColoredGraph(
         len(survivors), [(rename[u], rename[v], c) for u, v, c in edges], len(color_meaning)
     )
-    return ReductionArtifact(
+    return a._derived(
         graph,
         ReductionKind.K4MF,
-        a.formula,
-        a.active_clauses,
-        a.literal_edge_map,
-        color_meaning,
-        {rename[v]: meaning for v, meaning in vertex_meaning.items()},
+        color_meaning=color_meaning,
+        vertex_meaning={rename[v]: meaning for v, meaning in vertex_meaning.items()},
     )
 
 
@@ -489,14 +490,8 @@ def make_oct_one(a: ReductionArtifact) -> ReductionArtifact:
     vertex_meaning: dict[int, tuple] = {1: ("apex",)}
     for v in survivors:
         vertex_meaning[rename[v]] = a.vertex_meaning[v]
-    return ReductionArtifact(
-        ColoredGraph(2 * m + 1, edges, g.p),
-        ReductionKind.OCT_ONE,
-        a.formula,
-        a.active_clauses,
-        a.literal_edge_map,
-        a.color_meaning,
-        vertex_meaning,
+    return a._derived(
+        ColoredGraph(2 * m + 1, edges, g.p), ReductionKind.OCT_ONE, vertex_meaning=vertex_meaning
     )
 
 
@@ -533,14 +528,11 @@ def embed_complete_artifact(a: ReductionArtifact) -> ReductionArtifact:
     if a.kind is not ReductionKind.PLANAR_SIMPLE:
         raise ValueError(f"expected a {ReductionKind.PLANAR_SIMPLE.value} artifact")
     g = a.graph
-    return ReductionArtifact(
+    return a._derived(
         embed_complete(g),
         ReductionKind.COMPLETE,
-        a.formula,
-        a.active_clauses,
-        a.literal_edge_map,
-        {**a.color_meaning, g.p + 1: ("fresh",)},
-        {**a.vertex_meaning, g.n + 1: ("apex",)},
+        color_meaning={**a.color_meaning, g.p + 1: ("fresh",)},
+        vertex_meaning={**a.vertex_meaning, g.n + 1: ("apex",)},
     )
 
 
@@ -780,7 +772,7 @@ def _check_apex_bipartite(a: ReductionArtifact) -> CheckItem:
             "apex-removal-bipartite", False, f"apex {apex} is outside 1..{n}"
         )
     rest = [(u, v) for u, v, _ in a.graph.edges if apex not in (u, v)]
-    labels = _bfs_labels({x for pair in rest for x in pair}, rest)
+    labels = _bfs_labels(rest)
     ok = all(labels[u][1] != labels[v][1] for u, v in rest)
     return CheckItem(
         "apex-removal-bipartite", ok, "" if ok else "graph minus apex has an odd cycle"

@@ -29,8 +29,9 @@ packing of color-disjoint odd cycles of colors with a single endpoint pair
 those pairs, in time linear in them whatever n is): every cut leaves a
 color of each uncrossed.  These are the odd-cycle inequalities of the cut
 polytope (Barahona and Mahjoub, Math. Programming 1986).
-Witness checks, and the packing's check before it is trusted, raise
-`InvariantError`, so they also run under ``python -O``.
+Witness checks (the greedy guarantee's in `_greedy_cut`, for every caller),
+and the packing's check before it is trusted, raise `InvariantError`, so
+they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _odd_cycles(
     pair, so the cost is linear in the pairs, whatever n is.
     """
     pairs = [pair for c in single for pair in classes[c - 1]]  # one pair each
-    labels = _bfs_labels(sorted({x for pair in pairs for x in pair}), pairs)
+    labels = _bfs_labels(pairs)
     first = dict(zip(pairs[::-1], single[::-1]))  # each pair's first color
     taken: set[int] = set()  # the lower ends of the tree pairs taken
     cycles = []
@@ -292,19 +293,22 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
     return _search(g, _color_classes(g), ())
 
 
-def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
-    """Greedy cut over the first edge of every color not in `removed_colors`,
-    repaired by `augment_cut` to cross the removed colors too.
+def _greedy_cut(g: ColoredGraph, removed: Sequence[int]) -> tuple[Cut, int]:
+    """Greedy cut over the first edge of every color not in `removed`,
+    repaired by `augment_cut` to cross the removed colors too, and the
+    number of colors of g it crosses, recounted on g.
 
     The vertices some edge of g touches are placed in increasing order on the
     side with fewer already placed neighbors over those first edges (ties to
     S), counting parallel edges with multiplicity, so at least half of the
-    first edges end up crossing.  Untouched vertices stay on T, so the cost
-    is O(m), not O(n).  When every smaller neighbor of w is on S, a first
-    edge (u, w) with u < w puts w on T, so with a first edge S never holds
-    every vertex; with none the S side is {1}.
+    first edges cross: the cut crosses every removed color and half of the
+    kept ones, else `InvariantError`.  Untouched vertices stay on T, so the
+    cost is O(m), not O(n).  A first edge (u, w) with u < w puts w on T when
+    every smaller neighbor of w is on S, so S never holds every vertex.  With
+    no first edge S holds every touched vertex ({1} when g has no edge), so
+    `removed` must keep a color of g's edges, or `Cut` may raise ValueError.
     """
-    skip = set(removed_colors)
+    skip = set(removed)
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v, c in g.edges:
         if c not in skip:
@@ -316,7 +320,14 @@ def _greedy_cut(g: ColoredGraph, removed_colors: Sequence[int]) -> Cut:
         # placed neighbors are the smaller ones: count S minus T among them
         if sum(1 if w in s_side else -1 for w in adj.get(v, ()) if w < v) <= 0:
             s_side.add(v)
-    return augment_cut(g, removed_colors, Cut(g.n, s_side or {1}))
+    cut = augment_cut(g, removed, Cut(g.n, s_side or {1}))
+    crossed = len(cut_colors(g, cut))
+    if 2 * crossed < g.p + len(removed):
+        raise InvariantError(
+            f"greedy witness crosses {crossed} colors, fewer than the {len(removed)} "
+            f"removed and half of the {g.p - len(removed)} kept"
+        )
+    return cut, crossed
 
 
 def greedy_half_colors(g: ColoredGraph) -> Cut:
@@ -324,10 +335,7 @@ def greedy_half_colors(g: ColoredGraph) -> Cut:
     first edge of each color in file order (see `_greedy_cut`)."""
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    cut = _greedy_cut(g, ())
-    if 2 * len(cut_colors(g, cut)) < g.p:
-        raise InvariantError(f"greedy cut crosses fewer than half of {g.p} colors")
-    return cut
+    return _greedy_cut(g, ())[0]
 
 
 class _Contraction:
@@ -465,7 +473,7 @@ def _root_contraction(g: ColoredGraph) -> _Contraction | None:
     """
     classes = _color_classes(g)
     forced = [next(iter(pairs)) for pairs in classes if len(pairs) == 1]
-    labels = _bfs_labels(sorted({x for pair in forced for x in pair}), forced)
+    labels = _bfs_labels(forced)
     if any(labels[u][1] == labels[v][1] for u, v in forced):
         return None
     colors: dict[int, list[tuple[int, int, int]]] = {}
@@ -558,17 +566,15 @@ def _staged(
 
     * color-count: k > p is a no, since no cut crosses more than p colors.
     * early-yes: the value kernel's early yes (every k up to ceil(p/2) gets
-      one), with the greedy cut over the surviving colors, repaired by
-      `augment_cut`, as witness.
+      one), with `_greedy_cut` over the surviving colors as witness.
     * odd-cycle: when p minus an `_odd_cycles` packing of the single-pair
       colors is below k, the packing is checked and the answer is no.  It
       is skipped when a third of those colors is at most p - k, since it
       could not bring the bound below k then.
     * search: `_search` over the rule's full removal order, when it
       enumerates at most `BRUTE_FORCE_CAP` vertices.
-    * greedy, only where the search refuses: the greedy cut over the colors
-      the rule keeps, repaired and recounted on g, is a yes when it crosses
-      at least k colors.
+    * greedy, only where the search refuses: `_greedy_cut` over the colors
+      the rule keeps is a yes when it crosses at least k colors.
 
     Returns (lower, witness, upper, stage, result): `witness` crosses
     `lower` colors of g (0 and None when a stage answers no without a cut),
@@ -587,10 +593,8 @@ def _staged(
             return 0, None, g.p, "color-count", None
         classes, removed, early = _value_kernel(g, k, table)
         if early:
-            base = _greedy_cut(g, removed)
-            lower = len(cut_colors(g, base))
-            if lower < k:
-                raise InvariantError(f"early-yes witness crosses fewer than {k} colors")
+            # _greedy_cut checks 2 * lower >= p + len(removed) >= 2k - 1, so lower >= k
+            base, lower = _greedy_cut(g, removed)
             return lower, base, g.p, "early-yes", None
         # each odd cycle takes three single-pair colors or more, so the packing
         # can only answer when a third of them is more than p - k
@@ -605,14 +609,7 @@ def _staged(
     except CapExceededError:
         if k is None:
             raise
-        cut = _greedy_cut(g, removed)
-        lower = len(cut_colors(g, cut))
-        # every removed color crosses, and at least half of the kept ones
-        if 2 * lower < g.p + len(removed):
-            raise InvariantError(
-                f"greedy witness crosses {lower} colors, fewer than the {len(removed)} "
-                f"removed and half of the {g.p - len(removed)} kept"
-            )
+        cut, lower = _greedy_cut(g, removed)
         if lower < k:
             raise
         return lower, cut, g.p, "greedy", None

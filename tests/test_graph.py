@@ -42,7 +42,7 @@ from coloredcut import (
     solve_via_kernel,
     verify_structural,
 )
-from coloredcut.graph import _WRITE_CHUNK, _gc_paused
+from coloredcut.graph import _WRITE_CHUNK, _bfs_labels, _gc_paused
 
 from helpers import mutated_ecg, oracle_parse_graph, random_multigraph
 
@@ -473,6 +473,37 @@ def test_bad_arguments_name_the_fault(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_bfs_labels_against_a_union_find_oracle():
+    # pair lists with repeats, in shuffled order: the labels cover exactly
+    # the touched vertices, each root is its component's smallest vertex, and
+    # each other vertex's parent shares a pair with it at the other parity
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        pairs = [tuple(rng.sample(range(1, n + 2), 2)) for _ in range(rng.randint(0, 2 * n))]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        parent = {x: x for pair in pairs for x in pair}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in pairs:
+            a, b = sorted((find(u), find(v)))
+            parent[b] = a  # the smaller root stays, so roots are minima
+        joined = {frozenset(pair) for pair in pairs}
+        labels = _bfs_labels(pairs)
+        assert labels.keys() == parent.keys()
+        for v, (root, parity, up) in labels.items():
+            assert root == find(v)
+            if v == root:
+                assert (parity, up) == (0, v)
+            else:
+                assert {v, up} in joined and labels[up][1] == 1 - parity
 
 
 def test_parse_cut():

@@ -554,6 +554,31 @@ def test_embed_complete_artifact_bookkeeping():
         embed_complete_artifact(sat_to_multigraph(DEMO))
 
 
+_ALWAYS_SHARED = ("formula", "active_clauses")
+
+
+@pytest.mark.parametrize(
+    "construction,from_simple,shared",
+    [
+        (multigraph_to_simple, False, _ALWAYS_SHARED),
+        (make_k4mf_connected, True, _ALWAYS_SHARED + ("literal_edge_map",)),
+        (embed_complete_artifact, True, _ALWAYS_SHARED + ("literal_edge_map",)),
+        (make_oct_one, False, _ALWAYS_SHARED + ("literal_edge_map", "color_meaning")),
+    ],
+    ids=["multigraph_to_simple", "make_k4mf_connected", "embed_complete_artifact", "make_oct_one"],
+)
+def test_derived_artifacts_share_their_unchanged_fields_by_identity(construction, from_simple, shared):
+    # ReductionArtifact._derived takes every field a construction does not
+    # name from its source: the same objects, not copies
+    multi = sat_to_multigraph(DEMO)
+    a = multigraph_to_simple(multi) if from_simple else multi
+    derived = construction(a)
+    for name in shared:
+        assert getattr(derived, name) is getattr(a, name), name
+    for name in {"literal_edge_map", "color_meaning", "vertex_meaning"} - set(shared):
+        assert getattr(derived, name) is not getattr(a, name), name
+
+
 def test_embed_complete_equals_the_full_constructor_on_planar_simple_artifacts():
     # only the added edges are checked; the graph must be the one the full
     # constructor builds from g's edges and every missing pair in order

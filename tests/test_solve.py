@@ -40,11 +40,13 @@ from coloredcut import (
     strip_single_polarity,
 )
 from coloredcut.graph import _color_classes
+from coloredcut.kernel import _rule_table, _value_kernel
 from coloredcut.solve import (
     _STAGES,
     _add_bits,
     _check_odd_cycles,
     _Contraction,
+    _greedy_cut,
     _odd_cycles,
     _staged,
 )
@@ -356,6 +358,33 @@ def test_greedy_half_and_below_optimum():
         got = len(cut_colors(g, greedy_half_colors(g)))
         assert got >= math.ceil(g.p / 2)
         assert got <= brute_force_max(g).value
+
+
+def test_greedy_guarantee_holds_on_every_removal_prefix():
+    # _greedy_cut recounts its cut and checks that every removed color and
+    # half of the kept ones cross; here on each prefix of the rule's removal
+    # order that keeps a color, and on every early yes of the value kernel
+    rng = random.Random(7)
+    prefixes = early = every_color_removed = 0
+    for i in range(600):
+        g = random_multigraph(rng, n_max=10, p_max=8)
+        if i % 2:
+            g = inflate_one_color(rng, g) or g
+        table = _rule_table(g)
+        order = table[1]
+        every_color_removed += len(order) == g.p
+        for r in range(min(len(order), g.p - 1) + 1):
+            cut, crossed = _greedy_cut(g, order[:r])
+            assert crossed == len(cut_colors(g, cut))
+            assert 2 * crossed >= g.p + r
+            prefixes += 1
+        for k in range(1, g.p + 1):
+            _, removed, yes = _value_kernel(g, k, table)
+            if yes:
+                cut, crossed = _greedy_cut(g, removed)
+                assert crossed >= k
+                early += 1
+    assert prefixes > 600 and early > 1000 and every_color_removed > 100
 
 
 # ------------------------------------------------------------------- encoding
@@ -755,7 +784,7 @@ WITNESS_CHECKS = {
     "greedy": (
         NO_COLORS,
         "s.greedy_half_colors(G)",
-        "greedy cut crosses fewer than half of 2 colors",
+        "greedy witness crosses 0 colors, fewer than the 0 removed and half of the 2 kept",
     ),
     "kernel-lift": (
         "s.augment_cut = lambda g, removed, cut: s.Cut(g.n, frozenset({1, 2}))",
@@ -765,7 +794,7 @@ WITNESS_CHECKS = {
     "early-yes": (
         NO_COLORS,
         "s.decide_max(G, 1)",
-        "early-yes witness crosses fewer than 1 colors",
+        "greedy witness crosses 0 colors, fewer than the 0 removed and half of the 2 kept",
     ),
     "greedy-above-cap": (
         "s.BRUTE_FORCE_CAP = 2; " + NO_COLORS,
