@@ -29,19 +29,18 @@ from pathlib import Path
 
 from .errors import CapExceededError, FormatError
 from .graph import (
-    _check_int_fields,
     _color_classes,
     _gc_paused,
+    _read_int,
     _span,
     cut_colors,
-    is_colorful,
     parse_cut,
     parse_graph,
     serialize_cut,
     serialize_graph,
 )
 from .kernel import _rule_table, kernelize_colors, kernelize_value
-from .solve import _staged, colorful_cut_decide, greedy_half_colors
+from .solve import _greedy_cut, _staged, colorful_cut_decide
 
 # The `ReductionKind` values, spelled out so that building the parser does not
 # load reductions.py: only `generate` and `verify --kind <construction>` use it.
@@ -51,10 +50,7 @@ _KINDS = ("planar-multi", "planar-simple", "k4mf", "oct1", "complete", "nae")
 def _int_arg(text: str) -> int:
     """Read an integer flag by the rule of the files' integer fields."""
     try:
-        _check_int_fields([text])
-        if text != text.strip():  # `int` would strip it; a file field has none
-            raise ValueError
-        return int(text)
+        return _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -85,8 +81,7 @@ def _answer(line: str, body: str, output: str | None) -> str:
 def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     g = parse_graph(_read(args.graph))
     if args.algo == "greedy":
-        witness = greedy_half_colors(g)
-        value = len(cut_colors(g, witness))
+        witness, value = _greedy_cut(g, ())  # the greedy cut, recounted on g
     else:
         # the search and, where it refuses, the staged answer to -k read one table
         table = _rule_table(g)
@@ -174,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         cut = parse_cut(_read(args.cut), g.n)
         crossed = len(cut_colors(g, cut))
         results.append(("cut-valid", True, f"crosses {crossed} colors"))
-        ok = is_colorful(g, cut)
+        ok = crossed == g.p
         results.append(
             ("cut-colorful", ok, "" if ok else f"only {crossed} of {g.p} colors cross")
         )

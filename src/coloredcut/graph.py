@@ -258,13 +258,19 @@ def _color_classes(g: ColoredGraph) -> list[dict[tuple[int, int], int]]:
 # ECG text format
 
 
-def _check_int_fields(tokens: list[str]) -> None:
-    """Raise ValueError when a token holds `_` or a non-ASCII character.
-    `int` takes those as digit separators and digits, but an integer field
-    of the text formats is a sign and ASCII digits."""
-    for t in tokens:
-        if "_" in t or not t.isascii():
-            raise ValueError(f"not a plain integer: {t!r}")
+def _read_int(t: str) -> int:
+    """Read an integer token: a sign and ASCII digits, with no space around
+    them, that `int` reads.  Any other token raises ValueError, also one with
+    the `_` separators, non-ASCII digits or spaces that `int` would take."""
+    if "_" in t or not t.isascii() or t != t.strip():
+        raise ValueError(f"not a plain integer: {t!r}")
+    return int(t)
+
+
+def _int_reader(text: str) -> Callable[[str], int]:
+    """`int` for a text that is ASCII and holds no `_`, which reads each
+    whitespace-free token of it exactly as `_read_int` does, else `_read_int`."""
+    return int if text.isascii() and "_" not in text else _read_int
 
 
 class _IntTokens(dict):
@@ -284,9 +290,7 @@ def parse_graph(text: str) -> ColoredGraph:
     line, so the graph is built without a second pass over the edges.
     """
     lines = text.splitlines()
-    # one check of the whole text spares most files a check per line
-    plain = text.isascii() and "_" not in text
-    field = int  # reads an edge field; the header may swap in a token cache
+    field = _int_reader(text)  # the header may swap in a token cache for the edges
     header: list[str] | None = None
     header_lineno = 0
     edges: list[Edge] = []
@@ -303,9 +307,7 @@ def parse_graph(text: str) -> ColoredGraph:
             if len(tokens) != 5 or tokens[1] != "ecg":
                 raise FormatError(f"line {lineno}: malformed header {raw!r}")
             try:
-                if not plain:
-                    _check_int_fields(tokens[2:])
-                n, m, p = int(tokens[2]), int(tokens[3]), int(tokens[4])
+                n, m, p = field(tokens[2]), field(tokens[3]), field(tokens[4])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in header {raw!r}")
             if n < 0 or m < 0 or p < 0:
@@ -316,7 +318,7 @@ def parse_graph(text: str) -> ColoredGraph:
             # integers.  A cache miss costs about three `int` calls and a hit
             # under half of one, so the cache converts each token once where
             # at most one field in six can be a token's first appearance.
-            if plain and m >= 2 * max(n, p):
+            if field is int and m >= 2 * max(n, p):
                 field = _IntTokens().__getitem__
             continue
         if tokens[0] != "e":
@@ -326,8 +328,6 @@ def parse_graph(text: str) -> ColoredGraph:
         if len(tokens) != 4:
             raise FormatError(f"line {lineno}: malformed edge line {raw!r}")
         try:
-            if not plain:
-                _check_int_fields(tokens[1:])
             u, v, c = field(tokens[1]), field(tokens[2]), field(tokens[3])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer field in edge line {raw!r}")
@@ -394,8 +394,7 @@ def parse_cut(text: str, n: int) -> Cut:
     if tokens[0] != "s" or len(tokens) < 2:
         raise FormatError(f"line {lineno}: malformed cut line {line!r}")
     try:
-        _check_int_fields(tokens[1:])
-        verts = [int(t) for t in tokens[1:]]
+        verts = list(map(_int_reader(line), tokens[1:]))
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer vertex in cut line {line!r}")
     if any(a >= b for a, b in zip(verts, verts[1:])):

@@ -44,9 +44,10 @@ from .graph import (
     Cut,
     _Record,
     _bfs_labels,
-    _check_int_fields,
     _color_classes,
     _gc_paused,
+    _int_reader,
+    _read_int,
     is_colorful,
 )
 from .sat import Assignment, CnfFormula, nae_satisfies, satisfies
@@ -849,12 +850,14 @@ def serialize_provenance(a: ReductionArtifact) -> str:
 
 
 class _Tokens(dict):
-    """Token -> value: int(t) for one optional `+` or `-` followed by ASCII
-    digits, else t itself.  Each distinct token is converted once per parse."""
+    """Token -> value: the int `_read_int` reads from t, else t itself.
+    Each distinct token is converted once per parse."""
 
     def __missing__(self, t: str) -> int | str:
-        digits = t[1:] if t[0] in "+-" else t
-        value = self[t] = int(t) if t.isascii() and digits.isdecimal() else t
+        try:
+            value = self[t] = _read_int(t)
+        except ValueError:
+            value = self[t] = t
         return value
 
 
@@ -863,15 +866,13 @@ def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
     """Parse a provenance sidecar into (color_meaning, vertex_meaning).
 
     An id may appear once per section; a repeat is a FormatError.  Each
-    nonblank line is split and stored with no check, and the checks then run
-    once over the built dicts; only a file that fails them is walked line by
-    line, for the message that names its first faulty line.
+    nonblank line is split and stored under its id, read by `_int_reader`,
+    the other checks run once over the built dicts, and only a file that
+    fails one is walked line by line, for the message naming its first fault.
     """
     lines = text.splitlines()
     convert = _Tokens().__getitem__
-    # `int` reads exactly the integer ids of a text that is ASCII and holds
-    # no `_`; elsewhere `convert` reads them, and keeps a non-integer a string
-    ident = int if text.isascii() and "_" not in text else convert
+    ident = _int_reader(text)
     colors: dict[int, tuple] = {}
     vertices: dict[int, tuple] = {}
     sections = {"color": colors, "vertex": vertices}
@@ -885,7 +886,6 @@ def parse_provenance(text: str) -> tuple[dict[int, tuple], dict[int, tuple]]:
         if (
             not all(meanings.values())  # a two-token line
             or not set(map(itemgetter(0), meanings.values())) <= tags  # no tag is a number
-            or str in map(type, meanings)  # an id `convert` kept as a string
         ):
             return _walk_provenance(lines)
     if len(colors) + len(vertices) < stored:  # a repeated id
@@ -907,8 +907,7 @@ def _walk_provenance(lines: list[str]) -> tuple[dict[int, tuple], dict[int, tupl
         if len(tokens) < 3 or tokens[0] not in sections:
             raise FormatError(f"line {lineno}: malformed provenance line {raw!r}")
         try:
-            _check_int_fields(tokens[1:2])
-            ident = int(tokens[1])
+            ident = _read_int(tokens[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer id in {raw!r}")
         tags, meaning, defined = sections[tokens[0]]

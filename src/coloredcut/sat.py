@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 
 from .errors import FormatError, InvariantError
-from .graph import _Record, _check_int_fields
+from .graph import _int_reader, _Record
 
 Assignment = dict[int, bool]
 
@@ -59,6 +59,7 @@ def nae_satisfies(f: CnfFormula, asg: Assignment) -> bool:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Raises FormatError on malformed input."""
+    read = _int_reader(text)
     header: tuple[int, int] | None = None
     body: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -71,8 +72,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {raw!r}")
             try:
-                _check_int_fields(tokens[2:])
-                header = (int(tokens[2]), int(tokens[3]))
+                header = (read(tokens[2]), read(tokens[3]))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in header {raw!r}")
             if header[0] < 0 or header[1] < 0:
@@ -81,8 +81,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if header is None:
             raise FormatError(f"line {lineno}: clause data before 'p cnf' header")
         try:
-            _check_int_fields(tokens)
-            body.extend(int(t) for t in tokens)
+            body.extend(map(read, tokens))
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer literal in {raw!r}")
     if header is None:

@@ -296,7 +296,8 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
 def _greedy_cut(g: ColoredGraph, removed: Sequence[int]) -> tuple[Cut, int]:
     """Greedy cut over the first edge of every color not in `removed`,
     repaired by `augment_cut` to cross the removed colors too, and the
-    number of colors of g it crosses, recounted on g.
+    number of colors of g it crosses, recounted on g.  ValueError on fewer
+    than two vertices, where no nontrivial cut exists.
 
     The vertices some edge of g touches are placed in increasing order on the
     side with fewer already placed neighbors over those first edges (ties to
@@ -308,6 +309,8 @@ def _greedy_cut(g: ColoredGraph, removed: Sequence[int]) -> tuple[Cut, int]:
     no first edge S holds every touched vertex ({1} when g has no edge), so
     `removed` must keep a color of g's edges, or `Cut` may raise ValueError.
     """
+    if g.n < 2:
+        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     skip = set(removed)
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v, c in g.edges:
@@ -333,8 +336,6 @@ def _greedy_cut(g: ColoredGraph, removed: Sequence[int]) -> tuple[Cut, int]:
 def greedy_half_colors(g: ColoredGraph) -> Cut:
     """A cut crossing at least ceil(p/2) colors, placed greedily over the
     first edge of each color in file order (see `_greedy_cut`)."""
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     return _greedy_cut(g, ())[0]
 
 

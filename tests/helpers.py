@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -87,6 +88,17 @@ def oracle_parse_graph(text: str) -> ColoredGraph:
     if len(present) != p:
         raise FormatError(f"line {header_lineno}: {_dead_colors(present, p, m)}")
     return ColoredGraph(n, tuple(edges), p)
+
+
+def plain_int(t: str) -> int | None:
+    """The int of a token that matches [+-]?[0-9]+ and that `int` reads, else
+    None: the one integer rule of the text formats and the CLI's flags."""
+    if re.fullmatch("[+-]?[0-9]+", t) is None:
+        return None
+    try:
+        return int(t)
+    except ValueError:  # more digits than `int` converts
+        return None
 
 
 def mutated_ecg(rng: random.Random, text: str) -> str:

@@ -24,14 +24,16 @@ from coloredcut import (
     serialize_dimacs,
     sat_to_multigraph,
     serialize_graph,
+    serialize_provenance,
 )
-from coloredcut import cli, kernel
+from coloredcut import cli, kernel, solve
 from coloredcut.cli import _cmd_solve, main
 
 from helpers import (
     distinct_pairs,
     greedy_misses,
     inflate_one_color,
+    plain_int,
     random_3cnf,
     random_multigraph,
     span,
@@ -279,8 +281,8 @@ def test_solve_k_exits_3_where_no_stage_settles_k(graph_file, capsys):
 
 def test_solve_builds_one_table_and_recounts_only_the_greedy_cut(graph_file, capsys, monkeypatch):
     # the refused search and the staged answer to -k read one color-class
-    # table; the search recounted its witness on g, so the CLI prints its
-    # value, and only --algo greedy recounts in the CLI
+    # table; the search and the greedy cut recounted their witnesses on g,
+    # so the CLI prints their counts and recounts none
     tables, recounts = [], []
     real_classes, real_count = kernel._color_classes, cli.cut_colors
     monkeypatch.setattr(kernel, "_color_classes", lambda g: tables.append(g) or real_classes(g))
@@ -300,7 +302,7 @@ def test_solve_builds_one_table_and_recounts_only_the_greedy_cut(graph_file, cap
         assert len(tables) == 1
     assert recounts == []
     assert run(capsys, ["solve", "--algo", "greedy", triangle])[0] == 0
-    assert len(recounts) == 1
+    assert recounts == []
 
 
 def test_solve_counts_only_touched_vertices_against_the_cap(graph_file, capsys):
@@ -355,6 +357,24 @@ def test_integer_flags_take_a_sign(graph_file, capsys):
     assert (code, out.splitlines()[0]) == (0, "value 4")
     code, _, _ = run(capsys, ["solve", graph_file(C4), "-k", "-1"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["7", "007", "+7", "-0", "1_0", "\u0667", "\uff17", "+", "-", "0x7", "7" * 4301, " 7", "7\t"],
+    ids=lambda t: repr(t)[:12],
+)
+def test_integer_flags_take_the_rule_of_the_files(token, capsys):
+    # -k takes exactly the tokens of a sign and ASCII digits that `int`
+    # reads, as the files' integer fields do, and no surrounding space
+    value = plain_int(token)
+    if value is not None:
+        assert cli.build_parser().parse_args(["solve", "g.ecg", "-k", token]).k == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["solve", "g.ecg", "-k", token])
+    assert exc.value.code == 2
+    assert f"invalid int value: {token!r}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ kernelize
@@ -556,6 +576,48 @@ def test_verify_colorful_cut_passes(graph_file, capsys, tmp_path):
     )
     assert code == 0
     assert "check cut-colorful: pass" in out
+
+
+def test_greedy_solve_and_verify_cut_count_the_cut_once(
+    graph_file, capsys, monkeypatch, tmp_path
+):
+    # `_greedy_cut` counts its cut, and cut-colorful reads cut-valid's count
+    counts = []
+    real_count = cli.cut_colors
+    counting = lambda g, cut: counts.append(g) or real_count(g, cut)
+    monkeypatch.setattr(cli, "cut_colors", counting)
+    monkeypatch.setattr(solve, "cut_colors", counting)
+    code, out, _ = run(capsys, ["solve", "--algo", "greedy", graph_file(C41)])
+    assert (code, out) == (0, "value 40\n" + C41_GREEDY)
+    assert len(counts) == 1
+    counts.clear()
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text("s 1\n")
+    triangle = graph_file(TRIANGLE)
+    code, out, _ = run(
+        capsys, ["verify", "--kind", "graph", "--graph", triangle, "--cut", str(cut_path)]
+    )
+    assert code == 1
+    assert "check cut-colorful: fail (only 2 of 3 colors cross)" in out
+    assert len(counts) == 1
+
+
+def test_verify_keeps_a_meaning_over_the_digit_limit_as_text(graph_file, capsys, tmp_path):
+    # a meaning token `int` rejects stays text, also one over CPython's limit
+    # on digits, whose conversion message names no line
+    a = sat_to_multigraph(DEMO_CNF)
+    meaning = "7" * 5000
+    lines = serialize_provenance(a).splitlines()
+    prov = tmp_path / "long.prov"
+    prov.write_text("\n".join([f"color 1 pair 1 {meaning} 1", *lines[1:]]) + "\n")
+    assert parse_provenance(prov.read_text())[0][1] == ("pair", 1, meaning, 1)
+    graph = graph_file(a.graph)
+    code, out, err = run(
+        capsys,
+        ["verify", "--kind", "planar-multi", "--graph", graph, "--provenance", str(prov)],
+    )
+    assert (code, err) == (0, "")
+    assert out == "check graph-valid: pass\ncheck color-class-size-2: pass\n"
 
 
 def test_verify_structural_failure_is_exit_1(graph_file, capsys):
@@ -876,6 +938,8 @@ def test_malformed_graph_is_exit_2(capsys, tmp_path):
          "vertex 1 apex\nvertex 1 corner 1 1\n", "line 2: vertex 1 already defined on line 1"),
         (["stats"], "p ecg 1_0 1 1\ne 1 2 1\n", "line 1: non-integer field in header"),
         (["solve"], "p ecg 1 0 0\n", "no nontrivial cut exists on 1 vertices"),
+        (["solve", "--algo", "greedy"], "p ecg 1 0 0\n",
+         "no nontrivial cut exists on 1 vertices"),
     ],
 )
 def test_malformed_inputs_are_exit_2(argv, text, message, graph_file, capsys, tmp_path):

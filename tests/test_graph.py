@@ -43,8 +43,9 @@ from coloredcut import (
     verify_structural,
 )
 from coloredcut.graph import _WRITE_CHUNK, _bfs_labels, _gc_paused
+from coloredcut.reductions import _walk_provenance
 
-from helpers import mutated_ecg, oracle_parse_graph, random_multigraph
+from helpers import mutated_ecg, oracle_parse_graph, plain_int, random_multigraph
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 
@@ -372,6 +373,70 @@ def test_parse_errors_name_the_line(parse, text, message):
         parse(text)
     assert str(exc.value).startswith(message)
     assert len(str(exc.value)) < 200
+
+
+# A token `int` takes that is no sign and ASCII digits, one `int` rejects,
+# and a plain one of each kind; the last is one digit over CPython's limit.
+INT_TOKENS = ("7", "007", "+7", "-0", "1_0", "\u0667", "\uff17", "+", "-", "0x7", "7" * 4301)
+# `_` takes a text off `int`'s shortcut (`_int_reader`)
+TOOL = "c made_by_tool\n"
+DENSE = "p ecg 8 16 1\n" + "e 1 2 1\n" * 15  # m >= 2 max(n, p): the edge token cache
+PROV_TOOL = "vertex 9 subdiv made_by_tool\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@pytest.mark.parametrize("token", INT_TOKENS, ids=lambda t: repr(t)[:12])
+@pytest.mark.parametrize(
+    "parse,template,message",
+    [
+        (parse_graph, "p ecg {} 0 0\n", "line 1: non-integer field in header"),
+        (parse_graph, TOOL + "p ecg {} 0 0\n", "line 2: non-integer field in header"),
+        (parse_graph, "p ecg 8 1 1\ne 1 {} 1\n", "line 2: non-integer field in edge line"),
+        (parse_graph, TOOL + "p ecg 8 1 1\ne 1 {} 1\n", "line 3: non-integer field in edge"),
+        (parse_graph, DENSE + "e 1 {} 1\n", "line 17: non-integer field in edge line"),
+        (parse_dimacs, "p cnf {} 0\n", "line 1: non-integer field in header"),
+        (parse_dimacs, TOOL + "p cnf {} 0\n", "line 2: non-integer field in header"),
+        (parse_dimacs, "p cnf 8 1\n{} 0\n", "line 2: non-integer literal"),
+        (parse_dimacs, TOOL + "p cnf 8 1\n{} 0\n", "line 3: non-integer literal"),
+        (lambda t: parse_cut(t, 8), "s {}\n", "line 1: non-integer vertex"),
+        (parse_provenance, "vertex {} apex\n", "line 1: non-integer id"),
+        (parse_provenance, PROV_TOOL + "vertex {} apex\n", "line 2: non-integer id"),
+        (
+            lambda t: _walk_provenance(t.splitlines()),
+            "color 1 fresh\nvertex {} apex\n",
+            "line 2: non-integer id",
+        ),
+    ],
+)
+def test_every_reader_takes_one_integer_rule(parse, template, message, token):
+    # each reader takes exactly the tokens of a sign and ASCII digits that
+    # `int` reads, as the int they spell, and names its line for any other
+    value = plain_int(token)
+    if value is None:
+        with pytest.raises(FormatError) as exc:
+            parse(template.format(token))
+        assert str(exc.value).startswith(message)
+        assert "Exceeds" not in str(exc.value)
+    else:
+        assert _outcome(parse, template.format(token)) == _outcome(
+            parse, template.format(value)
+        )
+
+
+@pytest.mark.parametrize("token", INT_TOKENS, ids=lambda t: repr(t)[:12])
+@pytest.mark.parametrize("prefix", ["", PROV_TOOL], ids=["plain", "tool"])
+def test_a_provenance_meaning_is_an_int_by_the_same_rule_or_text(prefix, token):
+    text = prefix + f"vertex 1 subdiv {token}\n"
+    value = plain_int(token)
+    expected = ("subdiv", token if value is None else value)
+    assert parse_provenance(text)[1][1] == expected
+    assert _walk_provenance(text.splitlines())[1][1] == expected
 
 
 def _k4mf_with_a_colorful_cut():
