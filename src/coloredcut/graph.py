@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import wraps
 from itertools import chain
 from operator import index
@@ -282,14 +282,32 @@ class _IntTokens(dict):
         return value
 
 
+# Characters per chunk that `parse_graph` splits into lines at a time.
+_READ_CHUNK = 1 << 16
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """`text` in consecutive pieces of about `_READ_CHUNK` characters, each
+    ending just after a line feed, or at the end of the text.  A line feed
+    always ends a line break, a CR LF pair included, so the pieces' lines
+    (`str.splitlines`) are exactly the text's."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 @_gc_paused
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the ECG format.  Raises FormatError naming the offending line.
 
     Every check of the `ColoredGraph` constructor is made here, once per
     line, so the graph is built without a second pass over the edges.
+    The lines are split a chunk at a time (`_chunks`), so the peak holds
+    the text and the graph but not a string per line of the file.
     """
-    lines = text.splitlines()
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
     field = _int_reader(text)  # the header may swap in a token cache for the edges
     header: list[str] | None = None
     header_lineno = 0

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -88,6 +89,24 @@ def oracle_parse_graph(text: str) -> ColoredGraph:
     if len(present) != p:
         raise FormatError(f"line {header_lineno}: {_dead_colors(present, p, m)}")
     return ColoredGraph(n, tuple(edges), p)
+
+
+def traced(func, *args):
+    """(func(*args), bytes its result still holds, bytes at its peak): the
+    memory that tracemalloc sees allocated during the call, counted from the
+    call's start."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = func(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, kept - start, peak - start
 
 
 def plain_int(t: str) -> int | None:

@@ -159,6 +159,27 @@ HUGE_HEADER_CASES = {
             "check apex-removal-bipartite: pass",
         ],
     ),
+    "verify-planar-multi": (
+        ["verify", "--kind", "planar-multi", "--graph"],
+        1,
+        ["check graph-valid: pass", "check color-class-size-2: fail (color 1 has 1 edges)"],
+    ),
+    "verify-planar-simple": (
+        ["verify", "--kind", "planar-simple", "--graph"],
+        0,
+        ["check graph-valid: pass", "check simple: pass", "check color-class-size-le-2: pass"],
+    ),
+    # one edge is far below n(n-1)/2, so no pair matrix is made
+    "verify-complete": (
+        ["verify", "--kind", "complete", "--graph"],
+        1,
+        ["check graph-valid: pass", "check complete: fail (missing edge between 1 and 3)"],
+    ),
+    "verify-nae": (
+        ["verify", "--kind", "nae", "--graph"],
+        0,
+        ["check graph-valid: pass", "check color-class-clique: pass"],
+    ),
     "verify-graph": (["verify", "--kind", "graph", "--graph"], 0, ["check graph-valid: pass"]),
     "stats": (["stats"], 0, ["n 1000000000 m 1 p 1", "color 1 edges 1 pairs 1 span 1"]),
 }

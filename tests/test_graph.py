@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pickle
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,10 +43,10 @@ from coloredcut import (
     solve_via_kernel,
     verify_structural,
 )
-from coloredcut.graph import _WRITE_CHUNK, _bfs_labels, _gc_paused
+from coloredcut.graph import _READ_CHUNK, _WRITE_CHUNK, _bfs_labels, _gc_paused
 from coloredcut.reductions import _walk_provenance
 
-from helpers import mutated_ecg, oracle_parse_graph, plain_int, random_multigraph
+from helpers import mutated_ecg, oracle_parse_graph, plain_int, random_multigraph, traced
 
 RAINBOW_TRIANGLE = ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 3)), 3)
 
@@ -263,6 +264,68 @@ def test_parse_graph_answers_as_the_line_walk_did():
         "header",
         "missing",
     }
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\v", "\x1c"])
+def test_parse_graph_answers_as_the_line_walk_did_past_the_first_chunk(end):
+    # parse_graph splits the text a chunk at a time, each cut just after the
+    # first `\n` at or past _READ_CHUNK characters.  Line w and the seven
+    # after it end in `end`, line w's break starting at each offset -2..1
+    # from that point, and mutated_ecg edits the lines after them, past the
+    # cut: every text must give the oracle's graph or message, line number
+    # included.
+    rng = random.Random(46)
+    edges = [(*rng.sample(range(1, 91), 2), i % 60 + 1) for i in range(7000)]
+    lines = ["c ", *serialize_graph(ColoredGraph(90, edges, 60)).splitlines()]
+    breaks = list(accumulate(len(line) + 1 for line in lines))  # one past each `\n`
+    w = max(i for i, b in enumerate(breaks) if b < _READ_CHUNK - 2)
+    assert breaks[-1] > _READ_CHUNK + 1000
+    past_cut = 0
+    for offset in (-2, -1, 0, 1):
+        # pad the comment so that line w's break starts at _READ_CHUNK + offset
+        head = ["c " + "x" * (_READ_CHUNK + offset + 1 - breaks[w]), *lines[1 : w + 1]]
+        text = "\n".join(head) + end + end.join(lines[w + 1 : w + 8]) + end
+        assert text.startswith(end, _READ_CHUNK + offset)
+        tail = "\n".join(lines[w + 8 :]) + "\n"
+        for _ in range(6):
+            edited = text + mutated_ecg(rng, tail)
+            cut = edited.find("\n", _READ_CHUNK) + 1 or len(edited)
+            first_chunk_lines = len(edited[:cut].splitlines())
+            expected = _parse_outcome(oracle_parse_graph, edited)
+            assert _parse_outcome(parse_graph, edited) == expected
+            if expected[0] == "error":
+                past_cut += int(expected[1].split(":")[0].split()[1]) > first_chunk_lines
+        expected = _parse_outcome(oracle_parse_graph, text + tail)
+        assert expected[0] == "graph"
+        assert _parse_outcome(parse_graph, text + tail) == expected
+    assert past_cut > 8
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\v"])
+def test_parse_graph_reads_lines_longer_than_a_chunk(end):
+    # a chunk runs on past _READ_CHUNK characters to the first `\n`, or to
+    # the end of a text that has none; the lines after a long one keep their
+    # numbers
+    lines = ["c " + "x" * _READ_CHUNK, "p ecg 3 3 2", "e 1" + " " * _READ_CHUNK + "2 1", "e 2 3 2"]
+    for last, outcome in [
+        ("e 1 3 1", ("graph", ColoredGraph(3, ((1, 2, 1), (2, 3, 2), (1, 3, 1)), 2), {int})),
+        ("e 3 3 1", ("error", "line 5: self-loop at vertex 3")),
+    ]:
+        text = end.join([*lines, last]) + end
+        assert _parse_outcome(oracle_parse_graph, text) == outcome
+        assert _parse_outcome(parse_graph, text) == outcome
+
+
+def test_parse_graph_peaks_near_the_graph_it_returns():
+    # with one chunk's lines alive at a time, the peak is the graph, its
+    # edge list before the tuple, the token cache and a chunk; a string per
+    # line of the file took it past twice the graph
+    rng = random.Random(5)
+    edges = [(*rng.sample(range(1, 1001), 2), i % 100 + 1) for i in range(20000)]
+    text = serialize_graph(ColoredGraph(1000, edges, 100))
+    g, kept, peak = traced(parse_graph, text)
+    assert g.m == 20000
+    assert peak <= 1.6 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("copies", [1, 2])

@@ -33,7 +33,7 @@ from coloredcut import (
     strip_single_polarity,
     verify_structural,
 )
-from coloredcut.reductions import _GENERATORS
+from coloredcut.reductions import _GENERATORS, CheckItem, _check_complete
 
 from helpers import (
     all_3var_formulas,
@@ -41,7 +41,9 @@ from helpers import (
     oracle_nae,
     oracle_sat,
     random_3cnf,
+    random_multigraph,
     random_simple_graph,
+    traced,
 )
 
 # three clauses, every variable in both polarities, satisfied by all-true
@@ -926,6 +928,50 @@ def test_verify_structural_reports_counterexamples():
         report = verify_structural(ReductionArtifact(g, kind, None))
         got = [(item.name, item.passed, item.detail) for item in report.items]
         assert got == expected, (kind, g)
+
+
+def _oracle_complete(g):
+    joined = {frozenset((u, v)) for u, v, _ in g.edges}
+    for u, v in combinations(range(1, g.n + 1), 2):
+        if {u, v} not in joined:
+            return CheckItem("complete", False, f"missing edge between {u} and {v}")
+    return CheckItem("complete", True)
+
+
+def test_check_complete_names_the_first_missing_pair_as_an_all_pairs_scan():
+    # m >= n(n-1)/2 marks the pairs in a byte matrix; fewer edges go straight
+    # to naming the first missing pair.  Complete multigraphs with parallel
+    # edges and one pair deleted keep m >= n(n-1)/2 but fail.
+    rng = random.Random(46)
+    seen = Counter()
+    for i in range(600):
+        if i % 2:
+            g = random_multigraph(rng, n_max=7, p_max=5, extra_max=25)
+        else:
+            n = rng.randint(3, 8)
+            pairs = list(combinations(range(1, n + 1), 2))
+            if rng.random() < 0.75:
+                pairs.remove(rng.choice(pairs))
+            pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 8))]
+            rng.shuffle(pairs)
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            p = rng.randint(1, len(pairs))
+            g = ColoredGraph(n, [(u, v, j % p + 1) for j, (u, v) in enumerate(pairs)], p)
+        item = _check_complete(g)
+        assert item == _oracle_complete(g), g
+        seen[g.m >= math.comb(g.n, 2), item.passed] += 1
+    # both sides of the guard, and both answers above it
+    assert min(seen[True, True], seen[True, False], seen[False, False]) > 50, seen
+
+
+def test_check_complete_peaks_at_its_byte_matrix():
+    # K_120 marks 7,140 pairs in (n+1)^2 = 14,641 bytes; a set of pair
+    # tuples peaked at about 930 KB
+    n = 120
+    g = ColoredGraph(n, [(u, v, 1) for u, v in combinations(range(1, n + 1), 2)], 1)
+    item, _, peak = traced(_check_complete, g)
+    assert item == CheckItem("complete", True)
+    assert peak <= (n + 1) ** 2 + 16 * 1024, peak
 
 
 def test_artifact_kind_must_be_a_reduction_kind():
