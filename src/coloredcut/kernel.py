@@ -159,6 +159,10 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
     flipped without losing any crossing color.  The witness edge of a color
     is its first crossing edge; the flipped vertex is the first free
     endpoint, u before v, of the color's same-side edges in edge order.
+
+    Cost: one pass groups g's edges by color; then each restored color reads
+    its own edges, and, when it needs a flip, each active color's edges up
+    to its first crossing one.
     """
     if cut.n != g.n:
         raise ValueError(f"cut is over 1..{cut.n} but graph has {g.n} vertices")
@@ -167,29 +171,23 @@ def augment_cut(g: ColoredGraph, removed_colors: Sequence[int], cut: Cut) -> Cut
             raise ValueError(f"color {color} outside 1..{g.p}")
     if not removed_colors:
         return cut
-    # Exact duplicates follow their first copy, so they change neither the
-    # crossing colors nor the first witness or flip edge found per color.
+    by_color: list[list[tuple[int, int, int]]] = [[] for _ in range(g.p)]
+    for edge in g.edges:
+        by_color[edge[2] - 1].append(edge)
     s_side = set(cut.s_side)
     active = set(range(1, g.p + 1)) - set(removed_colors)
     for color in reversed(list(removed_colors)):
         active.add(color)
-        witness: dict[int, tuple[int, int]] = {}  # first crossing edge per color
-        for u, v, c in g.edges:
-            if c in active and c not in witness and (u in s_side) != (v in s_side):
-                witness[c] = (u, v)
-        if color in witness:
+        own = by_color[color - 1]
+        if any((u in s_side) != (v in s_side) for u, v, _ in own):
             continue
-        witness_vertices = {x for uv in witness.values() for x in uv}
-        flip = next(
-            (
-                x
-                for u, v, c in g.edges
-                if c == color and (u in s_side) == (v in s_side)
-                for x in (u, v)
-                if x not in witness_vertices
-            ),
-            None,
-        )
+        witness_vertices: set[int] = set()  # endpoints of each first crossing edge
+        for c in active:
+            for u, v, _ in by_color[c - 1]:
+                if (u in s_side) != (v in s_side):
+                    witness_vertices.update((u, v))
+                    break
+        flip = next((x for u, v, _ in own for x in (u, v) if x not in witness_vertices), None)
         if flip is None:
             raise InvariantError(
                 f"color {color} cannot be restored; was it removed by the rule on this graph?"

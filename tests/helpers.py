@@ -14,7 +14,7 @@ import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass
 
-from coloredcut import CnfFormula, ColoredGraph, FormatError
+from coloredcut import CnfFormula, ColoredGraph, Cut, FormatError, InvariantError
 from coloredcut.graph import _dead_colors
 
 # the settled contraction that `colorful_cut_decide` searches from, or None
@@ -228,6 +228,41 @@ def oracle_removal_order(g: ColoredGraph, k: int | None = None):
         alive.discard(dense[0])
         removed.append(dense[0])
         kept = [e for e in kept if e[2] != dense[0]]
+
+
+def oracle_augment_cut(g: ColoredGraph, removed_colors, cut: Cut) -> Cut:
+    """`kernel.augment_cut` as it first read: for every restored color it
+    rescans all of g's edges for each active color's first crossing edge,
+    and then again for the color's first same-side endpoint outside them."""
+    if not removed_colors:
+        return cut
+    s_side = set(cut.s_side)
+    active = set(range(1, g.p + 1)) - set(removed_colors)
+    for color in reversed(list(removed_colors)):
+        active.add(color)
+        witness: dict[int, tuple[int, int]] = {}  # first crossing edge per color
+        for u, v, c in g.edges:
+            if c in active and c not in witness and (u in s_side) != (v in s_side):
+                witness[c] = (u, v)
+        if color in witness:
+            continue
+        witness_vertices = {x for uv in witness.values() for x in uv}
+        flip = next(
+            (
+                x
+                for u, v, c in g.edges
+                if c == color and (u in s_side) == (v in s_side)
+                for x in (u, v)
+                if x not in witness_vertices
+            ),
+            None,
+        )
+        if flip is None:
+            raise InvariantError(
+                f"color {color} cannot be restored; was it removed by the rule on this graph?"
+            )
+        s_side ^= {flip}
+    return Cut(g.n, frozenset(s_side))
 
 
 def oracle_reduced_graph(g: ColoredGraph, removed: list[int]) -> ColoredGraph:

@@ -14,9 +14,11 @@ from coloredcut import (
     kernelize_colors,
     kernelize_value,
 )
+from coloredcut.kernel import _value_kernel
 from helpers import (
     distinct_pairs,
     inflate_one_color,
+    oracle_augment_cut,
     oracle_max_cut_colors,
     oracle_reduced_graph,
     oracle_removal_order,
@@ -284,6 +286,97 @@ def test_augment_cut_flips_the_first_free_endpoint():
         augment_cut(g, (2,), Cut(3, frozenset({3})))
 
 
+def repair_outcome(repair, g, removed, cut):
+    """What `repair` makes of the cut: the repaired `Cut`, or the message of
+    the `InvariantError` it raises."""
+    try:
+        return repair(g, removed, cut)
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+def assert_repairs_as_the_oracle(g, removed, cut):
+    expected = repair_outcome(oracle_augment_cut, g, removed, cut)
+    assert repair_outcome(augment_cut, g, removed, cut) == expected
+
+
+def random_cut(rng, n):
+    return Cut(n, rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+
+
+def test_augment_cut_repairs_as_the_oracle_under_the_rule_orders():
+    # the full removal order, and every prefix that `_value_kernel` answers
+    # an early yes with, on random multigraphs (half with one dense color
+    # added) and on graphs whose i-th edge has color i % p + 1, from a
+    # random cut and from one that leaves the first restored color on T
+    rng = random.Random(3)
+    flipped = 0
+    for draw in range(1_200):
+        if draw % 2:
+            n, p = rng.randint(3, 12), rng.randint(1, 6)
+            edges = ((*rng.sample(range(1, n + 1), 2), i % p + 1) for i in range(rng.randint(p, 60)))
+            g = ColoredGraph(n, tuple(edges), p)
+        else:
+            g = random_multigraph(rng, n_max=12, p_max=6, extra_max=40)
+            if rng.random() < 0.5:
+                g = inflate_one_color(rng, g) or g
+        orders = {kernelize_colors(g).removed_colors}
+        for k in range(1, g.p + 1):
+            _, removed, early = _value_kernel(g, k)
+            if early:
+                orders.add(tuple(removed))
+        for removed in orders:
+            cuts = [random_cut(rng, g.n)]
+            if removed:
+                last = {x for u, v, c in g.edges if c == removed[-1] for x in (u, v)}
+                if len(last) < g.n:
+                    cuts.append(Cut(g.n, set(range(1, g.n + 1)) - last))
+            for cut in cuts:
+                assert_repairs_as_the_oracle(g, removed, cut)
+                flipped += augment_cut(g, removed, cut) != cut
+    assert flipped > 300
+
+
+@pytest.mark.parametrize("p", [10, 20])
+def test_augment_cut_repairs_as_the_oracle_on_dense_graphs(p):
+    rng = random.Random(7)
+    n = 2_000
+    edges = tuple((*rng.sample(range(1, n + 1), 2), i % p + 1) for i in range(20_000))
+    g = ColoredGraph(n, edges, p)
+    removed = kernelize_colors(g).removed_colors
+    assert len(removed) == p
+    for cut in (Cut(n, {1}), Cut(n, {n})):
+        assert_repairs_as_the_oracle(g, removed, cut)
+    assert augment_cut(g, removed, Cut(n, {1})) != Cut(n, {1})
+
+
+class CountingEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountingEdges.passes += 1
+        return super().__iter__()
+
+
+def test_augment_cut_reads_the_edges_once(monkeypatch):
+    # colors 1, 2 and 3 each span a K_5 of their own and all lie on T, so
+    # each of the three restores flips a vertex
+    groups = ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15))
+    plain = tuple(
+        (u, v, c) for c, group in enumerate(groups, 1) for u in group for v in group if u < v
+    )
+    g = ColoredGraph._trusted(16, CountingEdges(plain), 3)
+    removed = kernelize_colors(ColoredGraph(16, plain, 3)).removed_colors
+    assert removed == (1, 2, 3)
+    monkeypatch.setattr(CountingEdges, "passes", 0)
+    repaired = augment_cut(g, removed, Cut(16, {16}))
+    assert CountingEdges.passes == 1
+    assert repaired == Cut(16, {1, 6, 11, 16})
+    assert repaired == oracle_augment_cut(ColoredGraph(16, plain, 3), removed, Cut(16, {16}))
+
+
 @st.composite
 def multigraphs(draw):
     n = draw(st.integers(min_value=2, max_value=8))
@@ -320,3 +413,15 @@ def test_kernelize_value_consistent_with_colors_route(g, k):
             else 0
         )
         assert (oracle_max_cut_colors(g) >= k) == (red_opt >= k - len(out.removed_colors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_augment_cut_repairs_as_the_oracle_property(g, data):
+    # any color sequence, repeats allowed, from any nontrivial cut
+    colors = st.integers(min_value=1, max_value=g.p)
+    removed = tuple(data.draw(st.lists(colors, max_size=2 * g.p)))
+    s_side = data.draw(
+        st.sets(st.integers(min_value=1, max_value=g.n), min_size=1, max_size=g.n - 1)
+    )
+    assert_repairs_as_the_oracle(g, removed, Cut(g.n, s_side))
