@@ -542,6 +542,26 @@ def test_colorful_matches_formula_truth_on_every_construction(kind):
     assert truths == {True, False}
 
 
+def test_colorful_witnesses_on_the_constructions_are_pinned():
+    # sha256 prefix of every colorful answer (None or the sorted S side) on
+    # the construction-shaped graphs of small random 3-CNF, so that a rewrite
+    # of the colorful search shows it finds the same cuts
+    rng = random.Random(49)
+    formulas = []
+    while len(formulas) < 24:
+        f = random_3cnf(rng, rng.randint(4, 6), rng.randint(6, 12))
+        if strip_single_polarity(f)[0]:
+            formulas.append(f)
+    answers = []
+    for kind in ("planar-multi", "planar-simple", "k4mf", "oct1", "nae"):
+        for f in formulas:
+            cut = colorful_cut_decide(_GENERATORS[kind](f).graph)
+            answers.append(repr(None if cut is None else sorted(cut.s_side)))
+    # every formula is satisfiable, and 8 of the 24 are not NAE-satisfiable
+    assert answers.count("None") == 8
+    assert _digest(answers) == "871efb3a8f591d89"
+
+
 def _record_calls(monkeypatch, name: str) -> list[tuple]:
     """The arguments of every `_Contraction.<name>` call from now on."""
     calls: list[tuple] = []
