@@ -16,7 +16,8 @@ Exit codes: 0 yes / success, 1 no, 2 bad input or unwritable output
 (an ``--output`` path, or a stdout that is closed, a closed pipe or a full
 device such as ``> /dev/full``), 3 no stage of solve could answer (its
 search has more than ``BRUTE_FORCE_CAP``, 24, vertices to enumerate, and
-with ``-k`` no certificate settles K either), 4 internal error.
+no certificate settles K with ``-k``, or without it no cut was certified to
+cross all p colors), 4 internal error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graph import (
     serialize_graph,
 )
 from .kernel import _rule_table, kernelize_colors, kernelize_value
-from .solve import _greedy_cut, _staged, colorful_cut_decide
+from .solve import _greedy_cut, _search, _staged, colorful_cut_decide
 
 # The `ReductionKind` values, spelled out so that building the parser does not
 # load reductions.py: only `generate` and `verify --kind <construction>` use it.
@@ -83,20 +84,22 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     if args.algo == "greedy":
         witness, value = _greedy_cut(g, ())  # the greedy cut, recounted on g
     else:
-        # the search and, where it refuses, the staged answer to -k read one table
+        # the search and, where it refuses, the staged answer read one table
         table = _rule_table(g)
         try:
-            # the search recounted its witness on g
-            value, witness = _staged(g, None, table)[:2]
+            result = _search(g, *table)  # its witness is recounted on g
+            value, witness = result.value, result.witness
         except CapExceededError:
-            if args.k is None:
-                raise
+            # without -k only a cut crossing all p colors settles the value;
             # every cut crosses at least 0 colors, so K < 1 asks what K = 1 does
-            k = max(args.k, 1)
-            lower, cut, upper, _, _ = _staged(g, k, table)
-            if lower < k:
+            k = g.p if args.k is None else max(args.k, 1)
+            value, witness, upper, _ = _staged(g, k, table)
+            if value < k:
+                if args.k is None:
+                    raise  # the search's refusal stands
                 return 1, f"at most {upper}\n"
-            return 0, _answer(f"at least {lower}", serialize_cut(cut), args.output)
+            if args.k is not None:
+                return 0, _answer(f"at least {value}", serialize_cut(witness), args.output)
     text = _answer(f"value {value}", serialize_cut(witness), args.output)
     return (0 if args.k is None or value >= args.k else 1), text
 

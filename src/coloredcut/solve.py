@@ -16,11 +16,12 @@ Three routes:
   fewest edges (the MOMS rule of DPLL solvers) and contracting again at
   every node, down to the node where no color is left to cross.
 
-`brute_force_max` and `_staged` share one exhaustive search.  It takes the
-color-class table and the colors the kernel removed, scans the surviving
-colors in place on g (no reduced graph is built), repairs the witness with
-`augment_cut` and recounts it on g.  `solve_via_kernel` and `decide_max`
-read `_staged`, which runs the stages of both questions in one order: the
+`brute_force_max`, `solve_via_kernel` and `_staged` share one exhaustive
+search.  It takes the color-class table and the colors the kernel removed,
+scans the surviving colors in place on g (no reduced graph is built),
+repairs the witness with `augment_cut` and recounts it on g.
+`solve_via_kernel` is that search over the rule's table and nothing else.
+`decide_max` reads `_staged`, which answers "at least k?" in one order: the
 value kernel's early yes, answered by the greedy cut, and a "no" with no
 search when k exceeds the upper bound, before the search; the greedy cut
 again where the search refuses.  That bound is the color count minus a
@@ -207,7 +208,8 @@ def _search(
 ) -> SolveResult:
     """Exact optimum of g from its `_color_classes` table and the colors the
     rule `removed`, in removal order: each crosses some maximum cut, so the
-    optimum is that over the other colors plus len(removed).
+    optimum is that over the other colors plus len(removed).  ValueError on
+    fewer than two vertices, where no nontrivial cut exists.
 
     The search keeps what `kernel._survivors` keeps.  The first vertex left
     (vertex 1 when nothing is dropped) is pinned to S, since swapping the
@@ -232,6 +234,8 @@ def _search(
     `augment_cut` then makes the witness cross the removed colors, and the
     result is recounted on g.
     """
+    if g.n < 2:
+        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     kept, touched, dropped = _survivors(classes, removed)
     # the first vertex left; with fewer than two left, none is touched and
     # the scan of vertex 1 alone gives 0 and S = {1}
@@ -286,10 +290,9 @@ def brute_force_max(g: ColoredGraph) -> SolveResult:
     """Exact maximum colored cut by enumerating bipartitions (`_search`, no
     kernel): vertex 1 and the vertices some edge touches, with vertex 1 on S.
     Every other vertex sits on T, as in the first optimum of a scan over all
-    n vertices, so value and witness are those of that scan.
+    n vertices, so value and witness are those of that scan.  The search
+    raises ValueError on fewer than two vertices.
     """
-    if g.n < 2:
-        raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
     return _search(g, _color_classes(g), ())
 
 
@@ -556,14 +559,13 @@ _STAGES = ("color-count", "early-yes", "odd-cycle", "search", "greedy")
 
 def _staged(
     g: ColoredGraph,
-    k: int | None,
+    k: int,
     table: tuple[list[dict[tuple[int, int], int]], list[int]] | None = None,
-) -> tuple[int, Cut | None, int, str, SolveResult | None]:
-    """The one staged answer to "does some cut cross at least k colors?"
-    (with k None: "how many colors does a maximum cut cross?").
+) -> tuple[int, Cut | None, int, str]:
+    """The one staged answer to "does some cut cross at least k colors?".
 
-    Stages run in the order of `_STAGES`, the first that settles the
-    question answers, and with k None only the search runs:
+    Stages run in the order of `_STAGES`, and the first that settles the
+    question answers:
 
     * color-count: k > p is a no, since no cut crosses more than p colors.
     * early-yes: the value kernel's early yes (every k up to ceil(p/2) gets
@@ -577,44 +579,38 @@ def _staged(
     * greedy, only where the search refuses: `_greedy_cut` over the colors
       the rule keeps is a yes when it crosses at least k colors.
 
-    Returns (lower, witness, upper, stage, result): `witness` crosses
-    `lower` colors of g (0 and None when a stage answers no without a cut),
-    no cut crosses more than `upper`, `stage` answered, and `result` is the
-    search's `SolveResult` when that stage was the search, else None.  A no
-    has a certified `upper` below k.  Where no stage settles the question,
-    the search's `CapExceededError` propagates.  A `table` from
-    `kernel._rule_table(g)` is read in place of building it again.
+    Returns (lower, witness, upper, stage): `witness` crosses `lower` colors
+    of g (0 and None when a stage answers no without a cut), no cut crosses
+    more than `upper`, and `stage` answered.  A no has a certified `upper`
+    below k.  Where no stage settles the question, the search's
+    `CapExceededError` propagates.  A `table` from `kernel._rule_table(g)`
+    is read in place of building it again.
     """
     if g.n < 2:
         raise ValueError(f"no nontrivial cut exists on {g.n} vertices")
-    if k is None:
-        classes, removed = _rule_table(g) if table is None else table
-    else:
-        if k > g.p:
-            return 0, None, g.p, "color-count", None
-        classes, removed, early = _value_kernel(g, k, table)
-        if early:
-            # _greedy_cut checks 2 * lower >= p + len(removed) >= 2k - 1, so lower >= k
-            base, lower = _greedy_cut(g, removed)
-            return lower, base, g.p, "early-yes", None
-        # each odd cycle takes three single-pair colors or more, so the packing
-        # can only answer when a third of them is more than p - k
-        single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
-        if g.p - len(single) // 3 < k:
-            cycles = _odd_cycles(classes, single)
-            if g.p - len(cycles) < k:
-                _check_odd_cycles(g, cycles)
-                return 0, None, g.p - len(cycles), "odd-cycle", None
+    if k > g.p:
+        return 0, None, g.p, "color-count"
+    classes, removed, early = _value_kernel(g, k, table)
+    if early:
+        # _greedy_cut checks 2 * lower >= p + len(removed) >= 2k - 1, so lower >= k
+        base, lower = _greedy_cut(g, removed)
+        return lower, base, g.p, "early-yes"
+    # each odd cycle takes three single-pair colors or more, so the packing
+    # can only answer when a third of them is more than p - k
+    single = [c for c, pairs in enumerate(classes, 1) if len(pairs) == 1]
+    if g.p - len(single) // 3 < k:
+        cycles = _odd_cycles(classes, single)
+        if g.p - len(cycles) < k:
+            _check_odd_cycles(g, cycles)
+            return 0, None, g.p - len(cycles), "odd-cycle"
     try:
         result = _search(g, classes, removed)
     except CapExceededError:
-        if k is None:
-            raise
         cut, lower = _greedy_cut(g, removed)
         if lower < k:
             raise
-        return lower, cut, g.p, "greedy", None
-    return result.value, result.witness, result.value, "search", result
+        return lower, cut, g.p, "greedy"
+    return result.value, result.witness, result.value, "search"
 
 
 def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
@@ -630,8 +626,8 @@ def decide_max(g: ColoredGraph, k: int) -> tuple[bool, Cut | None]:
 def solve_via_kernel(g: ColoredGraph) -> SolveResult:
     """Exact maximum colored cut through the color-parameterized kernel:
     `_search` over the colors the rule keeps, with no reduced graph built,
-    reached through `_staged`.  Value and witness are those of
+    and no certificate stage of `_staged`.  Value and witness are those of
     `brute_force_max` on the reduced graph of `kernelize_colors`, lifted
     back and repaired by `augment_cut`.
     """
-    return _staged(g, None)[4]
+    return _search(g, *_rule_table(g))

@@ -256,11 +256,32 @@ def test_solve_greedy_emits_cut_to_stdout(graph_file, capsys):
 
 
 def test_solve_brute_cap_exit_code(graph_file, capsys):
-    # a rainbow path touches all 25 vertices and the rule removes no color
-    big = ColoredGraph(25, tuple((v, v + 1, v) for v in range(1, 25)), 24)
-    code, _, err = run(capsys, ["solve", graph_file(big)])
-    assert code == 3
-    assert err.startswith("error:")
+    # 28 vertices to search, and the greedy cut crosses 14 of the 21 colors,
+    # so no cut is certified to cross them all
+    code, out, err = run(capsys, ["solve", graph_file(greedy_misses(7))])
+    assert (code, out) == (3, "")
+    assert err == "error: refusing exhaustive search on 28 vertices (cap 24)\n"
+
+
+def test_solve_above_the_cap_answers_when_a_cut_crosses_every_color(graph_file, capsys):
+    # a rainbow path touches all 25 vertices and the rule removes no color,
+    # but the greedy cut alternates the sides and crosses all 24 colors
+    path = ColoredGraph(25, tuple((v, v + 1, v) for v in range(1, 25)), 24)
+    odd = "s " + " ".join(map(str, range(1, 26, 2))) + "\n"
+    assert run(capsys, ["solve", graph_file(path)]) == (0, "value 24\n" + odd, "")
+
+
+def test_solve_below_the_cap_reads_no_staged_answer(graph_file, capsys, monkeypatch):
+    # the value comes from the search alone; the stages answer only where it refuses
+    def refuse(*args):
+        raise AssertionError("staged")
+
+    monkeypatch.setattr(cli, "_staged", refuse)
+    path = graph_file(TRIANGLE)
+    code, out, _ = run(capsys, ["solve", path])
+    assert code == 0 and out.startswith("value 2\n")
+    assert run(capsys, ["solve", path, "-k", "2"])[0] == 0
+    assert run(capsys, ["solve", path, "-k", "3"])[:2] == (1, out)
 
 
 @pytest.mark.parametrize(

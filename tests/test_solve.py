@@ -945,7 +945,7 @@ def test_stage_answers_agree_with_the_search_under_a_low_cap(monkeypatch):
     for g, opt in zip(corpus, optima):
         for k in range(1, g.p + 2):
             try:
-                lower, witness, upper, stage, _ = _staged(g, k)
+                lower, witness, upper, stage = _staged(g, k)
             except CapExceededError:
                 stages["refused"] += 1
                 continue
@@ -1168,6 +1168,25 @@ def test_solve_via_kernel_matches_brute():
         res = solve_via_kernel(g)
         assert res.value == brute_force_max(g).value
         assert len(cut_colors(g, res.witness)) == res.value
+
+
+def test_solve_via_kernel_runs_no_certificate_stage(monkeypatch):
+    # the exact value is the rule table plus the search and its repair: no
+    # value kernel, odd-cycle packing or greedy cut is asked
+    def refuse(*args):
+        raise AssertionError("a certificate stage ran")
+
+    for name in ("_value_kernel", "_odd_cycles", "_greedy_cut"):
+        monkeypatch.setattr(f"coloredcut.solve.{name}", refuse)
+    rng = random.Random(49)
+    repaired = 0
+    for _ in range(150):
+        g = random_multigraph(rng, n_max=8, p_max=4)
+        g = inflate_one_color(rng, g) or g
+        repaired += bool(kernelize_colors(g).removed_colors)
+        res = solve_via_kernel(g)
+        assert res.value == brute_force_max(g).value == len(cut_colors(g, res.witness))
+    assert repaired > 50
 
 
 @pytest.mark.parametrize("first", [1, 2])
